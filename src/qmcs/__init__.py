@@ -15,14 +15,14 @@ from .amplitude import (ae_outcome_distribution, ae_sample, ae_median,
                         ae_circuit_distribution, arcsin_gap_bound,
                         measurement_tv_bound, outcome_interval_halfwidth,
                         interval_coverage)
-from .mean import (Estimate, EstimatorConfig, estimate_mean_bounded,
+from .mean import (Estimate, estimate_mean_bounded,
                    estimate_mean_l2, estimate_mean_variance,
                    estimate_mean_relative, power_median, powering_reps,
                    bounded_mean_constant, l2_constant, t_for_additive_error)
 from .gibbs import (Graph, GibbsModel, read_graph, ising_model,
                     colouring_model, matching_model, exact_partition,
                     gibbs_distribution, chi_squared, overlap_squared)
-from .chains import (MarkovChain, glauber_chain, matching_chain,
+from .chains import (MarkovChain, glauber_chain, matching_chain, chain_for,
                      relaxation_time, mix_sample, make_lazy, mixing_steps)
 from .walk import (WalkOperator, QuantumSample, ReflectionSpec, szegedy_walk,
                    quantum_sample_state, approx_reflection, warm_start_prepare,

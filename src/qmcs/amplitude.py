@@ -16,7 +16,6 @@ rotation cross-validates the closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -24,8 +23,6 @@ import numpy as np
 from .outcome import QueryLedger, ValueDistribution, make_distribution
 
 __all__ = [
-    "PhasePoint",
-    "StabilityBound",
     "amplitude_phase",
     "ae_measurement_probs",
     "ae_outcome_distribution",
@@ -45,35 +42,6 @@ AE_SUCCESS_PROB = 8.0 / math.pi**2
 AE_FAIL_PROB = 1.0 - AE_SUCCESS_PROB
 
 _CIRCUIT_T_CAP = 2**14
-
-
-@dataclass(frozen=True)
-class PhasePoint:
-    """Amplitude a with its phase omega in [0, 1/2], sin^2(pi*omega) = a."""
-
-    a: float
-    omega: float
-    t: int
-
-    def __post_init__(self):
-        if not 0.0 <= self.a <= 1.0:
-            raise ValueError("amplitude must lie in [0, 1]")
-        if self.t < 1:
-            raise ValueError("t must be >= 1")
-        if abs(math.sin(math.pi * self.omega) ** 2 - self.a) > 1e-12:
-            raise ValueError("omega inconsistent with amplitude")
-
-
-@dataclass(frozen=True)
-class StabilityBound:
-    """Failure-probability bound 3/10 + (pi^2/sqrt(6)) * T * sqrt(gamma)."""
-
-    gamma: float
-    T: int
-
-    @property
-    def bound(self) -> float:
-        return 0.3 + (math.pi**2 / math.sqrt(6.0)) * self.T * math.sqrt(self.gamma)
 
 
 def amplitude_phase(a: float) -> float:
@@ -162,12 +130,10 @@ def _draw_outcome(omega: float, t: int, rng: np.random.Generator) -> int:
 
 def ae_sample(a: float, t: int, rng: np.random.Generator, ledger: QueryLedger) -> float:
     """One draw of the estimate a~; charges t reflections and one A / A^-1 pair."""
-    if not 0.0 <= a <= 1.0:
-        raise ValueError("amplitude must lie in [0, 1]")
+    omega = amplitude_phase(a)
     ledger.a_uses += 1
     ledger.a_inv_uses += 1
     ledger.reflection_uses += t
-    omega = amplitude_phase(a)
     if rng.random() < 0.5:
         omega = (1.0 - omega) % 1.0  # conjugate phase -omega
     y = _draw_outcome(omega, t, rng)
@@ -190,11 +156,9 @@ def ae_circuit_distribution(a: float, t: int) -> ValueDistribution:
     Register of size t (general Fourier transform over Z_t), target qubit in
     the rotation plane.  Must match ae_outcome_distribution within 1e-8 TV.
     """
-    if not 0.0 <= a <= 1.0:
-        raise ValueError("amplitude must lie in [0, 1]")
+    omega = amplitude_phase(a)
     if t > _CIRCUIT_T_CAP:
         raise ValueError(f"t={t} exceeds dense simulation cap {_CIRCUIT_T_CAP}")
-    omega = amplitude_phase(a)
     theta = math.pi * omega
     psi = np.array([math.cos(theta), math.sin(theta)])  # (bad, good) plane
     # controlled powers of the rotation by angle 2*pi*omega
@@ -227,9 +191,10 @@ def measurement_tv_bound(mu_a: float, mu_b: float, t: int) -> float:
     return (math.pi**2 / (2.0 * math.sqrt(3.0))) * t * math.sqrt(abs(mu_a - mu_b))
 
 
-def stability_failure_bound(gamma: float, T: int) -> float:
-    """Failure bound under a gamma-TV input perturbation after T operator uses."""
-    return StabilityBound(gamma, T).bound
+def stability_failure_bound(gamma: float, T: float) -> float:
+    """Failure bound 3/10 + (pi^2/sqrt(6)) T sqrt(gamma) under a gamma-TV
+    input perturbation after T operator uses."""
+    return 0.3 + (math.pi**2 / math.sqrt(6.0)) * T * math.sqrt(gamma)
 
 
 def outcome_interval_halfwidth(a: float, t: int) -> float:
@@ -237,10 +202,9 @@ def outcome_interval_halfwidth(a: float, t: int) -> float:
     return 2.0 * math.pi * math.sqrt(a * (1.0 - a)) / t + math.pi**2 / t**2
 
 
-def interval_coverage(a: float, t: int, halfwidth: float = None) -> float:
-    """Exact kernel mass of {|a~ - a| <= halfwidth} (default: guaranteed interval)."""
-    if halfwidth is None:
-        halfwidth = outcome_interval_halfwidth(a, t)
+def interval_coverage(a: float, t: int) -> float:
+    """Exact kernel mass of the guaranteed interval {|a~ - a| <= halfwidth}."""
+    halfwidth = outcome_interval_halfwidth(a, t)
     d = ae_outcome_distribution(a, t)
     inside = np.abs(d.values - a) <= halfwidth * (1.0 + 1e-12) + 1e-15
     return float(d.probs[inside].sum())

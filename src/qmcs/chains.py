@@ -21,6 +21,7 @@ __all__ = [
     "ChainError",
     "glauber_chain",
     "matching_chain",
+    "chain_for",
     "relaxation_time",
     "mix_sample",
     "make_lazy",
@@ -38,7 +39,6 @@ class ChainError(ValueError):
 class MarkovChain:
     P: np.ndarray
     pi: np.ndarray
-    lazy: bool = False
 
     def __post_init__(self):
         P, pi = np.asarray(self.P, float), np.asarray(self.pi, float)
@@ -134,6 +134,11 @@ def matching_chain(m: GibbsModel, beta: float) -> MarkovChain:
     return MarkovChain(P, gibbs_distribution(m, beta))
 
 
+def chain_for(m: GibbsModel, beta: float) -> MarkovChain:
+    """The package's chain for a model: Metropolis on matchings, else Glauber."""
+    return matching_chain(m, beta) if m.name == "matching" else glauber_chain(m, beta)
+
+
 def _lambda1(c: MarkovChain) -> float:
     """Second-largest eigenvalue magnitude via the symmetrized matrix."""
     if np.any(c.pi <= 0):
@@ -157,7 +162,7 @@ def relaxation_time(c: MarkovChain) -> float:
 
 def make_lazy(c: MarkovChain) -> MarkovChain:
     """(P + I)/2: forces a nonnegative spectrum at the cost of doubling tau."""
-    return MarkovChain((c.P + np.eye(c.n)) / 2.0, c.pi, lazy=True)
+    return MarkovChain((c.P + np.eye(c.n)) / 2.0, c.pi)
 
 
 def mixing_steps(c: MarkovChain, eps: float) -> int:

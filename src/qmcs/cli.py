@@ -10,15 +10,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import __version__
-from .chains import ChainError, glauber_chain, matching_chain
-from .gibbs import (GibbsModel, colouring_model, exact_partition,
+from .chains import ChainError, chain_for
+from .gibbs import (colouring_model, exact_partition,
                     gibbs_distribution, ising_model, matching_model, read_graph)
 from .mean import (bounded_mean_constant, classical_mean_chebyshev,
                    estimate_mean_bounded, estimate_mean_l2,
@@ -38,17 +36,32 @@ EXIT_IO = 2
 EXIT_CONTRACT = 3
 
 
-class ContractViolation(RuntimeError):
-    pass
+# method -> call on (distribution, settings, rng, ledger); settings carries
+# eps, delta, sigma, B and t (0 = derived from eps).  The estimators are looked
+# up by module-level name at call time.
+ESTIMATORS = {
+    "bounded": lambda d, a, rng, led: estimate_mean_bounded(
+        d, a.t or t_for_additive_error(a.eps), a.delta, rng, led),
+    "l2": lambda d, a, rng, led: estimate_mean_l2(d, a.eps, rng, led),
+    "variance": lambda d, a, rng, led: estimate_mean_variance(
+        d, a.sigma, a.eps, rng, led),
+    "relative": lambda d, a, rng, led: estimate_mean_relative(
+        d, a.B, a.eps, rng, led),
+    "classical": lambda d, a, rng, led: classical_mean_chebyshev(
+        d, a.sigma, a.eps, rng, led),
+}
 
 
-def _emit(obj, out=None):
-    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+def _write(text, out=None):
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
+
+
+def _emit(obj, out=None):
+    _write(json.dumps(obj, sort_keys=True, indent=2, allow_nan=False), out)
 
 
 def _constants():
@@ -96,10 +109,6 @@ def _load_model(args):
     raise SystemExit(_fail(EXIT_CONFIG, f"unknown model {args.model}"))
 
 
-def _chain_for(m: GibbsModel, beta: float):
-    return matching_chain(m, beta) if m.name == "matching" else glauber_chain(m, beta)
-
-
 def _parse_betas(text):
     out = []
     for tok in text.split(","):
@@ -113,19 +122,7 @@ def cmd_mean(args):
     rng = np.random.default_rng(args.seed)
     ledger = QueryLedger()
     try:
-        if args.method == "bounded":
-            t = args.t or t_for_additive_error(args.eps)
-            est = estimate_mean_bounded(d, t, args.delta, rng, ledger)
-        elif args.method == "l2":
-            est = estimate_mean_l2(d, args.eps, rng, ledger)
-        elif args.method == "variance":
-            est = estimate_mean_variance(d, args.sigma, args.eps, rng, ledger)
-        elif args.method == "relative":
-            est = estimate_mean_relative(d, args.B, args.eps, rng, ledger)
-        elif args.method == "classical":
-            est = classical_mean_chebyshev(d, args.sigma, args.eps, rng, ledger)
-        else:
-            return _fail(EXIT_CONFIG, f"unknown method {args.method}")
+        est = ESTIMATORS[args.method](d, args, rng, ledger)
     except (ValueError, ArithmeticError) as exc:
         return _fail(EXIT_CONFIG, str(exc))
     _emit({"schema": SCHEMA, "version": __version__, "method": args.method,
@@ -159,19 +156,14 @@ def cmd_model(args):
         else:
             zu = z
         lines.append(f"{_finite(beta)},{z!r},{zu!r}")
-    text = "\n".join(lines)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write("\n".join(lines), args.out)
     return 0
 
 
 def cmd_chain(args):
     m = _load_model(args)
     try:
-        c = _chain_for(m, args.beta)
+        c = chain_for(m, args.beta)
         tau = c.tau
     except ChainError as exc:
         return _fail(EXIT_CONTRACT, str(exc))
@@ -187,8 +179,7 @@ def cmd_chain(args):
 def cmd_walk_check(args):
     m = _load_model(args)
     try:
-        c = _chain_for(m, args.beta)
-        w = szegedy_walk(c)
+        w = szegedy_walk(chain_for(m, args.beta))
     except (ChainError, ValueError) as exc:
         return _fail(EXIT_CONTRACT, str(exc))
     phases, _ = w.eigensystem()
@@ -242,13 +233,22 @@ def cmd_partition(args):
     return 0
 
 
+def _on_support(d, support):
+    """d's probabilities on a sorted superset of its support values."""
+    probs = np.zeros(len(support))
+    probs[np.searchsorted(support, d.values)] = d.probs
+    return probs
+
+
 def cmd_tvd(args):
     p = _load_distribution(args.p)
     q = _load_distribution(args.q)
+    support = np.union1d(p.values, q.values)
     rng = np.random.default_rng(args.seed)
     ledger = QueryLedger()
     try:
-        est = estimate_tvd(p.probs, q.probs, args.eps, args.delta, rng, ledger)
+        est = estimate_tvd(_on_support(p, support), _on_support(q, support),
+                           args.eps, args.delta, rng, ledger)
     except ValueError as exc:
         return _fail(EXIT_CONFIG, str(exc))
     _emit({"schema": SCHEMA, "seed": args.seed, "eps": args.eps,
@@ -258,55 +258,34 @@ def cmd_tvd(args):
     return 0
 
 
-def _bench_trial(payload):
-    d_pairs, method, eps, sigma, bound, seed = payload
-    d = make_distribution(d_pairs)
-    rng = np.random.default_rng(seed)
-    ledger = QueryLedger()
-    if method == "bounded":
-        est = estimate_mean_bounded(d, t_for_additive_error(eps), 0.1, rng, ledger)
-    elif method == "l2":
-        est = estimate_mean_l2(d, eps, rng, ledger)
-    elif method == "variance":
-        est = estimate_mean_variance(d, sigma, eps, rng, ledger)
-    elif method == "relative":
-        est = estimate_mean_relative(d, bound, eps, rng, ledger)
-    elif method == "classical":
-        est = classical_mean_chebyshev(d, sigma, eps, rng, ledger)
-    else:
-        raise ValueError(f"unknown method {method}")
-    err = abs(est.value - d.mean())
-    if method == "relative":
-        err /= abs(d.mean())
-    return (eps, ledger.reflection_uses, ledger.classical_samples, err)
-
-
 def cmd_bench(args):
     d = _load_distribution(args.dist)
-    sweep = [float(tok) for tok in args.sweep.split("=", 1)[1].split(",")]
+    name, _, values = args.sweep.partition("=")
+    try:
+        sweep = [float(tok) for tok in values.split(",")] if name == "eps" else []
+    except ValueError:
+        sweep = []
     if not sweep:
-        return _fail(EXIT_CONFIG, "empty sweep")
-    pairs = tuple((float(v), float(p)) for v, p in d.to_pairs())
-    jobs = []
-    seeds = np.random.SeedSequence(args.seed).spawn(len(sweep) * args.trials)
-    for i, eps in enumerate(sweep):
-        for trial in range(args.trials):
-            jobs.append((pairs, args.method, eps, args.sigma, args.B,
-                         seeds[i * args.trials + trial]))
-    workers = max(1, int(os.environ.get("QMCS_THREADS", "1")))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_bench_trial, jobs))
-    else:
-        rows = [_bench_trial(job) for job in jobs]
+        return _fail(EXIT_CONFIG, f"bad --sweep {args.sweep!r}: want eps=v1,v2,...")
+    d = make_distribution(d.to_pairs())  # rebuilt from pairs: renormalized twice
+    seeds = iter(np.random.SeedSequence(args.seed).spawn(len(sweep) * args.trials))
     lines = ["eps,reflections,classical_samples,error"]
-    lines += [f"{eps!r},{refl},{cs},{err!r}" for eps, refl, cs, err in rows]
-    text = "\n".join(lines)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    try:
+        for eps in sweep:
+            settings = argparse.Namespace(eps=eps, delta=0.1, t=0,
+                                          sigma=args.sigma, B=args.B)
+            for _ in range(args.trials):
+                ledger = QueryLedger()
+                est = ESTIMATORS[args.method](
+                    d, settings, np.random.default_rng(next(seeds)), ledger)
+                err = abs(est.value - d.mean())
+                if args.method == "relative":
+                    err /= abs(d.mean())
+                lines.append(f"{eps!r},{ledger.reflection_uses},"
+                             f"{ledger.classical_samples},{err!r}")
+    except (ValueError, ArithmeticError) as exc:
+        return _fail(EXIT_CONFIG, str(exc))
+    _write("\n".join(lines), args.out)
     return 0
 
 
@@ -335,8 +314,7 @@ def build_parser():
 
     p = sub.add_parser("mean", help="estimate the mean of a distribution")
     p.add_argument("--dist", required=True)
-    p.add_argument("--method", default="bounded",
-                   choices=["bounded", "l2", "variance", "relative", "classical"])
+    p.add_argument("--method", default="bounded", choices=list(ESTIMATORS))
     p.add_argument("--eps", type=float, default=0.05)
     p.add_argument("--delta", type=float, default=0.1)
     p.add_argument("--sigma", type=float, default=1.0)
@@ -406,8 +384,7 @@ def build_parser():
 
     p = sub.add_parser("bench", help="accuracy sweep, CSV ledger rows")
     p.add_argument("--dist", required=True)
-    p.add_argument("--method", default="variance",
-                   choices=["bounded", "l2", "variance", "relative", "classical"])
+    p.add_argument("--method", default="variance", choices=list(ESTIMATORS))
     p.add_argument("--sweep", default="eps=0.1,0.05,0.02",
                    help="eps=v1,v2,...")
     p.add_argument("--trials", type=int, default=1)

@@ -23,6 +23,7 @@ __all__ = [
     "matching_model",
     "exact_partition",
     "gibbs_distribution",
+    "chebyshev_ratio",
     "chi_squared",
     "overlap_squared",
 ]
@@ -175,12 +176,28 @@ def gibbs_distribution(m: GibbsModel, beta) -> np.ndarray:
     return probs
 
 
+def chebyshev_ratio(m: GibbsModel, beta_i, beta_j, direction="forward") -> float:
+    """The relative second moment of the ratio variable for the pair.
+
+    forward:  Z(2 beta_j - beta_i) Z(beta_i) / Z(beta_j)^2
+    reversed: Z(2 beta_i - beta_j) Z(beta_j) / Z(beta_i)^2, the same form
+    with the pair swapped.  A terminal pair (beta_i, inf) evaluates
+    Z(beta_i)/Z(inf) in either direction (the reversed form diverges there;
+    see partition.estimate_partition).
+    """
+    if beta_j == math.inf:
+        return exact_partition(m, beta_i) / exact_partition(m, math.inf)
+    if direction != "forward":
+        beta_i, beta_j = beta_j, beta_i
+    return (exact_partition(m, 2.0 * beta_j - beta_i) * exact_partition(m, beta_i)
+            / exact_partition(m, beta_j) ** 2)
+
+
 def chi_squared(m: GibbsModel, beta_i, beta_j) -> float:
     """Chi-squared divergence of pi_{beta_j} from pi_{beta_i}.
 
-    Computed two ways -- the definitional sum and the partition-function
-    ratio Z(beta_i) Z(2 beta_j - beta_i) / Z(beta_j)^2 - 1 -- which must
-    agree to 1e-10.
+    Computed two ways -- the definitional sum and the forward Chebyshev
+    ratio minus 1 -- which must agree to 1e-10.
     """
     if not beta_i <= beta_j:
         raise ValueError("requires beta_i <= beta_j")
@@ -188,13 +205,7 @@ def chi_squared(m: GibbsModel, beta_i, beta_j) -> float:
     nu = gibbs_distribution(m, beta_j)
     mask = pi > 0
     definitional = float(np.sum(pi[mask] * (nu[mask] / pi[mask] - 1.0) ** 2))
-    if beta_j == math.inf:
-        # 2*beta_j - beta_i = inf; the ratio form reduces to Z_i/Z_inf - 1
-        ratio = exact_partition(m, beta_i) / exact_partition(m, math.inf) - 1.0
-    else:
-        ratio = (exact_partition(m, beta_i)
-                 * exact_partition(m, 2.0 * beta_j - beta_i)
-                 / exact_partition(m, beta_j) ** 2) - 1.0
+    ratio = chebyshev_ratio(m, beta_i, beta_j) - 1.0
     if abs(definitional - ratio) > 1e-10 * max(1.0, abs(ratio)):
         raise ArithmeticError(
             f"chi-squared forms disagree: {definitional} vs {ratio}")

@@ -26,7 +26,8 @@ from typing import Callable
 import numpy as np
 from scipy.stats import binom
 
-from .amplitude import AE_FAIL_PROB, ae_median
+from .amplitude import (AE_FAIL_PROB, AE_SUCCESS_PROB, ae_median,
+                        ae_outcome_distribution)
 from .outcome import (
     QueryLedger,
     ValueDistribution,
@@ -37,7 +38,6 @@ from .outcome import (
 )
 
 __all__ = [
-    "EstimatorConfig",
     "Estimate",
     "powering_reps",
     "power_median",
@@ -50,18 +50,6 @@ __all__ = [
     "estimate_mean_relative",
     "classical_mean_chebyshev",
 ]
-
-
-@dataclass
-class EstimatorConfig:
-    epsilon: float = 0.1
-    delta: float = 0.1
-    t: int = 0
-    t0: int = 0
-    k: int = 0
-    D: float = 0.0
-    sigma: float = 1.0
-    B: float = 1.0
 
 
 @dataclass
@@ -112,8 +100,6 @@ def bounded_mean_constant() -> float:
     the exact outcome kernel puts mass >= 8/pi^2 inside |a~ - a| <= C(sqrt(a)/t
     + 1/t^2).  A 2% safety margin is applied; 2*pi + pi^2 is an analytic cap.
     """
-    from .amplitude import AE_SUCCESS_PROB, ae_outcome_distribution
-
     amps = np.unique(np.concatenate([
         np.linspace(0.0, 1.0, 201),
         np.geomspace(1e-6, 1e-2, 25),
@@ -122,7 +108,6 @@ def bounded_mean_constant() -> float:
     cap = 2.0 * math.pi + math.pi**2
     worst = 0.0
     for t in (4, 8, 16, 32, 64, 128):
-        unit = 1.0 / t + 1.0 / t**2  # scale for the bracketing search
         for a in amps:
             d = ae_outcome_distribution(float(a), t)
             err = np.abs(d.values - a)
@@ -134,7 +119,6 @@ def bounded_mean_constant() -> float:
             denom = math.sqrt(a) / t + 1.0 / t**2
             need = radius / denom if denom > 0 else 0.0
             worst = max(worst, need)
-        del unit
     return min(worst * 1.02, cap)
 
 
@@ -143,10 +127,9 @@ def l2_constant() -> float:
     return max(4.0 * bounded_mean_constant(), 10.0)
 
 
-def t_for_additive_error(epsilon: float, C: float = None) -> int:
+def t_for_additive_error(epsilon: float) -> int:
     """Smallest t with C(1/t + 1/t^2) <= epsilon (worst case over amplitudes)."""
-    if C is None:
-        C = bounded_mean_constant()
+    C = bounded_mean_constant()
     t = max(1, int(C / epsilon))
     while C * (1.0 / t + 1.0 / t**2) > epsilon:
         t += 1
@@ -173,15 +156,13 @@ def estimate_mean_bounded(d: ValueDistribution, t: int, delta: float,
 
 
 def estimate_mean_l2(d: ValueDistribution, epsilon: float,
-                     rng: np.random.Generator, ledger: QueryLedger,
-                     D: float = None) -> Estimate:
+                     rng: np.random.Generator, ledger: QueryLedger) -> Estimate:
     """Mean of a nonnegative distribution, error eps*(||v||_2 + 1)^2 w.p. >= 4/5."""
     if d.values.min() < 0.0:
         raise ValueError("support must be nonnegative")
     if not 0.0 < epsilon < 0.5:
         raise ValueError("epsilon must be in (0, 1/2)")
-    if D is None:
-        D = l2_constant()
+    D = l2_constant()
     k = math.ceil(math.log2(1.0 / epsilon))
     t0 = math.ceil(D * math.sqrt(math.log2(1.0 / epsilon)) / epsilon)
 

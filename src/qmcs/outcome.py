@@ -8,7 +8,7 @@ built on top of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Callable, Iterable, Sequence, Tuple
 
 import numpy as np
@@ -67,7 +67,6 @@ class QueryLedger:
 
     a_uses: int = 0
     a_inv_uses: int = 0
-    state_copies: int = 0
     reflection_uses: int = 0
     walk_steps: int = 0
     classical_samples: int = 0
@@ -79,22 +78,11 @@ class QueryLedger:
         return self.reflection_uses + self.walk_steps
 
     def merge(self, other: "QueryLedger") -> None:
-        self.a_uses += other.a_uses
-        self.a_inv_uses += other.a_inv_uses
-        self.state_copies += other.state_copies
-        self.reflection_uses += other.reflection_uses
-        self.walk_steps += other.walk_steps
-        self.classical_samples += other.classical_samples
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
     def as_dict(self) -> dict:
-        return {
-            "a_uses": self.a_uses,
-            "a_inv_uses": self.a_inv_uses,
-            "state_copies": self.state_copies,
-            "reflection_uses": self.reflection_uses,
-            "walk_steps": self.walk_steps,
-            "classical_samples": self.classical_samples,
-        }
+        return asdict(self)
 
 
 def _build(values: np.ndarray, probs: np.ndarray) -> ValueDistribution:

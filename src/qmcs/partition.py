@@ -20,13 +20,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .gibbs import GibbsModel, exact_partition, gibbs_distribution, overlap_squared
+from .chains import chain_for, mix_sample, mixing_steps, relaxation_time
+from .gibbs import (GibbsModel, chebyshev_ratio, exact_partition,
+                    gibbs_distribution, overlap_squared)
 from .mean import estimate_mean_relative, power_median, powering_reps
-from .outcome import QueryLedger, ValueDistribution, make_distribution
-from .walk import reflection_cost, warm_start_cost
+from .outcome import (QueryLedger, ValueDistribution, classical_sample_block,
+                      make_distribution)
+from .walk import (ReflectionSpec, approx_reflection, reflection_cost,
+                   warm_start_cost)
 
 __all__ = [
     "CoolingSchedule",
@@ -83,6 +88,14 @@ class PartitionEstimate:
     meta: dict = field(default_factory=dict)
 
 
+def _state_values(m: GibbsModel, beta_i, beta_j, reverse=False) -> np.ndarray:
+    """Per-state value of the (reversed) ratio variable for the pair."""
+    if beta_j == math.inf:
+        return (m.energies == 0).astype(float)
+    return np.exp((beta_j - beta_i if reverse else -(beta_j - beta_i))
+                  * m.energies)
+
+
 def ratio_variable(m: GibbsModel, beta_i, beta_j) -> ValueDistribution:
     """Y(x) = e^{-(beta_j - beta_i) H(x)} with x ~ pi_{beta_i}.
 
@@ -92,11 +105,7 @@ def ratio_variable(m: GibbsModel, beta_i, beta_j) -> ValueDistribution:
     if not beta_i < beta_j:
         raise ScheduleError("requires beta_i < beta_j")
     pi = gibbs_distribution(m, beta_i)
-    if beta_j == math.inf:
-        values = (m.energies == 0).astype(float)
-    else:
-        values = np.exp(-(beta_j - beta_i) * m.energies)
-    return make_distribution(zip(values, pi))
+    return make_distribution(zip(_state_values(m, beta_i, beta_j), pi))
 
 
 def reversed_ratio_variable(m: GibbsModel, beta_i, beta_j) -> ValueDistribution:
@@ -106,24 +115,7 @@ def reversed_ratio_variable(m: GibbsModel, beta_i, beta_j) -> ValueDistribution:
     if beta_j == math.inf:
         raise ScheduleError("reversed ratio variable undefined at beta_j = inf")
     pi = gibbs_distribution(m, beta_j)
-    values = np.exp((beta_j - beta_i) * m.energies)
-    return make_distribution(zip(values, pi))
-
-
-def chebyshev_ratio(m: GibbsModel, beta_i, beta_j, direction="forward") -> float:
-    """The relative second moment of the ratio variable for the pair.
-
-    forward:  Z(2 beta_j - beta_i) Z(beta_i) / Z(beta_j)^2
-    reversed: Z(2 beta_i - beta_j) Z(beta_j) / Z(beta_i)^2
-    A terminal pair (beta_i, inf) evaluates Z(beta_i)/Z(inf) in either
-    direction (the reversed form diverges there; see estimate_partition).
-    """
-    if beta_j == math.inf:
-        return exact_partition(m, beta_i) / exact_partition(m, math.inf)
-    zi, zj = exact_partition(m, beta_i), exact_partition(m, beta_j)
-    if direction == "forward":
-        return exact_partition(m, 2.0 * beta_j - beta_i) * zi / zj**2
-    return exact_partition(m, 2.0 * beta_i - beta_j) * zj / zi**2
+    return make_distribution(zip(_state_values(m, beta_i, beta_j, True), pi))
 
 
 def build_schedule(m: GibbsModel, B: float, direction="forward") -> CoolingSchedule:
@@ -175,15 +167,50 @@ def verify_schedule(m: GibbsModel, s: CoolingSchedule) -> dict:
             "pairs": pairs}
 
 
-def _walk_taus(m: GibbsModel, s: CoolingSchedule):
-    from .chains import glauber_chain, matching_chain, relaxation_time
+class _Ratio(NamedTuple):
+    """One schedule pair as it is estimated."""
 
-    taus = []
-    for beta in s.betas[:-1]:
-        chain = (matching_chain(m, beta) if m.name == "matching"
-                 else glauber_chain(m, beta))
-        taus.append(relaxation_time(chain))
-    return taus
+    beta_i: float
+    beta_j: float
+    rung: int        # schedule index of the Gibbs law the variable samples
+    reverse: bool    # reversed variable, E[Y] = Z(beta_i)/Z(beta_j)
+    inverted: bool   # E[Y] = Z(inf)/Z(beta_i): the factor is its inverse
+
+    def variable(self, m: GibbsModel) -> ValueDistribution:
+        if self.reverse:
+            return reversed_ratio_variable(m, self.beta_i, self.beta_j)
+        return ratio_variable(m, self.beta_i, self.beta_j)
+
+    def factor(self, alpha: float) -> float:
+        """The telescoping factor given an estimate of E[Y]."""
+        if not self.inverted:
+            return float(alpha)
+        if alpha <= 0.0:
+            raise ArithmeticError("terminal ratio estimate collapsed to 0")
+        return float(1.0 / alpha)
+
+
+def _rung_plan(m: GibbsModel, s: CoolingSchedule):
+    """The verified schedule's pairs as estimated, and the anchor Z(0)
+    (forward) or Z(inf) (reversed) that their product multiplies.
+
+    Forward pairs, and the terminal pair (beta, inf) in either direction,
+    sample the ratio variable under pi_{beta_i}; other reversed pairs sample
+    the reversed variable under pi_{beta_j}.  The reversed schedule's terminal
+    estimate is Z(inf)/Z(beta), so it is inverted.
+    """
+    if not verify_schedule(m, s)["ok"]:
+        raise ScheduleError("schedule fails verification")
+    reverse = s.direction == "reversed"
+    plan = []
+    for i in range(s.ell):
+        bi, bj = s.betas[i], s.betas[i + 1]
+        terminal = bj == math.inf
+        rev = reverse and not terminal
+        plan.append(_Ratio(bi, bj, i + 1 if rev else i, rev,
+                           reverse and terminal))
+    anchor = exact_partition(m, math.inf if reverse else 0.0)
+    return plan, anchor
 
 
 def estimate_partition(m: GibbsModel, s: CoolingSchedule, epsilon: float,
@@ -199,58 +226,45 @@ def estimate_partition(m: GibbsModel, s: CoolingSchedule, epsilon: float,
     """
     if mode not in ("ideal_sampling", "walk_idealized", "walk_exact_sim"):
         raise ValueError(f"unknown mode {mode!r}")
-    report = verify_schedule(m, s)
-    if not report["ok"]:
-        raise ScheduleError("schedule fails verification")
+    plan, anchor = _rung_plan(m, s)
     ell = s.ell
     eps_i = epsilon / (2.0 * ell)
     delta_i = delta / ell
     reps = powering_reps(0.25, delta_i)
-    taus = _walk_taus(m, s) if mode != "ideal_sampling" else None
-    exact_sim_charge = None
+    taus = exact_sim_charges = None
+    if mode != "ideal_sampling":
+        chains = [chain_for(m, beta) for beta in s.betas[:-1]]
+        taus = [relaxation_time(c) for c in chains]
     if mode == "walk_exact_sim":
-        exact_sim_charge = _exact_sim_reflection_charges(m, s, eps_i)
+        # per-rung cost (2^b controlled walk powers) of the simulated reflection
+        spec = ReflectionSpec(min(0.25, eps_i), "exact_sim")
+        exact_sim_charges = [approx_reflection(c, spec, QueryLedger()).charge
+                             for c in chains]
 
     ratios = []
-    for i in range(ell):
-        bi, bj = s.betas[i], s.betas[i + 1]
-        terminal = bj == math.inf
-        if s.direction == "forward" or terminal:
-            dist = ratio_variable(m, bi, bj)
-            rung = i  # samples drawn under pi_{beta_i}
-        else:
-            dist = reversed_ratio_variable(m, bi, bj)
-            rung = i + 1
+    for r in plan:
+        dist = r.variable(m)
         before = ledger.snapshot()
 
         def run():
             return estimate_mean_relative(dist, s.B, eps_i, rng, ledger)
 
         alpha = power_median(run, gamma=0.25, delta=delta_i)
-        if mode != "ideal_sampling":
-            _convert_walk_charges(ledger, before, taus, rung, s, eps_i,
-                                  exact_sim_charge)
-        if s.direction == "reversed" and terminal:
-            if alpha <= 0.0:
-                raise ArithmeticError("terminal ratio estimate collapsed to 0")
-            alpha = 1.0 / alpha  # estimated Z(inf)/Z(beta) inverted
-        ratios.append(float(alpha))
+        if taus is not None:
+            _convert_walk_charges(ledger, before, taus, r.rung, s.B,
+                                  exact_sim_charges)
+        ratios.append(r.factor(alpha))
 
-    if s.direction == "forward":
-        z = exact_partition(m, 0.0) * float(np.prod(ratios))
-        target = "Z(inf)"
-    else:
-        z = exact_partition(m, math.inf) * float(np.prod(ratios))
-        target = "Z(0)"
-    return PartitionEstimate(z_value=float(z), ratios=ratios, epsilon=epsilon,
+    target = "Z(inf)" if s.direction == "forward" else "Z(0)"
+    return PartitionEstimate(z_value=anchor * float(np.prod(ratios)),
+                             ratios=ratios, epsilon=epsilon,
                              delta=delta, ledger=ledger.snapshot(),
                              meta={"mode": mode, "target": target,
                                    "reps_per_ratio": reps})
 
 
 def _convert_walk_charges(ledger: QueryLedger, before: QueryLedger, taus,
-                          rung: int, s: CoolingSchedule, eps_i: float,
-                          exact_sim_charge):
+                          rung: int, B: float, exact_sim_charges):
     """Translate oracle uses into walk steps for one ratio estimation.
 
     Each A / A^-1 use becomes a warm-start preparation of |pi_rung> along
@@ -263,67 +277,33 @@ def _convert_walk_charges(ledger: QueryLedger, before: QueryLedger, taus,
     # reflection accuracy gamma/R: the total coherent error R*eps_r stays a
     # constant slice of the failure budget however many reflections run
     eps_r = 0.1 / max(dr, 1)
-    if exact_sim_charge is not None:
-        per_reflection = exact_sim_charge[min(rung, len(exact_sim_charge) - 1)]
+    if exact_sim_charges is not None:
+        per_reflection = exact_sim_charges[min(rung, len(taus) - 1)]
     else:
         per_reflection = reflection_cost(tau, eps_r)
     prep = warm_start_cost(rung, max(taus[: max(rung, 1)], default=tau),
-                           eps_r, s.B)
+                           eps_r, B)
     ledger.walk_steps += da * prep + dr * per_reflection
-
-
-def _exact_sim_reflection_charges(m: GibbsModel, s: CoolingSchedule,
-                                  eps_i: float):
-    """Per-rung cost (2^b controlled walk powers) of the simulated reflection."""
-    from .chains import glauber_chain, matching_chain
-    from .walk import ReflectionSpec, approx_reflection
-
-    charges = []
-    scratch = QueryLedger()
-    for beta in s.betas[:-1]:
-        chain = (matching_chain(m, beta) if m.name == "matching"
-                 else glauber_chain(m, beta))
-        refl = approx_reflection(chain, ReflectionSpec(min(0.25, eps_i),
-                                                       "exact_sim"), scratch)
-        charges.append(refl.charge)
-    return charges
 
 
 def classical_baseline(m: GibbsModel, s: CoolingSchedule, epsilon: float,
                        rng: np.random.Generator, ledger: QueryLedger,
                        sampling: str = "ideal") -> PartitionEstimate:
     """Product of per-ratio sample means, 16*B*ell/eps^2 samples per ratio."""
-    report = verify_schedule(m, s)
-    if not report["ok"]:
-        raise ScheduleError("schedule fails verification")
-    ell = s.ell
-    n = math.ceil(16.0 * s.B * ell / epsilon**2)
+    if sampling not in ("ideal", "mix"):
+        raise ValueError(f"unknown sampling {sampling!r}")
+    plan, anchor = _rung_plan(m, s)
+    n = math.ceil(16.0 * s.B * s.ell / epsilon**2)
     ratios = []
-    for i in range(ell):
-        bi, bj = s.betas[i], s.betas[i + 1]
-        terminal = bj == math.inf
-        if s.direction == "forward" or terminal:
-            dist = ratio_variable(m, bi, bj)
-            beta_sample = bi
-        else:
-            dist = reversed_ratio_variable(m, bi, bj)
-            beta_sample = bj
+    for r in plan:
         if sampling == "ideal":
-            from .outcome import classical_sample_block
-            draws = classical_sample_block(dist, n, rng, ledger)
+            draws = classical_sample_block(r.variable(m), n, rng, ledger)
             alpha = float(np.mean(draws))
-        elif sampling == "mix":
-            alpha = _mix_sampled_mean(m, beta_sample, bi, bj, s.direction,
-                                      terminal, n, rng, ledger)
         else:
-            raise ValueError(f"unknown sampling {sampling!r}")
-        if s.direction == "reversed" and terminal:
-            if alpha <= 0.0:
-                raise ArithmeticError("terminal ratio estimate collapsed to 0")
-            alpha = 1.0 / alpha
-        ratios.append(alpha)
-    anchor = (exact_partition(m, 0.0) if s.direction == "forward"
-              else exact_partition(m, math.inf))
+            values = _state_values(m, r.beta_i, r.beta_j, r.reverse)
+            alpha = _mix_sampled_mean(m, s.betas[r.rung], values, n, rng,
+                                      ledger)
+        ratios.append(r.factor(alpha))
     return PartitionEstimate(z_value=float(anchor * np.prod(ratios)),
                              ratios=ratios, epsilon=epsilon, delta=0.25,
                              ledger=ledger.snapshot(),
@@ -331,23 +311,14 @@ def classical_baseline(m: GibbsModel, s: CoolingSchedule, epsilon: float,
                                    "samples_per_ratio": n})
 
 
-def _mix_sampled_mean(m, beta_sample, bi, bj, direction, terminal, n, rng,
-                      ledger):
-    """Estimate the ratio mean from finitely-mixed chain samples."""
-    from .chains import glauber_chain, matching_chain, mix_sample, mixing_steps
-
-    chain = (matching_chain(m, beta_sample) if m.name == "matching"
-             else glauber_chain(m, beta_sample))
+def _mix_sampled_mean(m, beta, values, n, rng, ledger):
+    """Mean of per-state values over n finitely-mixed chain samples at beta."""
+    chain = chain_for(m, beta)
     steps = mixing_steps(chain, 0.01)
-    gap = bj - bi
     total = 0.0
     for _ in range(n):
         start = int(rng.integers(chain.n))
         x = mix_sample(chain, start, steps, rng, ledger)
-        h = m.energies[x]
         ledger.classical_samples += 1
-        if direction == "forward" or terminal:
-            total += float(h == 0) if bj == math.inf else math.exp(-gap * h)
-        else:
-            total += math.exp(gap * h)
+        total += float(values[x])
     return total / n

@@ -33,6 +33,12 @@ __all__ = [
 ]
 
 _PRUNE = 1e-16
+_LAW_CACHE_SIZE = 64  # exact subroutine laws kept; the oldest goes first
+
+
+def _inner_t(n: int, epsilon: float) -> int:
+    """Iterations t = ceil(20 pi sqrt(n/eps)) of each inner estimation."""
+    return math.ceil(20.0 * math.pi * math.sqrt(n / epsilon))
 
 
 @dataclass(frozen=True)
@@ -65,7 +71,7 @@ class TvdInstance:
 
     @property
     def t(self) -> int:
-        return math.ceil(20.0 * math.pi * math.sqrt(self.n / self.epsilon))
+        return _inner_t(self.n, self.epsilon)
 
     @property
     def reps(self) -> int:
@@ -131,6 +137,8 @@ def tvd_subroutine_distribution(inst: TvdInstance) -> ValueDistribution:
     values = np.concatenate(values)
     probs = np.concatenate(probs)
     law = make_distribution(zip(values, probs / probs.sum()))
+    if len(_LAW_CACHE) >= _LAW_CACHE_SIZE:
+        del _LAW_CACHE[next(iter(_LAW_CACHE))]
     _LAW_CACHE[key] = law
     return law
 
@@ -138,10 +146,12 @@ def tvd_subroutine_distribution(inst: TvdInstance) -> ValueDistribution:
 def tvd_query_budget(n: int, epsilon: float, delta: float) -> dict:
     """Deterministic query counts of estimate_tvd without running it."""
     eps_int = epsilon / 8.0
-    inst_t = math.ceil(20.0 * math.pi * math.sqrt(n / eps_int))
+    inst_t = _inner_t(n, eps_int)
     reps_in = powering_reps(AE_FAIL_PROB, eps_int)
     t_out = t_for_additive_error(epsilon / 2.0)
     reps_out = powering_reps(AE_FAIL_PROB, delta)
+    # each outer iteration invokes the subroutine (and its inverse); each
+    # invocation draws one x and runs two median-amplified inner estimations
     invocations = reps_out * (2 * t_out + 1)
     return {
         "t_inner": inst_t, "reps_inner": reps_in, "t_outer": t_out,
@@ -157,16 +167,12 @@ def estimate_tvd(p, q, epsilon: float, delta: float,
         raise ValueError("epsilon must be in (0, 1)")
     inst = TvdInstance(np.asarray(p, float), np.asarray(q, float), epsilon / 8.0)
     law = tvd_subroutine_distribution(inst)
-    amp = law.mean()
-    t_out = t_for_additive_error(epsilon / 2.0)
-    reps_out = powering_reps(AE_FAIL_PROB, delta)
+    budget = tvd_query_budget(inst.n, epsilon, delta)
     scratch = QueryLedger()
-    value = ae_median(amp, t_out, reps_out, rng, scratch)
-    # each outer iteration invokes the subroutine (and its inverse); each
-    # invocation draws one x and runs two median-amplified inner estimations
-    invocations = reps_out * (2 * t_out + 1)
-    ledger.reflection_uses += invocations * 2 * inst.reps * inst.t
-    ledger.classical_samples += invocations
+    value = ae_median(law.mean(), budget["t_outer"], budget["reps_outer"], rng,
+                      scratch)
+    ledger.reflection_uses += budget["ae_iterations"]
+    ledger.classical_samples += budget["subroutine_invocations"]
     ledger.a_uses += scratch.a_uses
     ledger.a_inv_uses += scratch.a_inv_uses
     return Estimate(value=float(value), target_error=epsilon,

@@ -18,7 +18,7 @@ import numpy as np
 from .amplitude import (AE_SUCCESS_PROB, ae_circuit_distribution,
                         ae_measurement_probs, ae_outcome_distribution,
                         arcsin_gap_bound, interval_coverage,
-                        measurement_tv_bound)
+                        measurement_tv_bound, stability_failure_bound)
 from .chains import MarkovChain, glauber_chain
 from .gibbs import (Graph, chi_squared, colouring_model, exact_partition,
                     gibbs_distribution, ising_model, matching_model,
@@ -49,10 +49,6 @@ def _slope(eps_values, counts) -> float:
     return float(np.polyfit(x, y, 1)[0])
 
 
-def _tv(p, q) -> float:
-    return 0.5 * float(np.abs(np.asarray(p) - np.asarray(q)).sum())
-
-
 def criterion_1():
     """Interval coverage of the outcome law, and the circuit cross-check."""
     details = {}
@@ -71,7 +67,7 @@ def criterion_1():
         circuit = ae_circuit_distribution(a, t)
         if not np.allclose(closed.values, circuit.values, atol=1e-12):
             ok = False
-        worst_tv = max(worst_tv, _tv(closed.probs, circuit.probs))
+        worst_tv = max(worst_tv, exact_tvd(closed.probs, circuit.probs))
     details["worst_circuit_tv"] = worst_tv
     ok = ok and worst_tv <= 1e-8
     return ok, details
@@ -338,7 +334,8 @@ def criterion_11(trials=400):
         mu_a = float(rng.random())
         mu_b = min(1.0, mu_a + float(rng.random()) * 0.1)
         t = int(rng.integers(2, 65))
-        tv = _tv(ae_measurement_probs(mu_a, t), ae_measurement_probs(mu_b, t))
+        tv = exact_tvd(ae_measurement_probs(mu_a, t),
+                       ae_measurement_probs(mu_b, t))
         ok = ok and tv <= measurement_tv_bound(mu_a, mu_b, t) + 1e-12
 
     base = ratio_variable(ising_model(K2), 0.0, math.log(2.0))
@@ -356,13 +353,13 @@ def criterion_11(trials=400):
         uses.append(led.a_uses)
     rate = failures / trials
     T = float(np.mean(uses))
-    bound = (0.3 + (math.pi**2 / math.sqrt(6.0)) * T * math.sqrt(gamma)
+    bound = (stability_failure_bound(gamma, T)
              + 3.0 * math.sqrt(0.3 * 0.7 / trials))
     ok = ok and rate <= bound
     return ok, {"perturbed_failure_rate": rate, "bound": bound, "T_mean": T}
 
 
-def criterion_12(tmpdir=None):
+def criterion_12():
     """CLI determinism: identical seeds give byte-identical output."""
     import json
     import tempfile

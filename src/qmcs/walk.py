@@ -10,7 +10,7 @@ Two contracts built on W run in dual modes:
   * approx_reflection -- approximates 2|pi><pi| - I.  `exact_sim` builds the
     phase-estimation construction (b ancilla phase bits, powers of W) and
     exposes its realized error; `idealized` applies the exact reflection and
-    charges ceil(c_r * sqrt(tau) * ln(1/eps_r)) walk steps.
+    charges ceil(sqrt(tau) * ln(1/eps_r)) walk steps.
   * warm_start_prepare -- walks a cooling schedule 0 = beta_0 < ... < beta_r,
     producing |pi_r> by iterated projection |pi_j> -> |pi_{j+1}>; `idealized`
     returns the exact state and charges the stated
@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 
-from .chains import MarkovChain, relaxation_time
+from .chains import MarkovChain, chain_for, relaxation_time
 from .gibbs import GibbsModel, gibbs_distribution
 from .outcome import QueryLedger
 
@@ -34,6 +35,7 @@ __all__ = [
     "QuantumSample",
     "ReflectionSpec",
     "szegedy_walk",
+    "spectral_correspondence_residual",
     "quantum_sample_state",
     "discriminant_matrix",
     "approx_reflection",
@@ -66,16 +68,24 @@ class WalkOperator:
 
     def eigensystem(self):
         """Unitary eigendecomposition (phases in (-pi, pi], orthonormal vectors)."""
+        return self._eigensystem
+
+    @cached_property
+    def _eigensystem(self):
+        # one complex Schur factorisation per operator, shared by every caller
         T, Z = scipy.linalg.schur(self.W, output="complex")
         eigs = np.diag(T)
         offdiag = np.abs(T - np.diag(eigs)).max()
         if offdiag > 1e-8:
             raise ValueError("walk operator failed to diagonalize unitarily")
-        return np.angle(eigs), Z
+        phases = np.angle(eigs)
+        phases.setflags(write=False)
+        Z.setflags(write=False)
+        return phases, Z
 
     @property
     def phase_gap(self) -> float:
-        phases, _ = self.eigensystem()
+        phases, _ = self._eigensystem
         nz = np.abs(phases)[np.abs(phases) > 1e-9]
         return float(nz.min())
 
@@ -96,8 +106,6 @@ class QuantumSample:
 class ReflectionSpec:
     epsilon_r: float
     mode: str = "idealized"  # "exact_sim" | "idealized"
-    b: int = 0               # 0 = choose from measured phase gap
-    c_r: float = 1.0
 
     def __post_init__(self):
         if self.epsilon_r <= 0:
@@ -145,18 +153,17 @@ def quantum_sample_state(m: GibbsModel, beta) -> QuantumSample:
     return QuantumSample(np.sqrt(gibbs_distribution(m, beta)))
 
 
-def reflection_cost(tau: float, epsilon_r: float, c_r: float = 1.0) -> int:
+def reflection_cost(tau: float, epsilon_r: float) -> int:
     """Walk steps charged for one idealized approximate reflection."""
-    return math.ceil(c_r * math.sqrt(tau) * math.log(1.0 / epsilon_r))
+    return math.ceil(math.sqrt(tau) * math.log(1.0 / epsilon_r))
 
 
-def warm_start_cost(r: int, tau: float, epsilon_s: float, B: float,
-                    c_s: float = 1.0) -> int:
+def warm_start_cost(r: int, tau: float, epsilon_s: float, B: float) -> int:
     """Walk steps charged for one idealized warm-start preparation."""
     if r == 0:
         return 0
     log2 = math.log(max(r, 2) / epsilon_s) ** 2
-    return math.ceil(c_s * r * math.sqrt(tau) * log2 * B * max(math.log(B), 1.0))
+    return math.ceil(r * math.sqrt(tau) * log2 * B * max(math.log(B), 1.0))
 
 
 class ApproxReflection:
@@ -178,14 +185,11 @@ class ApproxReflection:
         self.ledger = ledger
         self.tau = relaxation_time(walk.chain)
         if spec.mode == "idealized":
-            self.charge = reflection_cost(self.tau, spec.epsilon_r, spec.c_r)
+            self.charge = reflection_cost(self.tau, spec.epsilon_r)
             return
         phases, vecs = walk.eigensystem()
-        gap = walk.phase_gap
-        b = spec.b
-        if b <= 0:
-            b = (math.ceil(math.log2(2.0 * math.pi / gap))
-                 + math.ceil(math.log2(1.0 / spec.epsilon_r)) + 2)
+        b = (math.ceil(math.log2(2.0 * math.pi / walk.phase_gap))
+             + math.ceil(math.log2(1.0 / spec.epsilon_r)) + 2)
         self.b = b
         T = 2**b
         ys = np.arange(T)
@@ -222,7 +226,7 @@ def approx_reflection(c: MarkovChain, spec: ReflectionSpec,
 
 def warm_start_prepare(m: GibbsModel, betas, target_index: int,
                        epsilon_s: float, mode: str, ledger: QueryLedger,
-                       B: float = None, c_s: float = 1.0) -> QuantumSample:
+                       B: float = None) -> QuantumSample:
     """Prepare |pi_{beta_r}> along the schedule prefix betas[0..r], r = target_index.
 
     Requires consecutive overlaps |<pi_j|pi_{j+1}>|^2 >= 1/B along the prefix.
@@ -231,8 +235,6 @@ def warm_start_prepare(m: GibbsModel, betas, target_index: int,
     the successive Gibbs chains; the realized state must land within
     epsilon_s of the target (checked by the caller via the returned state).
     """
-    from .chains import glauber_chain, matching_chain
-
     r = target_index
     if not 0 <= r < len(betas):
         raise ValueError("target index outside schedule")
@@ -244,11 +246,9 @@ def warm_start_prepare(m: GibbsModel, betas, target_index: int,
         raise ValueError("overlap condition violated along schedule prefix")
 
     if mode == "idealized":
-        taus = [relaxation_time(glauber_chain(m, b) if m.name != "matching"
-                                else matching_chain(m, b))
-                for b in betas[1: r + 1]]
+        taus = [relaxation_time(chain_for(m, b)) for b in betas[1: r + 1]]
         tau = max(taus) if taus else 1.0
-        ledger.walk_steps += warm_start_cost(r, tau, epsilon_s, B, c_s)
+        ledger.walk_steps += warm_start_cost(r, tau, epsilon_s, B)
         return QuantumSample(amps[r])
 
     if mode != "exact_sim":
@@ -256,11 +256,8 @@ def warm_start_prepare(m: GibbsModel, betas, target_index: int,
     eps_r = epsilon_s / (4.0 * max(r, 1))
     state = amps[0]
     for j in range(r):
-        beta_next = betas[j + 1]
-        chain = (glauber_chain(m, beta_next) if m.name != "matching"
-                 else matching_chain(m, beta_next))
-        refl = approx_reflection(chain, ReflectionSpec(eps_r, "exact_sim"),
-                                 ledger)
+        refl = approx_reflection(chain_for(m, betas[j + 1]),
+                                 ReflectionSpec(eps_r, "exact_sim"), ledger)
         edge = refl.walk.node_embedding @ state
         projected = 0.5 * (edge + refl.apply_postselected(edge))
         # back to the node register (the embedding isometry is per-chain)

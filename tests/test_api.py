@@ -1,0 +1,74 @@
+"""The public surface: every exported name resolves, deleted names stay gone.
+
+A plain import does not catch a stale ``__all__`` entry (``from m import *``
+fails only when it is used), nor a package-level name that its module no
+longer declares public.
+"""
+
+import ast
+import importlib
+import inspect
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import qmcs
+
+MODULES = sorted(info.name for info in pkgutil.iter_modules(qmcs.__path__)
+                 if info.name != "__main__")
+
+# removed as unused; each must stay out of every module and of the package
+DELETED_NAMES = ("EstimatorConfig", "PhasePoint", "StabilityBound")
+DELETED_PARAMETERS = {
+    "walk.ReflectionSpec": ("b", "c_r"),
+    "walk.reflection_cost": ("c_r",),
+    "walk.warm_start_cost": ("c_s",),
+    "walk.warm_start_prepare": ("c_s",),
+    "mean.estimate_mean_l2": ("D",),
+    "mean.t_for_additive_error": ("C",),
+    "amplitude.interval_coverage": ("halfwidth",),
+    "outcome.QueryLedger": ("state_copies",),
+    "chains.MarkovChain": ("lazy",),
+}
+
+
+def _package_imports():
+    """(module, name) for every ``from .module import name`` in qmcs/__init__."""
+    tree = ast.parse(Path(qmcs.__file__).read_text())
+    return [(node.module, alias.name) for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            and node.module for alias in node.names]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_all_resolves(name):
+    module = importlib.import_module(f"qmcs.{name}")
+    exported = getattr(module, "__all__", [])
+    assert len(set(exported)) == len(exported)
+    missing = [n for n in exported if not hasattr(module, n)]
+    assert missing == []
+
+
+def test_package_names_resolve_and_are_declared():
+    for module_name, name in _package_imports():
+        module = importlib.import_module(f"qmcs.{module_name}")
+        assert hasattr(qmcs, name)
+        assert name in module.__all__, f"{module_name}.{name} not in __all__"
+
+
+@pytest.mark.parametrize("name", DELETED_NAMES)
+def test_deleted_name_not_exported(name):
+    assert not hasattr(qmcs, name)
+    for module_name in MODULES:
+        module = importlib.import_module(f"qmcs.{module_name}")
+        assert not hasattr(module, name)
+        assert name not in getattr(module, "__all__", [])
+
+
+@pytest.mark.parametrize("target", sorted(DELETED_PARAMETERS))
+def test_deleted_parameter_gone(target):
+    module_name, attr = target.split(".")
+    obj = getattr(importlib.import_module(f"qmcs.{module_name}"), attr)
+    params = inspect.signature(obj).parameters
+    assert not set(DELETED_PARAMETERS[target]) & set(params)

@@ -121,6 +121,26 @@ def test_tvd_command(capsys, tmp_path):
     assert abs(payload["value"] - 0.3) <= 0.1
 
 
+def test_tvd_aligns_laws_by_support_value(capsys, tmp_path):
+    # p on {0, 1} and q on {1, 2} share only the value 1: the TVD is 1/2
+    p = tmp_path / "p.json"
+    q = tmp_path / "q.json"
+    p.write_text(json.dumps({"support": [[0, 0.5], [1, 0.5]]}))
+    q.write_text(json.dumps({"support": [[1, 0.5], [2, 0.5]]}))
+    code, out = _run(capsys, ["tvd", "--p", str(p), "--q", str(q),
+                              "--eps", "0.1", "--seed", "5"])
+    assert code == 0
+    assert abs(json.loads(out)["value"] - 0.5) <= 0.1
+
+
+@pytest.mark.parametrize("sweep", ["0.1", "eps=", "eps=0.1,x", "delta=0.1"])
+def test_bench_malformed_sweep_is_config_error(capsys, bernoulli, sweep):
+    code = main(["bench", "--dist", bernoulli, "--sweep", sweep])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_bench_csv_shape(capsys, bernoulli):
     code, out = _run(capsys, ["bench", "--dist", bernoulli,
                               "--method", "bounded",

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qmcs import tvd
 from qmcs.outcome import QueryLedger, make_distribution
 from qmcs.tvd import (TvdInstance, estimate_tvd, exact_tvd, median_law,
                       ratio_stability_check, tvd_query_budget,
@@ -102,3 +103,20 @@ def test_ratio_stability_randomized_sweep():
         p_t = max(p + rng.uniform(-1, 1) * eta * s, 0.0)
         q_t = max(q + rng.uniform(-1, 1) * eta * s, 0.0)
         assert ratio_stability_check(p, q, p_t, q_t, eta)
+
+
+def test_law_cache_stays_at_its_cap():
+    cap = tvd._LAW_CACHE_SIZE
+    assert cap >= 64
+    tvd._LAW_CACHE.clear()
+    insts = [TvdInstance([a, 1.0 - a], [0.5, 0.5], 0.9)
+             for a in np.linspace(0.01, 0.49, cap + 5)]
+    for inst in insts:
+        tvd_subroutine_distribution(inst)
+        assert len(tvd._LAW_CACHE) <= cap
+    assert len(tvd._LAW_CACHE) == cap
+    keys = [(i.p.tobytes(), i.q.tobytes(), i.epsilon) for i in insts]
+    # the oldest entries went first; the newest are all still held
+    assert not any(k in tvd._LAW_CACHE for k in keys[:5])
+    assert all(k in tvd._LAW_CACHE for k in keys[5:])
+    tvd._LAW_CACHE.clear()
