@@ -100,36 +100,32 @@ def ae_outcome_distribution(a: float, t: int) -> ValueDistribution:
 def _draw_outcome(omega: float, t: int, rng: np.random.Generator) -> int:
     """Sample y from the kernel at phase omega without materializing all t probs.
 
-    Outcomes are enumerated outward from the nearest grid point, so the
-    inverse-CDF scan usually stops after a handful of terms.
+    Inverse-CDF scan outward from the nearest grid point (offset 0, then +k
+    before -k, t/2 once), so it usually stops after a handful of terms; each
+    term is _kernel(_circle_dist(y/t, omega)) in the same float operations.
     """
     u = rng.random()
     center = int(round(t * omega)) % t
     acc = 0.0
-    last = center
-    chunk = 64
-    # offsets 0, 1, -1, 2, -2, ... cover all residues mod t
-    max_off = t // 2 + 1
-    for start in range(0, max_off + 1, chunk):
-        offs = np.arange(start, min(start + chunk, max_off + 1))
-        signed = np.empty(2 * len(offs), dtype=np.int64)
-        signed[0::2] = offs
-        signed[1::2] = -offs
-        ys = np.mod(center + signed, t)
-        # drop duplicate residues (offset 0 and t/2 appear twice)
-        _, first = np.unique(ys, return_index=True)
-        ys = ys[np.sort(first)]
-        probs = _kernel(_circle_dist(ys / t, omega), t) / 1.0
-        for yv, pv in zip(ys, probs):
-            acc += pv
-            last = int(yv)
+    y = center
+    for k in range(t // 2 + 1):
+        ys = (center + k) % t, (center - k) % t
+        for y in ys if 0 < 2 * k < t else ys[:1]:
+            dist = abs((y / t - omega + 0.5) % 1.0 - 0.5)
+            if dist == 0.0:
+                acc += 1.0
+            else:
+                r = math.sin(math.pi * t * dist) / (t * math.sin(math.pi * dist))
+                acc += r * r
             if acc >= u:
-                return last
-    return last
+                return y
+    return y
 
 
 def ae_sample(a: float, t: int, rng: np.random.Generator, ledger: QueryLedger) -> float:
     """One draw of the estimate a~; charges t reflections and one A / A^-1 pair."""
+    if t < 1:
+        raise ValueError("t must be >= 1")
     omega = amplitude_phase(a)
     ledger.a_uses += 1
     ledger.a_inv_uses += 1
@@ -143,11 +139,11 @@ def ae_sample(a: float, t: int, rng: np.random.Generator, ledger: QueryLedger) -
 
 def ae_median(a: float, t: int, reps: int, rng: np.random.Generator,
               ledger: QueryLedger) -> float:
-    """Median of reps independent ae_sample draws (reps must be odd)."""
+    """Median of reps independent ae_sample draws (reps must be odd, t >= 1)."""
     if reps < 1 or reps % 2 == 0:
         raise ValueError("reps must be a positive odd integer")
-    draws = [ae_sample(a, t, rng, ledger) for _ in range(reps)]
-    return float(np.median(draws))
+    draws = sorted(ae_sample(a, t, rng, ledger) for _ in range(reps))
+    return draws[reps // 2]
 
 
 def ae_circuit_distribution(a: float, t: int) -> ValueDistribution:
@@ -204,7 +200,7 @@ def outcome_interval_halfwidth(a: float, t: int) -> float:
 
 def interval_coverage(a: float, t: int) -> float:
     """Exact kernel mass of the guaranteed interval {|a~ - a| <= halfwidth}."""
-    halfwidth = outcome_interval_halfwidth(a, t)
     d = ae_outcome_distribution(a, t)
+    halfwidth = outcome_interval_halfwidth(a, t)
     inside = np.abs(d.values - a) <= halfwidth * (1.0 + 1e-12) + 1e-15
     return float(d.probs[inside].sum())

@@ -2,7 +2,8 @@
 
 Every subcommand emits JSON (or CSV for tables) on stdout, with a fixed key
 order so identical seeds give byte-identical output.  Exit codes: 1 for bad
-configuration, 2 for I/O problems, 3 for a detected contract violation.
+configuration (any uncaught ValueError or ArithmeticError), 2 for I/O
+problems, 3 for a detected contract violation; each error is one stderr line.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from .mean import (bounded_mean_constant, classical_mean_chebyshev,
                    estimate_mean_bounded, estimate_mean_l2,
                    estimate_mean_relative, estimate_mean_variance, l2_constant,
                    t_for_additive_error)
-from .amplitude import interval_coverage, outcome_interval_halfwidth
+from .amplitude import (AE_SUCCESS_PROB, interval_coverage,
+                        outcome_interval_halfwidth)
 from .outcome import DistributionError, QueryLedger, make_distribution
 from .partition import (ScheduleError, build_schedule, classical_baseline,
                         estimate_partition, verify_schedule)
@@ -100,31 +102,26 @@ def _load_model(args):
         raise SystemExit(_fail(EXIT_IO, f"cannot read graph: {exc}"))
     except ValueError as exc:
         raise SystemExit(_fail(EXIT_CONFIG, f"bad graph file: {exc}"))
-    if args.model == "ising":
-        return ising_model(g)
     if args.model == "colouring":
         return colouring_model(g, args.k)
-    if args.model == "matching":
-        return matching_model(g)
-    raise SystemExit(_fail(EXIT_CONFIG, f"unknown model {args.model}"))
+    return (ising_model if args.model == "ising" else matching_model)(g)
 
 
 def _parse_betas(text):
-    out = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        out.append(math.inf if tok in ("inf", "Inf") else float(tok))
-    return out
+    try:
+        betas = [float(tok) for tok in text.split(",")]  # float("inf") is inf
+    except ValueError:
+        betas = [math.nan]
+    if any(map(math.isnan, betas)) or -math.inf in betas:
+        raise ValueError(f"bad --betas {text!r}: want numbers or inf")
+    return betas
 
 
 def cmd_mean(args):
     d = _load_distribution(args.dist)
     rng = np.random.default_rng(args.seed)
     ledger = QueryLedger()
-    try:
-        est = ESTIMATORS[args.method](d, args, rng, ledger)
-    except (ValueError, ArithmeticError) as exc:
-        return _fail(EXIT_CONFIG, str(exc))
+    est = ESTIMATORS[args.method](d, args, rng, ledger)
     _emit({"schema": SCHEMA, "version": __version__, "method": args.method,
            "seed": args.seed, "value": est.value,
            "target_error": est.target_error, "error_kind": est.error_kind,
@@ -137,10 +134,8 @@ def cmd_ae_check(args):
     cov = interval_coverage(args.a, args.t)
     _emit({"schema": SCHEMA, "a": args.a, "t": args.t, "coverage": cov,
            "bound": outcome_interval_halfwidth(args.a, args.t),
-           "success_floor": 8.0 / math.pi**2}, args.out)
-    if cov < 8.0 / math.pi**2:
-        return EXIT_CONTRACT
-    return 0
+           "success_floor": AE_SUCCESS_PROB}, args.out)
+    return EXIT_CONTRACT if cov < AE_SUCCESS_PROB else 0
 
 
 def cmd_model(args):
@@ -152,7 +147,10 @@ def cmd_model(args):
         z = exact_partition(m, beta)
         if m.name == "ising" and beta != math.inf:
             # unshifted convention H = -sum z_u z_v: Z_u(beta) = e^{beta m} Z(2 beta)
-            zu = math.exp(beta * n_edges) * exact_partition(m, 2.0 * beta)
+            try:
+                zu = math.exp(beta * n_edges) * exact_partition(m, 2.0 * beta)
+            except OverflowError:
+                zu = math.inf  # Z(2 beta) >= 2 ground states
         else:
             zu = z
         lines.append(f"{_finite(beta)},{z!r},{zu!r}")
@@ -210,6 +208,11 @@ def cmd_schedule(args):
 
 
 def cmd_partition(args):
+    for flag, value, lo, hi in (("--eps", args.eps, 0, 1),
+                                ("--delta", args.delta, 0, 1),
+                                ("--B", args.B, 1, math.inf)):
+        if not lo < value < hi:
+            return _fail(EXIT_CONFIG, f"{flag} must be in ({lo}, {hi})")
     m = _load_model(args)
     direction = args.direction or ("reversed" if args.model == "matching"
                                    else "forward")
@@ -246,11 +249,8 @@ def cmd_tvd(args):
     support = np.union1d(p.values, q.values)
     rng = np.random.default_rng(args.seed)
     ledger = QueryLedger()
-    try:
-        est = estimate_tvd(_on_support(p, support), _on_support(q, support),
-                           args.eps, args.delta, rng, ledger)
-    except ValueError as exc:
-        return _fail(EXIT_CONFIG, str(exc))
+    est = estimate_tvd(_on_support(p, support), _on_support(q, support),
+                       args.eps, args.delta, rng, ledger)
     _emit({"schema": SCHEMA, "seed": args.seed, "eps": args.eps,
            "delta": args.delta, "value": est.value,
            "confidence": est.confidence, "ledger": est.ledger.as_dict(),
@@ -270,21 +270,18 @@ def cmd_bench(args):
     d = make_distribution(d.to_pairs())  # rebuilt from pairs: renormalized twice
     seeds = iter(np.random.SeedSequence(args.seed).spawn(len(sweep) * args.trials))
     lines = ["eps,reflections,classical_samples,error"]
-    try:
-        for eps in sweep:
-            settings = argparse.Namespace(eps=eps, delta=0.1, t=0,
-                                          sigma=args.sigma, B=args.B)
-            for _ in range(args.trials):
-                ledger = QueryLedger()
-                est = ESTIMATORS[args.method](
-                    d, settings, np.random.default_rng(next(seeds)), ledger)
-                err = abs(est.value - d.mean())
-                if args.method == "relative":
-                    err /= abs(d.mean())
-                lines.append(f"{eps!r},{ledger.reflection_uses},"
-                             f"{ledger.classical_samples},{err!r}")
-    except (ValueError, ArithmeticError) as exc:
-        return _fail(EXIT_CONFIG, str(exc))
+    for eps in sweep:
+        settings = argparse.Namespace(eps=eps, delta=0.1, t=0,
+                                      sigma=args.sigma, B=args.B)
+        for _ in range(args.trials):
+            ledger = QueryLedger()
+            est = ESTIMATORS[args.method](
+                d, settings, np.random.default_rng(next(seeds)), ledger)
+            err = abs(est.value - d.mean())
+            if args.method == "relative":
+                err /= abs(d.mean())
+            lines.append(f"{eps!r},{ledger.reflection_uses},"
+                         f"{ledger.classical_samples},{err!r}")
     _write("\n".join(lines), args.out)
     return 0
 
@@ -402,11 +399,13 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_CONFIG
+    except (ValueError, ArithmeticError) as exc:  # bad settings or inputs
+        return _fail(EXIT_CONFIG, str(exc))
 
 
 if __name__ == "__main__":

@@ -114,6 +114,8 @@ def ising_model(g: Graph) -> GibbsModel:
 def colouring_model(g: Graph, k: int) -> GibbsModel:
     """Colourings c in {0..k-1}^n with the monochromatic-edge count as energy."""
     n = g.n_vertices
+    if k < 1:
+        raise ValueError("colouring needs k >= 1 colours")
     if k**n > STATE_CAP:
         raise ValueError("colouring state space exceeds cap")
     codes = np.arange(k**n, dtype=np.int64)

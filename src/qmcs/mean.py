@@ -67,11 +67,12 @@ class Estimate:
             raise ValueError("error_kind must be 'additive' or 'relative'")
 
 
+@lru_cache(maxsize=256)
 def powering_reps(gamma: float, delta: float) -> int:
-    """Smallest odd n with Pr[Bin(n, gamma) >= ceil(n/2)] <= delta."""
+    """Smallest odd n with Pr[Bin(n, gamma) >= ceil(n/2)] <= delta (memoized)."""
     if not 0.0 <= gamma < 0.5:
         raise ValueError("per-run failure probability must be < 1/2")
-    if delta >= 1.0 or delta <= 0.0:
+    if not 0.0 < delta < 1.0:
         raise ValueError("delta must be in (0, 1)")
     n = 1
     while True:
@@ -89,7 +90,7 @@ def power_median(run: Callable[[], "Estimate | float"], gamma: float,
     for _ in range(reps):
         out = run()
         vals.append(out.value if isinstance(out, Estimate) else float(out))
-    return float(np.median(vals))
+    return sorted(vals)[reps // 2]
 
 
 @lru_cache(maxsize=1)

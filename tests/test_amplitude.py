@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qmcs.amplitude import (AE_SUCCESS_PROB, ae_circuit_distribution,
+from qmcs.amplitude import (AE_SUCCESS_PROB, _circle_dist, _draw_outcome,
+                            _kernel, ae_circuit_distribution,
                             ae_measurement_probs, ae_median,
                             ae_outcome_distribution, ae_sample,
                             amplitude_phase, arcsin_gap_bound,
@@ -115,3 +118,77 @@ def test_stability_bound_monotone_in_perturbation():
 def test_interval_coverage_is_a_probability():
     cov = interval_coverage(0.37, 100)
     assert AE_SUCCESS_PROB - 1e-12 <= cov <= 1.0
+
+
+def _chunked_scan(omega, t, rng):
+    """The numpy inverse-CDF scan _draw_outcome replaced, kept as its oracle."""
+    u = rng.random()
+    center = int(round(t * omega)) % t
+    acc = 0.0
+    last = center
+    chunk = 64
+    max_off = t // 2 + 1
+    for start in range(0, max_off + 1, chunk):
+        offs = np.arange(start, min(start + chunk, max_off + 1))
+        signed = np.empty(2 * len(offs), dtype=np.int64)
+        signed[0::2] = offs
+        signed[1::2] = -offs
+        ys = np.mod(center + signed, t)
+        _, first = np.unique(ys, return_index=True)
+        ys = ys[np.sort(first)]
+        probs = _kernel(_circle_dist(ys / t, omega), t)
+        for yv, pv in zip(ys, probs):
+            acc += pv
+            last = int(yv)
+            if acc >= u:
+                return last
+    return last
+
+
+class _FixedUniform:
+    """Stands in for the generator: every random() returns u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 64, 127, 128, 129, 509, 20_000])
+def test_scalar_scan_matches_chunked_oracle(t):
+    rng = np.random.default_rng(t)
+    omegas = list(rng.uniform(0.0, 0.5, 6)) + [0.0, 0.5, 3 / t % 1.0]
+    for omega in omegas:
+        for w in (omega, (1.0 - omega) % 1.0):
+            for u in rng.random(8):
+                want = _chunked_scan(w, t, _FixedUniform(u))
+                assert _draw_outcome(w, t, _FixedUniform(u)) == want
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 64, 128, 129, 509])
+def test_scan_with_u_just_below_one_returns_a_residue(t):
+    u = np.nextafter(1.0, 0.0)
+    for omega in (0.0, 0.1234, 0.25, 0.5, 0.8766):
+        y = _draw_outcome(omega, t, _FixedUniform(u))
+        assert isinstance(y, int) and 0 <= y < t
+
+
+@settings(max_examples=300, deadline=None)
+@given(omega=st.floats(0.0, 1.0, exclude_max=True),
+       t=st.integers(1, 512),
+       u=st.floats(0.0, 1.0 - 1e-9))
+def test_scalar_scan_matches_chunked_oracle_property(omega, t, u):
+    assert (_draw_outcome(omega, t, _FixedUniform(u))
+            == _chunked_scan(omega, t, _FixedUniform(u)))
+
+
+@pytest.mark.parametrize("t", [0, -3])
+def test_nonpositive_t_is_rejected(t):
+    ledger = QueryLedger()
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="t must be >= 1"):
+        ae_sample(0.3, t, rng, ledger)
+    with pytest.raises(ValueError, match="t must be >= 1"):
+        ae_median(0.3, t, 3, rng, ledger)
+    assert ledger.a_uses == ledger.reflection_uses == 0

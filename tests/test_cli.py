@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmcs.cli import main
 
@@ -157,3 +161,112 @@ def test_output_file_option(capsys, bernoulli, tmp_path):
     code = main(["mean", "--dist", bernoulli, "--out", str(out_path)])
     assert code == 0
     assert json.loads(out_path.read_text())["schema"] == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["ae-check", "--a", "1.5", "--t", "10"],
+    ["ae-check", "--a", "0.3", "--t", "0"],
+    ["ae-check", "--a", "0.3", "--t", "-5"],
+])
+def test_ae_check_bad_cell_is_config_error(capsys, argv):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("betas", ["0,x", "0,nan", "-inf", "0,,1"])
+def test_model_bad_betas_is_config_error(capsys, k2_graph, betas):
+    code = main(["model", "--model", "ising", "--graph", k2_graph,
+                 f"--betas={betas}"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_model_overflowing_unshifted_z_is_inf(capsys, k2_graph):
+    code, out = _run(capsys, ["model", "--model", "ising", "--graph", k2_graph,
+                              "--betas", "1000"])
+    assert code == 0
+    assert out.strip().splitlines()[1] == "1000.0,2.0,inf"
+
+
+def test_model_over_state_cap_is_config_error(capsys, tmp_path):
+    path = tmp_path / "g21.txt"
+    path.write_text("21 0\n")
+    code = main(["model", "--model", "ising", "--graph", str(path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "error: Ising state space exceeds cap\n"
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--eps", "0"), ("--eps", "1"), ("--eps", "-0.1"), ("--eps", "nan"),
+    ("--delta", "0"), ("--delta", "1.5"), ("--B", "1"), ("--B", "0.5"),
+    ("--B", "inf"),
+])
+def test_partition_bad_setting_is_config_error(capsys, k2_graph, flag, value):
+    code = main(["partition", "--model", "ising", "--graph", k2_graph,
+                 f"{flag}={value}", "--mode", "classical"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
+
+
+def test_partition_without_ground_states_is_contract_error(capsys, tmp_path):
+    # a triangle has no proper 2-colouring, so Z(inf) = 0 anchors nothing
+    path = tmp_path / "triangle.txt"
+    path.write_text("3 3\n0 1\n1 2\n0 2\n")
+    code = main(["partition", "--model", "colouring", "--k", "2",
+                 "--graph", str(path)])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "triangle.txt").write_text("3 3\n0 1\n1 2\n0 2\n")
+    (root / "p.json").write_text(json.dumps({"support": [[0, 0.7], [1, 0.3]]}))
+    (root / "q.json").write_text(json.dumps({"support": [[1, 0.4], [2, 0.6]]}))
+    return root
+
+
+_HOSTILE = st.sampled_from(["0", "-0", "1", "-1", "0.5", "1.5", "nan", "inf",
+                            "-inf", "1e308", "-1e308", "5e-324", "x", "",
+                            "0x10", "1,2", " ", "1e-3"])
+_NUMBER = (_HOSTILE | st.floats(0.0, 1.0).map(repr) | st.floats().map(repr)
+           | st.integers(-10**4, 10**4).map(str))
+# magnitudes that keep every accepted run small: t <= 10^4, at most 12
+# colours on the triangle (200 is over the state cap), tvd eps >= 0.05
+_T = _HOSTILE | st.integers(-10**3, 10**4).map(str)
+_K = _HOSTILE | st.integers(-3, 12).map(str) | st.just("200")
+_EPS = _HOSTILE.filter(lambda tok: tok != "1e-3") | st.floats(0.05, 2.0).map(repr)
+_BETAS = st.lists(_NUMBER, max_size=4).map(",".join)
+
+
+@st.composite
+def _argv(draw, root):
+    cmd = draw(st.sampled_from(["ae-check", "model", "tvd"]))
+    if cmd == "ae-check":
+        return [cmd, f"--a={draw(_NUMBER)}", f"--t={draw(_T)}"]
+    if cmd == "model":
+        return [cmd, "--model", draw(st.sampled_from(
+            ["ising", "colouring", "matching"])), "--graph",
+                str(root / "triangle.txt"), f"--k={draw(_K)}",
+                f"--betas={draw(_BETAS)}"]
+    return [cmd, "--p", str(root / "p.json"), "--q", str(root / "q.json"),
+            f"--eps={draw(_EPS)}", f"--delta={draw(_NUMBER)}"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_cli_fuzz_exits_cleanly(fuzz_files, data):
+    argv = data.draw(_argv(fuzz_files))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    text = err.getvalue()
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in text
+    if code != 0:
+        assert sum("error: " in line for line in text.splitlines()) == 1

@@ -64,6 +64,9 @@ def test_colouring_triangle():
     assert m.size == 27
     # proper 3-colourings of a triangle: 3! = 6
     assert exact_partition(m, math.inf) == 6.0
+    for k in (0, -2):
+        with pytest.raises(ValueError, match="k >= 1"):
+            colouring_model(TRIANGLE, k)
 
 
 def test_matching_counts():

@@ -23,6 +23,10 @@ def test_powering_reps_values():
         n = powering_reps(0.19, delta)
         assert n % 2 == 1 and n >= last
         last = n
+    # memoized, yet a repeat call still raises; nan must raise, not loop
+    for gamma, delta in ((0.5, 0.1), (0.19, 0.0), (0.19, math.nan)) * 2:
+        with pytest.raises(ValueError):
+            powering_reps(gamma, delta)
 
 
 def test_power_median_is_exact_median():
