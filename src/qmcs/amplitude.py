@@ -36,12 +36,14 @@ __all__ = [
     "interval_coverage",
     "AE_SUCCESS_PROB",
     "AE_FAIL_PROB",
+    "AE_LAW_T_CAP",
 ]
 
 AE_SUCCESS_PROB = 8.0 / math.pi**2
 AE_FAIL_PROB = 1.0 - AE_SUCCESS_PROB
 
 _CIRCUIT_T_CAP = 2**14
+AE_LAW_T_CAP = 2**20  # largest t whose length-t outcome law is materialized
 
 
 def amplitude_phase(a: float) -> float:
@@ -66,6 +68,8 @@ def _kernel(delta: np.ndarray, t: int) -> np.ndarray:
 
 def ae_measurement_probs(a: float, t: int) -> np.ndarray:
     """Length-t probability vector over raw outcomes y."""
+    if t > AE_LAW_T_CAP:
+        raise ValueError(f"t={t} exceeds the outcome-law cap {AE_LAW_T_CAP}")
     omega = amplitude_phase(a)
     y = np.arange(t) / t
     probs = 0.5 * _kernel(_circle_dist(y, omega), t) + 0.5 * _kernel(_circle_dist(y, -omega), t)

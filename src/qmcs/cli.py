@@ -117,6 +117,30 @@ def _parse_betas(text):
     return betas
 
 
+def _check_range(flag, value, lo, hi):
+    """Reject a setting outside the open interval (lo, hi) before any work."""
+    if not lo < value < hi:
+        raise ValueError(f"{flag} must be in ({lo}, {hi})")
+
+
+def _unshifted_z(m, beta):
+    """Z_u(beta) = sum_h c_h e^{beta (|E| - 2h)}, the Ising Z for H = -sum z_u z_v.
+
+    The largest exponent is factored out (log-sum-exp over energy levels), so
+    an overflow reads inf, never nan.
+    """
+    levels = [(len(m.graph.edges) - 2 * h, float(c))
+              for h, c in enumerate(m.counts) if c]
+    top = max(beta * s for s, _ in levels)
+    if top == math.inf:
+        return math.inf
+    rest = sum(c * math.exp(beta * s - top) for s, c in levels)
+    try:
+        return math.exp(top) * rest
+    except OverflowError:
+        return math.inf
+
+
 def cmd_mean(args):
     d = _load_distribution(args.dist)
     rng = np.random.default_rng(args.seed)
@@ -142,17 +166,10 @@ def cmd_model(args):
     m = _load_model(args)
     betas = _parse_betas(args.betas)
     lines = ["beta,Z,Z_unshifted"]
-    n_edges = len(m.graph.edges)
     for beta in betas:
         z = exact_partition(m, beta)
-        if m.name == "ising" and beta != math.inf:
-            # unshifted convention H = -sum z_u z_v: Z_u(beta) = e^{beta m} Z(2 beta)
-            try:
-                zu = math.exp(beta * n_edges) * exact_partition(m, 2.0 * beta)
-            except OverflowError:
-                zu = math.inf  # Z(2 beta) >= 2 ground states
-        else:
-            zu = z
+        ising = m.name == "ising" and beta != math.inf
+        zu = _unshifted_z(m, beta) if ising else z
         lines.append(f"{_finite(beta)},{z!r},{zu!r}")
     _write("\n".join(lines), args.out)
     return 0
@@ -190,6 +207,7 @@ def cmd_walk_check(args):
 
 
 def cmd_schedule(args):
+    _check_range("--B", args.B, 1, math.inf)
     m = _load_model(args)
     try:
         s = build_schedule(m, args.B, args.direction)
@@ -208,11 +226,9 @@ def cmd_schedule(args):
 
 
 def cmd_partition(args):
-    for flag, value, lo, hi in (("--eps", args.eps, 0, 1),
-                                ("--delta", args.delta, 0, 1),
-                                ("--B", args.B, 1, math.inf)):
-        if not lo < value < hi:
-            return _fail(EXIT_CONFIG, f"{flag} must be in ({lo}, {hi})")
+    _check_range("--eps", args.eps, 0, 1)
+    _check_range("--delta", args.delta, 0, 1)
+    _check_range("--B", args.B, 1, math.inf)
     m = _load_model(args)
     direction = args.direction or ("reversed" if args.model == "matching"
                                    else "forward")

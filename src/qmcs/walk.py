@@ -1,16 +1,21 @@
-"""Szegedy walk operators, coherent Gibbs samples, and reflection contracts.
+"""Szegedy walks, coherent Gibbs samples, and reflection contracts.
 
 The walk on an ergodic reversible chain P acts on the edge space C^{n*n}:
-W = S (2 Pi_A - I): the reflection about span{|x>|p_x>} followed by the
-register swap S.  Its eigenphases are +-arccos(sigma) for the singular
-values sigma of the discriminant D(x,y) = sqrt(P(x,y)P(y,x)).
+W = S (2 Pi_A - I), the reflection about span{A|x> = |x>|p_x>} followed by
+the register swap S.  On node-embedded states its spectrum is fixed by the
+discriminant D(x,y) = sqrt(P(x,y)P(y,x)): an eigenvector v_k of D with
+eigenvalue lam_k spans, with S A v_k, a plane on which W has the phases
++-arccos(lam_k) (Szegedy 2004; Magniez, Nayak, Roland and Santha 2011).
+So everything built on W runs on the n-dimensional node register from
+eigh(D); the dense n^2 x n^2 W (szegedy_walk, WalkOperator) is kept only as
+the oracle that checks this correspondence.
 
 Two contracts built on W run in dual modes:
 
-  * approx_reflection -- approximates 2|pi><pi| - I.  `exact_sim` builds the
-    phase-estimation construction (b ancilla phase bits, powers of W) and
-    exposes its realized error; `idealized` applies the exact reflection and
-    charges ceil(sqrt(tau) * ln(1/eps_r)) walk steps.
+  * approx_reflection -- approximates 2|pi><pi| - I.  `exact_sim` simulates
+    phase estimation with b phase bits on the phases arccos(lam_k) and
+    exposes its realized action and error; `idealized` applies the exact
+    reflection and charges ceil(sqrt(tau) * ln(1/eps_r)) walk steps.
   * warm_start_prepare -- walks a cooling schedule 0 = beta_0 < ... < beta_r,
     producing |pi_r> by iterated projection |pi_j> -> |pi_{j+1}>; `idealized`
     returns the exact state and charges the stated
@@ -61,10 +66,6 @@ class WalkOperator:
         resid = np.abs(W.conj().T @ W - np.eye(len(W))).max()
         if resid > 1e-10:
             raise ValueError(f"walk operator not unitary (residual {resid:.2e})")
-
-    @property
-    def stationary_edge_state(self) -> np.ndarray:
-        return self.node_embedding @ np.sqrt(self.chain.pi)
 
     def eigensystem(self):
         """Unitary eigendecomposition (phases in (-pi, pi], orthonormal vectors)."""
@@ -167,61 +168,60 @@ def warm_start_cost(r: int, tau: float, epsilon_s: float, B: float) -> int:
 
 
 class ApproxReflection:
-    """Realized reflection about |pi> on the walk's edge space.
+    """Realized reflection about |pi> = sum_x sqrt(pi(x))|x> on node vectors.
 
-    exact_sim: phase estimation with b phase bits; identical +1 action on the
-    phase-0 sector, and per-eigenvector ancilla deviation elsewhere.  The
-    scalar r0_j = <0|M_j|0> (ancilla-0 overlap after the reflect-and-undo
-    circuit) fully determines both the ancilla-0-postselected action and the
-    realized error norm, so the 2^b-dimensional ancilla never needs storing.
+    exact_sim: phase estimation with b phase bits, b set by the smallest
+    nonzero walk phase theta_k = arccos(lam_k).  The stationary top eigenpair
+    of D (lam = 1, unique for an ergodic chain) has phase 0 and is fixed
+    exactly.  On the walk eigenvectors of phase +-theta, the ancilla-0 overlap
+    after the reflect-and-undo circuit is the Fejer kernel
+    r0(theta) = 2 (sin(T theta/2) / (T sin(theta/2)))^2 - 1, T = 2^b, and the
+    realized error is sqrt(2 + 2 r0).  r0 is even in theta, so the ancilla-0
+    block on node vectors is V diag(r0) V^T; the 2^b-dimensional ancilla is
+    never stored.
 
     idealized: exact reflection; every application charges walk steps.
     """
 
-    def __init__(self, walk: WalkOperator, spec: ReflectionSpec,
+    def __init__(self, chain: MarkovChain, spec: ReflectionSpec,
                  ledger: QueryLedger):
-        self.walk = walk
+        self.chain = chain
         self.spec = spec
         self.ledger = ledger
-        self.tau = relaxation_time(walk.chain)
+        self.tau = relaxation_time(chain)  # rejects non-ergodic chains
         if spec.mode == "idealized":
             self.charge = reflection_cost(self.tau, spec.epsilon_r)
             return
-        phases, vecs = walk.eigensystem()
-        b = (math.ceil(math.log2(2.0 * math.pi / walk.phase_gap))
-             + math.ceil(math.log2(1.0 / spec.epsilon_r)) + 2)
-        self.b = b
-        T = 2**b
-        ys = np.arange(T)
-        zero = np.abs(phases) <= 1e-9
-        # r0 = 2|T^{-1} sum_y e^{i theta y}|^2 - 1, the <0|...|0> matrix element
-        geo = np.abs(np.exp(1j * np.outer(phases, ys)).sum(axis=1) / T) ** 2
-        self.r0 = np.where(zero, 1.0, 2.0 * geo - 1.0)
-        self.err = np.where(zero, 0.0, np.sqrt(np.maximum(2.0 + 2.0 * self.r0, 0.0)))
-        self.phases = phases
-        self.vecs = vecs
+        lams, self.vecs = np.linalg.eigh(discriminant_matrix(chain))
+        # no threshold on theta: arccos(1 - 2^-52) ~ 2e-8 would read as a gap
+        theta = np.arccos(np.clip(lams[:-1], -1.0, 1.0))
+        self.b = (math.ceil(math.log2(2.0 * math.pi / theta.min()))
+                  + math.ceil(math.log2(1.0 / spec.epsilon_r)) + 2)
+        T = 2**self.b
+        fejer = np.sin(T * theta / 2.0) / (T * np.sin(theta / 2.0))
+        r0 = 2.0 * fejer**2 - 1.0
+        self.r0 = np.append(r0, 1.0)
+        self.err = np.append(np.sqrt(np.maximum(2.0 + 2.0 * r0, 0.0)), 0.0)
         self.charge = T  # controlled-W^y powers up to 2^b - 1
 
-    def error_norm(self, edge_vec: np.ndarray) -> float:
-        """||R~(v|0^b>) - ((2|pi><pi|-I)v)|0^b>|| for v in the node embedding."""
+    def error_norm(self, u: np.ndarray) -> float:
+        """||R~(A u|0^b>) - ((2|pi><pi|-I) A u)|0^b>|| for the node vector u."""
         if self.spec.mode != "exact_sim":
             return 0.0
-        c = self.vecs.conj().T @ edge_vec
-        return float(np.sqrt(np.sum(np.abs(c) ** 2 * self.err**2)))
+        return float(np.linalg.norm(self.err * (self.vecs.T @ u)))
 
-    def apply_postselected(self, edge_vec: np.ndarray) -> np.ndarray:
-        """Ancilla-0 block of R~(v|0^b>); idealized mode applies exactly."""
+    def apply_postselected(self, u: np.ndarray) -> np.ndarray:
+        """Ancilla-0 block of R~ on the node vector u; idealized mode is exact."""
         self.ledger.walk_steps += self.charge
         if self.spec.mode == "idealized":
-            pi_e = self.walk.stationary_edge_state
-            return 2.0 * pi_e * (pi_e @ edge_vec) - edge_vec
-        c = self.vecs.conj().T @ edge_vec
-        return self.vecs @ (self.r0 * c)
+            s = np.sqrt(self.chain.pi)
+            return 2.0 * s * (s @ u) - u
+        return self.vecs @ (self.r0 * (self.vecs.T @ u))
 
 
 def approx_reflection(c: MarkovChain, spec: ReflectionSpec,
                       ledger: QueryLedger) -> ApproxReflection:
-    return ApproxReflection(szegedy_walk(c), spec, ledger)
+    return ApproxReflection(c, spec, ledger)
 
 
 def warm_start_prepare(m: GibbsModel, betas, target_index: int,
@@ -258,16 +258,12 @@ def warm_start_prepare(m: GibbsModel, betas, target_index: int,
     for j in range(r):
         refl = approx_reflection(chain_for(m, betas[j + 1]),
                                  ReflectionSpec(eps_r, "exact_sim"), ledger)
-        edge = refl.walk.node_embedding @ state
-        projected = 0.5 * (edge + refl.apply_postselected(edge))
-        # back to the node register (the embedding isometry is per-chain)
-        state = refl.walk.node_embedding.T @ projected
+        state = 0.5 * (state + refl.apply_postselected(state))
         norm = np.linalg.norm(state)
         if norm < 1e-12:
             raise ArithmeticError("projection annihilated the state")
         state = state / norm
-        state = np.real_if_close(state)
     # fix the global sign so amplitudes stay nonnegative
     if state.sum() < 0:
         state = -state
-    return QuantumSample(np.asarray(state, float))
+    return QuantumSample(state)

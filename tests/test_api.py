@@ -21,6 +21,7 @@ MODULES = sorted(info.name for info in pkgutil.iter_modules(qmcs.__path__)
 # removed as unused; each must stay out of every module and of the package
 DELETED_NAMES = ("EstimatorConfig", "PhasePoint", "StabilityBound")
 DELETED_PARAMETERS = {
+    "walk.ApproxReflection": ("walk",),
     "walk.ReflectionSpec": ("b", "c_r"),
     "walk.reflection_cost": ("c_r",),
     "walk.warm_start_cost": ("c_s",),

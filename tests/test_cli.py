@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -167,11 +168,22 @@ def test_output_file_option(capsys, bernoulli, tmp_path):
     ["ae-check", "--a", "1.5", "--t", "10"],
     ["ae-check", "--a", "0.3", "--t", "0"],
     ["ae-check", "--a", "0.3", "--t", "-5"],
+    ["ae-check", "--a", "0.3", "--t", "100000000000000000"],
 ])
 def test_ae_check_bad_cell_is_config_error(capsys, argv):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_tvd_over_outcome_law_cap_is_config_error(capsys, tmp_path):
+    p = tmp_path / "p.json"
+    p.write_text(json.dumps({"support": [[0, 0.7], [1, 0.3]]}))
+    code = main(["tvd", "--p", str(p), "--q", str(p), "--eps", "1e-9"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: t=") and "cap" in err
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("betas", ["0,x", "0,nan", "-inf", "0,,1"])
@@ -188,6 +200,15 @@ def test_model_overflowing_unshifted_z_is_inf(capsys, k2_graph):
                               "--betas", "1000"])
     assert code == 0
     assert out.strip().splitlines()[1] == "1000.0,2.0,inf"
+
+
+def test_model_huge_negative_beta_reads_inf(capsys, k2_graph):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = _run(capsys, ["model", "--model", "ising", "--graph",
+                                  k2_graph, "--betas=-1e308"])
+    assert code == 0
+    assert out.strip().splitlines()[1] == "-1e+308,inf,inf"
 
 
 def test_model_over_state_cap_is_config_error(capsys, tmp_path):
@@ -210,6 +231,26 @@ def test_partition_bad_setting_is_config_error(capsys, k2_graph, flag, value):
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["1", "0.5", "nan"])
+def test_schedule_bad_B_is_config_error(capsys, k2_graph, value):
+    code = main(["schedule", "--model", "ising", "--graph", k2_graph,
+                 f"--B={value}"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: --B ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("ids, bad", [("99", "99"), ("1,x", "x"), ("0", "0")])
+def test_validate_unknown_criteria_is_config_error(capsys, ids, bad):
+    code = main(["validate", "--criteria", ids])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: unknown criterion ids")
+    assert repr(bad) in captured.err
+    assert captured.err.count("\n") == 1
 
 
 def test_partition_without_ground_states_is_contract_error(capsys, tmp_path):
