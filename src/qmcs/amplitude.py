@@ -16,11 +16,10 @@ rotation cross-validates the closed form.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
-from .outcome import QueryLedger, ValueDistribution, make_distribution
+from .outcome import QueryLedger, ValueDistribution, from_arrays
 
 __all__ = [
     "amplitude_phase",
@@ -68,6 +67,8 @@ def _kernel(delta: np.ndarray, t: int) -> np.ndarray:
 
 def ae_measurement_probs(a: float, t: int) -> np.ndarray:
     """Length-t probability vector over raw outcomes y."""
+    if t < 1:
+        raise ValueError("t must be >= 1")
     if t > AE_LAW_T_CAP:
         raise ValueError(f"t={t} exceeds the outcome-law cap {AE_LAW_T_CAP}")
     omega = amplitude_phase(a)
@@ -86,19 +87,10 @@ def _estimate_values(t: int) -> np.ndarray:
     return np.sin(np.pi * y_eff / t) ** 2
 
 
-@lru_cache(maxsize=4096)
-def _outcome_distribution_cached(a: float, t: int) -> ValueDistribution:
-    probs = ae_measurement_probs(a, t)
-    return make_distribution(zip(_estimate_values(t), probs))
-
-
 def ae_outcome_distribution(a: float, t: int) -> ValueDistribution:
     """Closed-form distribution of the estimate a~ for amplitude a, t iterations."""
-    if not 0.0 <= a <= 1.0:
-        raise ValueError("amplitude must lie in [0, 1]")
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    return _outcome_distribution_cached(float(a), int(t))
+    probs = ae_measurement_probs(float(a), int(t))  # checks t before allocating
+    return from_arrays(_estimate_values(int(t)), probs)
 
 
 def _draw_outcome(omega: float, t: int, rng: np.random.Generator) -> int:
@@ -174,7 +166,7 @@ def ae_circuit_distribution(a: float, t: int) -> ValueDistribution:
     state = f_inv @ state
     probs = np.abs(state[:, 0]) ** 2 + np.abs(state[:, 1]) ** 2
     probs = probs / probs.sum()
-    return make_distribution(zip(_estimate_values(t), probs))
+    return from_arrays(_estimate_values(t), probs)
 
 
 def arcsin_gap_bound(x: float, y: float):

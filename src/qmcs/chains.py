@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gibbs import GibbsModel, gibbs_distribution
+from .gibbs import GibbsModel, _boltzmann, gibbs_distribution
 from .outcome import QueryLedger
 
 __all__ = [
@@ -46,12 +46,12 @@ class MarkovChain:
         pi.setflags(write=False)
         object.__setattr__(self, "P", P)
         object.__setattr__(self, "pi", pi)
-        if np.abs(P.sum(axis=1) - 1.0).max() > 1e-10:
+        if not np.abs(P.sum(axis=1) - 1.0).max() <= 1e-10:
             raise ChainError("rows must sum to 1")
-        if np.abs(pi @ P - pi).max() > 1e-8:
+        if not np.abs(pi @ P - pi).max() <= 1e-8:
             raise ChainError("pi is not stationary")
         flux = pi[:, None] * P
-        if np.abs(flux - flux.T).max() > 1e-10:
+        if not np.abs(flux - flux.T).max() <= 1e-10:
             raise ChainError("detailed balance violated")
 
     @property
@@ -79,6 +79,7 @@ def glauber_chain(m: GibbsModel, beta: float) -> MarkovChain:
     size = m.size
     if size > SPECTRAL_CAP:
         raise ChainError(f"state space {size} exceeds dense cap {SPECTRAL_CAP}")
+    pi = gibbs_distribution(m, beta)  # fails first on a NaN or -inf beta
     n_sites = m.graph.n_vertices
     alphabet = (1, -1) if m.name == "ising" else tuple(range(m.extra["k"]))
     index = _state_index(m.states)
@@ -96,11 +97,11 @@ def glauber_chain(m: GibbsModel, beta: float) -> MarkovChain:
                 w = (e_loc == e_loc.min()).astype(float)
             else:
                 e_loc = energies[neighbours].astype(float)
-                w = np.exp(-beta * (e_loc - e_loc.min()))
+                w = _boltzmann(e_loc, beta)
             w /= w.sum()
             for j, pw in zip(neighbours, w):
                 P[i, j] += pw / n_sites
-    return MarkovChain(P, gibbs_distribution(m, beta))
+    return MarkovChain(P, pi)
 
 
 def matching_chain(m: GibbsModel, beta: float) -> MarkovChain:
@@ -116,7 +117,7 @@ def matching_chain(m: GibbsModel, beta: float) -> MarkovChain:
     if n_edges == 0:
         raise ChainError("matching chain needs at least one edge")
     index = _state_index(m.states)
-    accept_add = 0.0 if beta == math.inf else min(1.0, math.exp(-beta))
+    accept_add = math.exp(-max(beta, 0.0))  # min(1, e^{-beta}); 0 at inf
     P = np.zeros((size, size))
     for i, match in enumerate(m.states):
         occupied = set()
@@ -149,7 +150,7 @@ def _lambda1(c: MarkovChain) -> float:
     mags = np.sort(np.abs(eigs))[::-1]
     if abs(mags[0] - 1.0) > 1e-8:
         raise ChainError("leading eigenvalue is not 1")
-    return float(mags[1])
+    return float(mags[1]) if c.n > 1 else 0.0  # one state mixes at once
 
 
 def relaxation_time(c: MarkovChain) -> float:

@@ -162,6 +162,14 @@ def exact_partition(m: GibbsModel, beta) -> float:
         return float(np.sum(m.counts[hs] * np.exp(-float(beta) * hs)))
 
 
+def _boltzmann(energies: np.ndarray, beta: float) -> np.ndarray:
+    """Weights e^{-beta (H - H*)} with H* the likeliest level, so that no
+    exponent is positive and no |beta| overflows; e^{-beta H} when H* = 0."""
+    top = energies.max() if beta < 0 else energies.min()
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.exp(-beta * (energies - top))
+
+
 def gibbs_distribution(m: GibbsModel, beta) -> np.ndarray:
     """Probability vector over m.states, pi(x) = e^{-beta H(x)} / Z(beta)."""
     if beta == math.inf:
@@ -170,11 +178,12 @@ def gibbs_distribution(m: GibbsModel, beta) -> np.ndarray:
             raise ZeroDivisionError("no ground states: Z(inf) = 0")
         probs = (m.energies == 0) / float(z)
     else:
-        w = np.exp(-float(beta) * m.energies)
+        w = _boltzmann(m.energies, float(beta))
         probs = w / w.sum()
     total = probs.sum()
-    if abs(total - 1.0) > 1e-12:
-        raise ArithmeticError("Gibbs distribution failed to normalize")
+    if not abs(total - 1.0) <= 1e-12:  # NaN fails too
+        raise ArithmeticError(f"Gibbs distribution at beta={beta} failed to "
+                              "normalize")
     return probs
 
 

@@ -6,7 +6,8 @@ Four estimators, layered:
     estimates of a = E[v(A)], accurate to C(sqrt(a)/t + 1/t^2).
   * estimate_mean_l2       -- output >= 0 with bounded second moment;
     dyadic truncation into k+1 bands, each estimated by the bounded
-    routine, recombined as mu0 + sum_l 2^l mu_l.
+    routine, recombined as mu0 + sum_l 2^l mu_l.  The band amplitudes
+    are read from the law in one pass, without building the band laws.
   * estimate_mean_variance -- Var <= sigma^2; rescale by sigma, subtract a
     proxy sample m~, estimate the negative and positive parts separately.
   * estimate_mean_relative -- relative second moment E[Y^2]/E[Y]^2 <= B;
@@ -120,7 +121,7 @@ def bounded_mean_constant() -> float:
             denom = math.sqrt(a) / t + 1.0 / t**2
             need = radius / denom if denom > 0 else 0.0
             worst = max(worst, need)
-    return min(worst * 1.02, cap)
+    return float(min(worst * 1.02, cap))
 
 
 def l2_constant() -> float:
@@ -128,8 +129,15 @@ def l2_constant() -> float:
     return max(4.0 * bounded_mean_constant(), 10.0)
 
 
+def _check_positive(**settings) -> None:
+    for name, value in settings.items():
+        if not value > 0.0:  # NaN fails too
+            raise ValueError(f"{name} must be positive")
+
+
 def t_for_additive_error(epsilon: float) -> int:
     """Smallest t with C(1/t + 1/t^2) <= epsilon (worst case over amplitudes)."""
+    _check_positive(epsilon=epsilon)
     C = bounded_mean_constant()
     t = max(1, int(C / epsilon))
     while C * (1.0 / t + 1.0 / t**2) > epsilon:
@@ -167,16 +175,16 @@ def estimate_mean_l2(d: ValueDistribution, epsilon: float,
     k = math.ceil(math.log2(1.0 / epsilon))
     t0 = math.ceil(D * math.sqrt(math.log2(1.0 / epsilon)) / epsilon)
 
-    d0 = truncate(d, "range", 0.0, 1.0)
-    reps0 = powering_reps(AE_FAIL_PROB, 1.0 / 10.0)
-    total = ae_median(d0.mean(), t0, reps0, rng, ledger)
-
-    reps_l = powering_reps(AE_FAIL_PROB, 1.0 / (10.0 * k)) if k >= 1 else 0
+    # band l (1 <= l <= k) holds 2^(l-1) <= v < 2^l, band 0 holds v < 1;
+    # amplitude E[v/2^l; v in band l], clipped to 1 against rounding
+    band = np.searchsorted(2.0 ** np.arange(k + 1), d.values, side="right")
+    amps = np.minimum(1.0, np.bincount(band, weights=d.values / 2.0**band
+                                       * d.probs, minlength=k + 1))
+    total = ae_median(amps[0], t0, powering_reps(AE_FAIL_PROB, 1.0 / 10.0),
+                      rng, ledger)
+    reps_l = powering_reps(AE_FAIL_PROB, 1.0 / (10.0 * k))
     for ell in range(1, k + 1):
-        lo, hi = 2.0 ** (ell - 1), 2.0**ell
-        band = transform(truncate(d, "range", lo, hi), lambda v: v / hi)
-        mu_l = ae_median(band.mean(), t0, reps_l, rng, ledger)
-        total += hi * mu_l
+        total += 2.0**ell * ae_median(amps[ell], t0, reps_l, rng, ledger)
 
     err = epsilon * (d.l2norm() + 1.0) ** 2
     return Estimate(value=float(total), target_error=err, error_kind="additive",
@@ -187,9 +195,8 @@ def estimate_mean_variance(d: ValueDistribution, sigma: float, epsilon: float,
                            rng: np.random.Generator,
                            ledger: QueryLedger) -> Estimate:
     """Mean with additive error epsilon when Var <= sigma^2; success >= 2/3."""
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
-    if epsilon >= 4.0 * sigma:
+    _check_positive(sigma=sigma, epsilon=epsilon)
+    if not epsilon < 4.0 * sigma:
         raise ValueError("epsilon must be < 4*sigma")
     scaled = transform(d, lambda v: v / sigma)
     m = classical_sample(scaled, rng, ledger)
@@ -214,9 +221,10 @@ def estimate_mean_relative(d: ValueDistribution, B: float, epsilon: float,
                            rng: np.random.Generator,
                            ledger: QueryLedger) -> Estimate:
     """Mean with relative error epsilon when E[Y^2]/E[Y]^2 <= B; success >= 3/4."""
-    if B < 1.0:
+    if not B >= 1.0:
         raise ValueError("B must be >= 1 (Cauchy-Schwarz lower bound)")
-    if epsilon >= 27.0 * B / 4.0:
+    _check_positive(epsilon=epsilon)
+    if not epsilon < 27.0 * B / 4.0:
         raise ValueError("epsilon must be < 27B/4")
     if d.values.min() < 0.0:
         raise ValueError("support must be nonnegative")
@@ -241,7 +249,8 @@ def classical_mean_chebyshev(d: ValueDistribution, sigma: float, epsilon: float,
                              rng: np.random.Generator,
                              ledger: QueryLedger) -> Estimate:
     """Baseline: empirical mean of ceil(3 sigma^2 / eps^2) classical samples."""
-    n = math.ceil(3.0 * sigma**2 / epsilon**2)
+    _check_positive(sigma=sigma, epsilon=epsilon)
+    n = max(1, math.ceil(3.0 * sigma**2 / epsilon**2))
     samples = classical_sample_block(d, n, rng, ledger)
     return Estimate(value=float(np.mean(samples)), target_error=epsilon,
                     error_kind="additive", confidence=2.0 / 3.0,

@@ -9,7 +9,7 @@ built on top of them.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields, replace
-from typing import Callable, Iterable, Sequence, Tuple
+from typing import Callable, Iterable, Tuple
 
 import numpy as np
 
@@ -17,6 +17,7 @@ __all__ = [
     "DistributionError",
     "ValueDistribution",
     "QueryLedger",
+    "from_arrays",
     "make_distribution",
     "truncate",
     "transform",
@@ -55,7 +56,8 @@ class ValueDistribution:
         return float(np.dot((self.values - m) ** 2, self.probs))
 
     def l2norm(self) -> float:
-        return float(np.sqrt(np.dot(self.values**2, self.probs)))
+        with np.errstate(over="ignore"):  # a norm beyond float range is inf
+            return float(np.sqrt(np.dot(self.values**2, self.probs)))
 
     def to_pairs(self) -> list:
         return [(float(v), float(p)) for v, p in zip(self.values, self.probs)]
@@ -85,18 +87,23 @@ class QueryLedger:
         return asdict(self)
 
 
-def _build(values: np.ndarray, probs: np.ndarray) -> ValueDistribution:
-    """Merge duplicate values, sort, renormalize small drift."""
+def from_arrays(values, probs) -> ValueDistribution:
+    """Build a distribution from parallel value and probability arrays.
+
+    Duplicate values are merged and the support sorted; probabilities must be
+    finite, nonnegative and sum to 1 within 1e-9 (drift below that is
+    silently renormalized).
+    """
     values = np.asarray(values, dtype=float)
     probs = np.asarray(probs, dtype=float)
     if values.size == 0:
         raise DistributionError("empty support")
     if not np.all(np.isfinite(values)):
         raise DistributionError("non-finite support value")
-    if np.any(probs < 0):
-        raise DistributionError("negative probability")
+    if not np.all(np.isfinite(probs) & (probs >= 0)):
+        raise DistributionError("probabilities must be finite and nonnegative")
     total = float(probs.sum())
-    if abs(total - 1.0) > _NORM_TOL:
+    if not abs(total - 1.0) <= _NORM_TOL:
         raise DistributionError(f"probabilities sum to {total}, not 1")
     uniq, inverse = np.unique(values, return_inverse=True)
     merged = np.bincount(inverse, weights=probs, minlength=len(uniq))
@@ -105,17 +112,9 @@ def _build(values: np.ndarray, probs: np.ndarray) -> ValueDistribution:
 
 
 def make_distribution(pairs: Iterable[Tuple[float, float]]) -> ValueDistribution:
-    """Build a distribution from (value, prob) pairs.
-
-    Duplicate values are merged; probabilities must be nonnegative and sum to
-    1 within 1e-9 (drift below that is silently renormalized).
-    """
+    """Adapter for (value, prob) pair input: from_arrays on the two columns."""
     pairs = list(pairs)
-    if not pairs:
-        raise DistributionError("empty support")
-    values = np.array([v for v, _ in pairs], dtype=float)
-    probs = np.array([p for _, p in pairs], dtype=float)
-    return _build(values, probs)
+    return from_arrays([v for v, _ in pairs], [p for _, p in pairs])
 
 
 def truncate(d: ValueDistribution, mode: str, x: float = None, y: float = None) -> ValueDistribution:
@@ -125,32 +124,25 @@ def truncate(d: ValueDistribution, mode: str, x: float = None, y: float = None) 
     mode "range":   keep x <= v < y, else output 0.
     mode "atleast": keep v >= y, else output 0.
     """
-    if mode == "below":
-        if x is None:
-            raise DistributionError("mode 'below' requires x")
-        keep = d.values < x
-    elif mode == "range":
-        if x is None or y is None:
-            raise DistributionError("mode 'range' requires x and y")
-        if not x < y:
-            raise DistributionError("invalid window: need x < y")
-        keep = (d.values >= x) & (d.values < y)
-    elif mode == "atleast":
-        if y is None:
-            raise DistributionError("mode 'atleast' requires y")
-        keep = d.values >= y
-    else:
+    windows = {"below": (-np.inf, x), "range": (x, y), "atleast": (y, np.inf)}
+    if mode not in windows:
         raise DistributionError(f"unknown truncation mode {mode!r}")
-    values = np.where(keep, d.values, 0.0)
-    return _build(values, d.probs)
+    lo, hi = windows[mode]
+    if lo is None or hi is None:
+        raise DistributionError(f"mode {mode!r} is missing a window bound")
+    if mode == "range" and not x < y:
+        raise DistributionError("invalid window: need x < y")
+    keep = (d.values >= lo) & (d.values < hi)
+    return from_arrays(np.where(keep, d.values, 0.0), d.probs)
 
 
 def transform(d: ValueDistribution, f: Callable[[float], float]) -> ValueDistribution:
     """Apply f to every support value, merging equal images."""
-    values = np.array([f(v) for v in d.values], dtype=float)
+    with np.errstate(all="ignore"):  # a non-finite image is reported below
+        values = np.array([f(v) for v in d.values], dtype=float)
     if not np.all(np.isfinite(values)):
         raise DistributionError("transform produced non-finite value")
-    return _build(values, d.probs)
+    return from_arrays(values, d.probs)
 
 
 def moments(d: ValueDistribution) -> Tuple[float, float, float]:

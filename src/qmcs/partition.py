@@ -29,7 +29,7 @@ from .gibbs import (GibbsModel, chebyshev_ratio, exact_partition,
                     gibbs_distribution, overlap_squared)
 from .mean import estimate_mean_relative, power_median, powering_reps
 from .outcome import (QueryLedger, ValueDistribution, classical_sample_block,
-                      make_distribution)
+                      from_arrays)
 from .walk import (ReflectionSpec, approx_reflection, reflection_cost,
                    warm_start_cost)
 
@@ -105,7 +105,7 @@ def ratio_variable(m: GibbsModel, beta_i, beta_j) -> ValueDistribution:
     if not beta_i < beta_j:
         raise ScheduleError("requires beta_i < beta_j")
     pi = gibbs_distribution(m, beta_i)
-    return make_distribution(zip(_state_values(m, beta_i, beta_j), pi))
+    return from_arrays(_state_values(m, beta_i, beta_j), pi)
 
 
 def reversed_ratio_variable(m: GibbsModel, beta_i, beta_j) -> ValueDistribution:
@@ -115,7 +115,7 @@ def reversed_ratio_variable(m: GibbsModel, beta_i, beta_j) -> ValueDistribution:
     if beta_j == math.inf:
         raise ScheduleError("reversed ratio variable undefined at beta_j = inf")
     pi = gibbs_distribution(m, beta_j)
-    return make_distribution(zip(_state_values(m, beta_i, beta_j, True), pi))
+    return from_arrays(_state_values(m, beta_i, beta_j, True), pi)
 
 
 def build_schedule(m: GibbsModel, B: float, direction="forward") -> CoolingSchedule:

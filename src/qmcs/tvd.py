@@ -19,8 +19,8 @@ import numpy as np
 from scipy.stats import binom
 
 from .amplitude import AE_FAIL_PROB, ae_median, ae_outcome_distribution
-from .mean import Estimate, bounded_mean_constant, powering_reps, t_for_additive_error
-from .outcome import QueryLedger, ValueDistribution, make_distribution
+from .mean import Estimate, powering_reps, t_for_additive_error
+from .outcome import QueryLedger, ValueDistribution, from_arrays
 
 __all__ = [
     "TvdInstance",
@@ -56,7 +56,7 @@ class TvdInstance:
         if p.shape != q.shape or p.ndim != 1:
             raise ValueError("p and q must be 1-d over the same index set")
         for arr in (p, q):
-            if arr.min() < 0 or abs(arr.sum() - 1.0) > 1e-9:
+            if not (arr.min() >= 0 and abs(arr.sum() - 1.0) <= 1e-9):
                 raise ValueError("inputs must be probability distributions")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must be in (0, 1)")
@@ -98,7 +98,7 @@ def median_law(d: ValueDistribution, m: int) -> ValueDistribution:
     pmf = np.diff(np.concatenate([[0.0], tail]))
     pmf = np.clip(pmf, 0.0, None)
     keep = pmf > _PRUNE
-    return make_distribution(zip(d.values[keep], pmf[keep] / pmf[keep].sum()))
+    return from_arrays(d.values[keep], pmf[keep] / pmf[keep].sum())
 
 
 def _ratio_values(vp: np.ndarray, vq: np.ndarray) -> np.ndarray:
@@ -136,7 +136,7 @@ def tvd_subroutine_distribution(inst: TvdInstance) -> ValueDistribution:
         probs.append(w[keep])
     values = np.concatenate(values)
     probs = np.concatenate(probs)
-    law = make_distribution(zip(values, probs / probs.sum()))
+    law = from_arrays(values, probs / probs.sum())
     if len(_LAW_CACHE) >= _LAW_CACHE_SIZE:
         del _LAW_CACHE[next(iter(_LAW_CACHE))]
     _LAW_CACHE[key] = law

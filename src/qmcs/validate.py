@@ -20,13 +20,12 @@ from .amplitude import (AE_SUCCESS_PROB, ae_circuit_distribution,
                         arcsin_gap_bound, interval_coverage,
                         measurement_tv_bound, stability_failure_bound)
 from .chains import MarkovChain, glauber_chain
-from .gibbs import (Graph, chi_squared, colouring_model, exact_partition,
-                    gibbs_distribution, ising_model, matching_model,
-                    overlap_squared)
+from .gibbs import (Graph, chi_squared, colouring_model, gibbs_distribution,
+                    ising_model, matching_model, overlap_squared)
 from .mean import (classical_mean_chebyshev, estimate_mean_bounded,
                    estimate_mean_l2, estimate_mean_relative,
                    estimate_mean_variance, t_for_additive_error)
-from .outcome import QueryLedger, make_distribution, transform
+from .outcome import QueryLedger, from_arrays, make_distribution
 from .partition import (build_schedule, classical_baseline, estimate_partition,
                         ratio_variable, verify_schedule)
 from .tvd import (estimate_tvd, exact_tvd, ratio_stability_check,
@@ -338,9 +337,7 @@ def criterion_11(trials=400):
 
     base = ratio_variable(ising_model(K2), 0.0, math.log(2.0))
     gamma = 1e-12
-    pairs = [(v, p) for v, p in base.to_pairs()]
-    perturbed = make_distribution([(pairs[0][0], pairs[0][1] - gamma),
-                                   (pairs[1][0], pairs[1][1] + gamma)])
+    perturbed = from_arrays(base.values, base.probs + [-gamma, gamma])
     sigma, eps = 0.3, 0.05
     failures = 0
     uses = []

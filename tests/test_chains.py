@@ -25,6 +25,39 @@ def test_markov_chain_invariants_enforced():
                     np.array([0.5, 0.5]))
 
 
+def test_markov_chain_rejects_nan():
+    # an all-NaN P and pi used to pass every check
+    nan = np.full((2, 2), math.nan)
+    with pytest.raises(ChainError):
+        MarkovChain(nan, np.full(2, math.nan))
+    with pytest.raises(ChainError):
+        MarkovChain(np.array([[0.5, 0.5], [0.5, 0.5]]),
+                    np.array([0.5, math.nan]))
+
+
+@pytest.mark.parametrize("beta", [math.nan, -math.inf])
+def test_chains_reject_nan_and_minus_inf_beta(beta):
+    for build, model in ((glauber_chain, ising_model(C4)),
+                         (matching_chain, matching_model(C4))):
+        with pytest.raises(ArithmeticError, match="failed to normalize"):
+            build(model, beta)
+
+
+@pytest.mark.parametrize("beta", [1e308, -1e308, 1e3, -1e3])
+def test_chains_stay_stochastic_at_extreme_beta(beta):
+    # the weights used to overflow to inf/inf = NaN at large negative beta
+    c = glauber_chain(ising_model(C4), beta)
+    assert np.abs(c.P.sum(axis=1) - 1.0).max() <= 1e-12
+    assert np.all(np.isfinite(c.P))
+
+
+def test_one_state_chain_mixes_at_once():
+    # one colour on a triangle leaves one state; lambda1 used to index past it
+    c = glauber_chain(colouring_model(Graph(3, ((0, 1), (1, 2), (0, 2))), 1),
+                      0.0)
+    assert c.n == 1 and c.lambda1 == 0.0 and c.tau == 1.0
+
+
 def test_two_state_flip_relaxation():
     # flip with prob 1/4 from either state: eigenvalues 1 and 1/2, tau = 2
     P = np.array([[0.75, 0.25], [0.25, 0.75]])

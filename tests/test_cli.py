@@ -253,6 +253,43 @@ def test_validate_unknown_criteria_is_config_error(capsys, ids, bad):
     assert captured.err.count("\n") == 1
 
 
+def test_mean_nan_probability_is_config_error(capsys, tmp_path):
+    # the all-NaN law used to fail later, as "amplitude must lie in [0, 1]"
+    path = tmp_path / "nan.json"
+    path.write_text('{"support": [[0, NaN], [1, 1]]}')
+    code = main(["mean", "--dist", str(path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: bad distribution") and err.count("\n") == 1
+    assert "finite and nonnegative" in err
+
+
+@pytest.mark.parametrize("cmd", ["chain", "walk-check"])
+@pytest.mark.parametrize("beta", ["nan", "-inf"])
+def test_chain_nan_beta_is_config_error(capsys, k2_graph, cmd, beta):
+    # chain used to end in "Eigenvalues did not converge", walk-check in exit 3
+    code = main([cmd, "--model", "ising", "--graph", k2_graph,
+                 f"--beta={beta}"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: Gibbs distribution at beta={float(beta)}")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--eps", "0", "epsilon must be positive"),
+    ("--sigma", "0", "sigma must be positive"),
+    ("--sigma", "nan", "sigma must be positive"),
+])
+def test_mean_classical_bad_setting_is_config_error(capsys, bernoulli, flag,
+                                                    value, message):
+    # --eps 0 used to print "error: float division by zero"
+    code = main(["mean", "--dist", bernoulli, "--method", "classical",
+                 f"{flag}={value}"])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_partition_without_ground_states_is_contract_error(capsys, tmp_path):
     # a triangle has no proper 2-colouring, so Z(inf) = 0 anchors nothing
     path = tmp_path / "triangle.txt"
@@ -269,6 +306,8 @@ def fuzz_files(tmp_path_factory):
     (root / "triangle.txt").write_text("3 3\n0 1\n1 2\n0 2\n")
     (root / "p.json").write_text(json.dumps({"support": [[0, 0.7], [1, 0.3]]}))
     (root / "q.json").write_text(json.dumps({"support": [[1, 0.4], [2, 0.6]]}))
+    (root / "heavy.json").write_text(json.dumps({"support": [[0, 0.5], [3, 0.5]]}))
+    (root / "nan.json").write_text('{"support": [[0, NaN], [1, 1]]}')
     return root
 
 
@@ -278,28 +317,46 @@ _HOSTILE = st.sampled_from(["0", "-0", "1", "-1", "0.5", "1.5", "nan", "inf",
 _NUMBER = (_HOSTILE | st.floats(0.0, 1.0).map(repr) | st.floats().map(repr)
            | st.integers(-10**4, 10**4).map(str))
 # magnitudes that keep every accepted run small: t <= 10^4, at most 12
-# colours on the triangle (200 is over the state cap), tvd eps >= 0.05
+# colours on the triangle (200 is over the state cap; a chain takes at most
+# 4), eps >= 0.05, sigma <= 4 and B <= 8 (classical samples, proxy samples
+# and l2 bands stay few)
 _T = _HOSTILE | st.integers(-10**3, 10**4).map(str)
 _K = _HOSTILE | st.integers(-3, 12).map(str) | st.just("200")
+_CHAIN_K = _HOSTILE | st.integers(-3, 4).map(str)
 _EPS = _HOSTILE.filter(lambda tok: tok != "1e-3") | st.floats(0.05, 2.0).map(repr)
+_SIGMA = _HOSTILE | st.floats(-1.0, 4.0).map(repr)
+_B = _HOSTILE | st.floats(0.5, 8.0).map(repr)
+_MEAN_T = st.just("0") | st.integers(-10, 10**4).map(str) | _HOSTILE
 _BETAS = st.lists(_NUMBER, max_size=4).map(",".join)
+_MODEL = st.sampled_from(["ising", "colouring", "matching"])
 
 
 @st.composite
 def _argv(draw, root):
-    cmd = draw(st.sampled_from(["ae-check", "model", "tvd"]))
+    cmd = draw(st.sampled_from(["ae-check", "model", "tvd", "mean", "chain"]))
     if cmd == "ae-check":
         return [cmd, f"--a={draw(_NUMBER)}", f"--t={draw(_T)}"]
     if cmd == "model":
-        return [cmd, "--model", draw(st.sampled_from(
-            ["ising", "colouring", "matching"])), "--graph",
+        return [cmd, "--model", draw(_MODEL), "--graph",
                 str(root / "triangle.txt"), f"--k={draw(_K)}",
                 f"--betas={draw(_BETAS)}"]
+    if cmd == "chain":
+        return [cmd, "--model", draw(_MODEL), "--graph",
+                str(root / "triangle.txt"), f"--k={draw(_CHAIN_K)}",
+                f"--beta={draw(_NUMBER)}"]
+    if cmd == "mean":
+        dist = draw(st.sampled_from(["p.json", "heavy.json", "nan.json"]))
+        return [cmd, "--dist", str(root / dist), "--method",
+                draw(st.sampled_from(["bounded", "l2", "variance", "relative",
+                                      "classical"])),
+                f"--eps={draw(_EPS)}", f"--delta={draw(_NUMBER)}",
+                f"--sigma={draw(_SIGMA)}", f"--B={draw(_B)}",
+                f"--t={draw(_MEAN_T)}"]
     return [cmd, "--p", str(root / "p.json"), "--q", str(root / "q.json"),
             f"--eps={draw(_EPS)}", f"--delta={draw(_NUMBER)}"]
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_cli_fuzz_exits_cleanly(fuzz_files, data):
     argv = data.draw(_argv(fuzz_files))

@@ -99,6 +99,26 @@ def test_gibbs_distribution_normalizes():
     assert np.count_nonzero(pi_inf) == 2
 
 
+@pytest.mark.parametrize("beta", [math.nan, -math.inf])
+def test_gibbs_distribution_rejects_nan_and_minus_inf(beta):
+    # NaN used to come back as an all-NaN pi
+    with pytest.raises(ArithmeticError, match="failed to normalize"):
+        gibbs_distribution(ising_model(C4), beta)
+
+
+def test_gibbs_distribution_extreme_betas():
+    m = matching_model(C4)
+    for beta in (-2.0, -0.3, 1.5):
+        w = np.exp(-beta * m.energies)
+        assert gibbs_distribution(m, beta) == pytest.approx(w / w.sum(),
+                                                            rel=1e-12)
+    # |beta| = 1e308 underflows every other level to 0, without overflow
+    for beta, level in ((1e308, m.energies.min()), (-1e308, m.energies.max())):
+        pi = gibbs_distribution(m, beta)
+        assert pi.sum() == pytest.approx(1.0)
+        assert np.all(pi[m.energies != level] == 0.0)
+
+
 def test_chi_squared_single_edge():
     m = ising_model(K2)
     # warming from beta=0 to beta=ln 2: known closed form 1/9

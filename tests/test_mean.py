@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qmcs import mean
 from qmcs.mean import (bounded_mean_constant, classical_mean_chebyshev,
                        estimate_mean_bounded, estimate_mean_l2,
                        estimate_mean_relative, estimate_mean_variance,
                        l2_constant, power_median, powering_reps,
                        t_for_additive_error)
-from qmcs.outcome import QueryLedger, make_distribution
+from qmcs.outcome import QueryLedger, make_distribution, transform, truncate
 
 
 def _rng(seed):
@@ -83,6 +86,61 @@ def test_l2_heavy_tail_band_decomposition():
     assert np.mean(np.array(errs) <= bound) >= 0.8
 
 
+def _band_laws_reference(d, k):
+    """Band amplitudes by building each truncated, rescaled band law."""
+    amps = [truncate(d, "range", 0.0, 1.0).mean()]
+    for ell in range(1, k + 1):
+        lo, hi = 2.0 ** (ell - 1), 2.0**ell
+        band = transform(truncate(d, "range", lo, hi), lambda v: v / hi)
+        amps.append(band.mean())
+    return amps
+
+
+def _recorded_amplitudes(d, epsilon):
+    """The amplitudes estimate_mean_l2 hands to ae_median, in call order."""
+    seen = []
+
+    def record(a, t, reps, rng, ledger):
+        seen.append(a)
+        return 0.0
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mean, "ae_median", record)
+        estimate_mean_l2(d, epsilon, _rng(0), QueryLedger())
+    return seen
+
+
+# nonnegative laws whose atoms often sit on or next to a band edge 2^l
+_LAW = st.lists(st.tuples(
+    st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.999, 4.0, 63.0, 64.0, 1e3])
+    | st.floats(0.0, 300.0), st.floats(0.01, 1.0)), min_size=1, max_size=10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs=_LAW, epsilon=st.sampled_from([0.3, 0.1, 0.02, 0.004]))
+def test_l2_band_amplitudes_match_band_laws(pairs, epsilon):
+    total = sum(w for _, w in pairs)
+    d = make_distribution((v, w / total) for v, w in pairs)
+    k = math.ceil(math.log2(1.0 / epsilon))
+    got = _recorded_amplitudes(d, epsilon)
+    ref = _band_laws_reference(d, k)
+    assert len(got) == k + 1  # band 0 first, then 1..k
+    for a, r in zip(got, ref):
+        assert 0.0 <= a <= 1.0
+        assert abs(a - r) <= 4 * np.finfo(float).eps
+
+
+def test_l2_reads_bands_without_building_laws():
+    def forbidden(*args, **kwargs):
+        raise AssertionError("estimate_mean_l2 built a band law")
+
+    d = make_distribution([(0.0, 0.7), (1.5, 0.1), (3.0, 0.1), (12.0, 0.1)])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mean, "truncate", forbidden)
+        mp.setattr(mean, "transform", forbidden)
+        estimate_mean_l2(d, 0.05, _rng(0), QueryLedger())
+
+
 def test_l2_rejects_bad_epsilon_and_negative_support():
     d = make_distribution([(1.0, 1.0)])
     with pytest.raises(ValueError):
@@ -144,6 +202,40 @@ def test_classical_baseline_sample_count():
     est = classical_mean_chebyshev(d, 1.0, 0.1, _rng(5), ledger)
     assert ledger.classical_samples == math.ceil(3.0 / 0.01)
     assert est.value == pytest.approx(1.0, abs=0.1)
+
+
+@pytest.mark.parametrize("sigma, eps, message", [
+    (0.0, 0.1, "sigma must be positive"),
+    (-1.0, 0.1, "sigma must be positive"),
+    (math.nan, 0.1, "sigma must be positive"),
+    (1.0, 0.0, "epsilon must be positive"),
+    (1.0, -0.1, "epsilon must be positive"),
+    (1.0, math.nan, "epsilon must be positive"),
+])
+def test_classical_baseline_checks_settings(sigma, eps, message):
+    d = make_distribution([(0.0, 0.5), (2.0, 0.5)])
+    for estimator in (classical_mean_chebyshev, estimate_mean_variance):
+        with pytest.raises(ValueError, match=message):
+            estimator(d, sigma, eps, _rng(0), QueryLedger())
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.1, math.nan])
+def test_t_for_additive_error_rejects_nonpositive_epsilon(eps):
+    # a negative epsilon used to loop forever (qmcs mean --eps -0.1)
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        t_for_additive_error(eps)
+
+
+def test_t_for_subnormal_epsilon_overflows_cleanly():
+    # C / 5e-324 is inf; numpy's C used to warn before int() raised
+    with pytest.raises(OverflowError):
+        t_for_additive_error(5e-324)
+
+
+def test_relative_rejects_nan_b():
+    d = make_distribution([(1.0, 1.0)])
+    with pytest.raises(ValueError, match="B must be >= 1"):
+        estimate_mean_relative(d, math.nan, 0.1, _rng(0), QueryLedger())
 
 
 def test_quantum_ledger_beats_classical_at_small_eps():

@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmcs.outcome import (DistributionError, QueryLedger, classical_sample,
-                          classical_sample_block, make_distribution, moments,
-                          transform, truncate)
+                          classical_sample_block, from_arrays,
+                          make_distribution, moments, transform, truncate)
 
 
 def test_merge_duplicates():
@@ -19,6 +23,43 @@ def test_normalization_enforced():
         make_distribution([(0.0, -0.1), (1.0, 1.1)])
     with pytest.raises(DistributionError):
         make_distribution([])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_nonfinite_probability_rejected(bad):
+    # an all-NaN law used to come back from [(0, nan), (1, 1)]
+    with pytest.raises(DistributionError, match="finite and nonnegative"):
+        make_distribution([(0.0, bad), (1.0, 1.0)])
+    with pytest.raises(DistributionError, match="finite and nonnegative"):
+        from_arrays([0.0, 1.0], [bad, 1.0])
+
+
+# a few raw (value, weight) pairs; values repeat often, so duplicates merge
+_PAIRS = st.lists(st.tuples(
+    st.sampled_from([-2.5, 0.0, 0.1, 1.0, 3.0, 1e6])
+    | st.floats(-1e3, 1e3, allow_nan=False),
+    st.floats(0.0, 10.0)), min_size=1, max_size=12).filter(
+        lambda pairs: sum(w for _, w in pairs) > 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs=_PAIRS)
+def test_from_arrays_matches_pair_adapter(pairs):
+    values = np.array([v for v, _ in pairs])
+    weights = np.array([w for _, w in pairs])
+    probs = weights / weights.sum()
+    d = from_arrays(values, probs)
+    ref = make_distribution(zip(values, probs))
+    assert np.array_equal(d.values, ref.values)
+    assert np.array_equal(d.probs, ref.probs)
+    # invariants: strictly increasing support, duplicates merged, unit mass
+    assert np.all(np.diff(d.values) > 0)
+    assert d.support_size == len(set(values.tolist()))
+    assert np.all(d.probs >= 0)
+    assert abs(d.probs.sum() - 1.0) <= 1e-12
+    for v in d.values:
+        assert d.probs[d.values == v][0] == pytest.approx(
+            probs[values == v].sum(), rel=1e-12, abs=1e-15)
 
 
 def test_moments_against_direct_sums():
@@ -51,6 +92,12 @@ def test_transform_rejects_nonfinite():
     d = make_distribution([(0.0, 0.5), (1.0, 0.5)])
     with pytest.raises(DistributionError):
         transform(d, lambda v: float("nan"))
+    with pytest.raises(DistributionError):  # not numpy's overflow warning
+        transform(d, lambda v: v / 5e-324)
+
+
+def test_l2norm_beyond_float_range_is_inf():
+    assert make_distribution([(0.0, 0.5), (1e200, 0.5)]).l2norm() == math.inf
 
 
 def test_classical_sampling_ledger_and_law():

@@ -1,5 +1,10 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmcs import tvd
 from qmcs.outcome import QueryLedger, make_distribution
@@ -32,6 +37,42 @@ def test_median_law_point_mass():
     d = make_distribution([(0.3, 1.0)])
     law = median_law(d, 7)
     assert law.support_size == 1 and law.values[0] == 0.3
+
+
+def _median_law_brute_force(d, m):
+    """Pr[median = v] summed over every m-tuple of draws from d."""
+    law = {}
+    for idx in itertools.product(range(d.support_size), repeat=m):
+        v = float(sorted(d.values[list(idx)])[m // 2])
+        law[v] = law.get(v, 0.0) + math.prod(d.probs[i] for i in idx)
+    return law
+
+
+@settings(max_examples=150, deadline=None)
+@given(values=st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=4,
+                       unique=True),
+       data=st.data(), m=st.sampled_from([1, 3, 5]))
+def test_median_law_matches_brute_force(values, data, m):
+    weights = data.draw(st.lists(st.floats(0.01, 1.0), min_size=len(values),
+                                 max_size=len(values)))
+    total = sum(weights)
+    d = make_distribution((v, w / total) for v, w in zip(values, weights))
+    law = median_law(d, m)
+    brute = _median_law_brute_force(d, m)
+    got = dict(zip(law.values.tolist(), law.probs.tolist()))
+    assert set(got) <= set(brute)  # pruning may only drop values
+    for v, p in brute.items():
+        assert got.get(v, 0.0) == pytest.approx(p, abs=1e-12)
+
+
+@pytest.mark.parametrize("p, q", [
+    ([math.nan, 1.0], [0.5, 0.5]),
+    ([0.5, 0.5], [math.nan, math.nan]),
+    ([math.inf, 0.0], [0.5, 0.5]),
+])
+def test_instance_rejects_nonfinite_probabilities(p, q):
+    with pytest.raises(ValueError, match="probability distributions"):
+        TvdInstance(np.array(p), np.array(q), 0.1)
 
 
 def test_instance_validation_and_budget_growth():
