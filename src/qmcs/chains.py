@@ -67,10 +67,6 @@ class MarkovChain:
         return relaxation_time(self)
 
 
-def _state_index(states) -> dict:
-    return {s: i for i, s in enumerate(states)}
-
-
 def glauber_chain(m: GibbsModel, beta: float) -> MarkovChain:
     """Heat-bath dynamics: pick a site uniformly, resample it from the
     conditional Gibbs distribution given the rest of the configuration."""
@@ -82,7 +78,7 @@ def glauber_chain(m: GibbsModel, beta: float) -> MarkovChain:
     pi = gibbs_distribution(m, beta)  # fails first on a NaN or -inf beta
     n_sites = m.graph.n_vertices
     alphabet = (1, -1) if m.name == "ising" else tuple(range(m.extra["k"]))
-    index = _state_index(m.states)
+    index = {s: i for i, s in enumerate(m.states)}
     energies = m.energies
     P = np.zeros((size, size))
     for i, state in enumerate(m.states):
@@ -106,7 +102,8 @@ def glauber_chain(m: GibbsModel, beta: float) -> MarkovChain:
 
 def matching_chain(m: GibbsModel, beta: float) -> MarkovChain:
     """Metropolis chain on matchings: pick an edge uniformly; toggle it if
-    the result is a matching, accepting energy increases with prob e^{-beta}."""
+    the result is a matching, accepting an addition with min(1, e^{-beta})
+    and a removal with min(1, e^{beta})."""
     if m.name != "matching":
         raise ChainError("matching_chain requires a matching model")
     size = m.size
@@ -116,8 +113,9 @@ def matching_chain(m: GibbsModel, beta: float) -> MarkovChain:
     n_edges = len(edges)
     if n_edges == 0:
         raise ChainError("matching chain needs at least one edge")
-    index = _state_index(m.states)
+    index = {s: i for i, s in enumerate(m.states)}
     accept_add = math.exp(-max(beta, 0.0))  # min(1, e^{-beta}); 0 at inf
+    accept_remove = math.exp(min(beta, 0.0))  # 1 whenever beta >= 0
     P = np.zeros((size, size))
     for i, match in enumerate(m.states):
         occupied = set()
@@ -126,7 +124,7 @@ def matching_chain(m: GibbsModel, beta: float) -> MarkovChain:
         for idx, (u, v) in enumerate(edges):
             if idx in match:
                 j = index[match - {idx}]
-                P[i, j] += 1.0 / n_edges  # removal always accepted
+                P[i, j] += accept_remove / n_edges
             elif u not in occupied and v not in occupied:
                 j = index[match | {idx}]
                 P[i, j] += accept_add / n_edges

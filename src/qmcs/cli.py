@@ -321,11 +321,14 @@ def build_parser():
                                              "scaling, with query metering")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def common(p):
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("mean", help="estimate the mean of a distribution")
+    p = command("mean", cmd_mean, "estimate the mean of a distribution")
     p.add_argument("--dist", required=True)
     p.add_argument("--method", default="bounded", choices=list(ESTIMATORS))
     p.add_argument("--eps", type=float, default=0.05)
@@ -333,14 +336,10 @@ def build_parser():
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--B", type=float, default=1.0)
     p.add_argument("--t", type=int, default=0)
-    common(p)
-    p.set_defaults(func=cmd_mean)
 
-    p = sub.add_parser("ae-check", help="interval coverage of one (a, t) cell")
+    p = command("ae-check", cmd_ae_check, "interval coverage of one (a, t) cell")
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--t", type=int, required=True)
-    common(p)
-    p.set_defaults(func=cmd_ae_check)
 
     def model_flags(p):
         p.add_argument("--model", required=True,
@@ -348,33 +347,25 @@ def build_parser():
         p.add_argument("--graph", required=True)
         p.add_argument("--k", type=int, default=3)
 
-    p = sub.add_parser("model", help="partition-function table (CSV)")
+    p = command("model", cmd_model, "partition-function table (CSV)")
     model_flags(p)
     p.add_argument("--betas", default="0,0.5,1,2,inf")
-    common(p)
-    p.set_defaults(func=cmd_model)
 
-    p = sub.add_parser("chain", help="relaxation time and residuals")
+    p = command("chain", cmd_chain, "relaxation time and residuals")
     model_flags(p)
     p.add_argument("--beta", type=float, default=0.0)
-    common(p)
-    p.set_defaults(func=cmd_chain)
 
-    p = sub.add_parser("walk-check", help="walk spectrum diagnostics")
+    p = command("walk-check", cmd_walk_check, "walk spectrum diagnostics")
     model_flags(p)
     p.add_argument("--beta", type=float, default=0.0)
-    common(p)
-    p.set_defaults(func=cmd_walk_check)
 
-    p = sub.add_parser("schedule", help="build and verify a cooling schedule")
+    p = command("schedule", cmd_schedule, "build and verify a cooling schedule")
     model_flags(p)
     p.add_argument("--B", type=float, default=2.0)
     p.add_argument("--direction", default="forward",
                    choices=["forward", "reversed"])
-    common(p)
-    p.set_defaults(func=cmd_schedule)
 
-    p = sub.add_parser("partition", help="estimate a partition function")
+    p = command("partition", cmd_partition, "estimate a partition function")
     model_flags(p)
     p.add_argument("--B", type=float, default=2.0)
     p.add_argument("--eps", type=float, default=0.1)
@@ -384,18 +375,14 @@ def build_parser():
                             "walk_exact_sim", "classical"])
     p.add_argument("--direction", default=None,
                    choices=["forward", "reversed"])
-    common(p)
-    p.set_defaults(func=cmd_partition)
 
-    p = sub.add_parser("tvd", help="estimate total variation distance")
+    p = command("tvd", cmd_tvd, "estimate total variation distance")
     p.add_argument("--p", required=True)
     p.add_argument("--q", required=True)
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--delta", type=float, default=0.1)
-    common(p)
-    p.set_defaults(func=cmd_tvd)
 
-    p = sub.add_parser("bench", help="accuracy sweep, CSV ledger rows")
+    p = command("bench", cmd_bench, "accuracy sweep, CSV ledger rows")
     p.add_argument("--dist", required=True)
     p.add_argument("--method", default="variance", choices=list(ESTIMATORS))
     p.add_argument("--sweep", default="eps=0.1,0.05,0.02",
@@ -403,14 +390,10 @@ def build_parser():
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--B", type=float, default=1.0)
-    common(p)
-    p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("validate", help="run the acceptance suite")
+    p = command("validate", cmd_validate, "run the acceptance suite")
     p.add_argument("--criteria", default=None,
                    help="comma-separated criterion ids (default: all)")
-    common(p)
-    p.set_defaults(func=cmd_validate)
     return ap
 
 

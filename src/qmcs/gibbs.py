@@ -102,11 +102,8 @@ def ising_model(g: Graph) -> GibbsModel:
         raise ValueError("Ising state space exceeds cap")
     codes = np.arange(2**n, dtype=np.int64)
     spins = 1 - 2 * ((codes[:, None] >> np.arange(n)) & 1)  # bit 0 -> +1
-    if g.edges:
-        us, vs = np.array(g.edges).T
-        energies = ((1 - spins[:, us] * spins[:, vs]) // 2).sum(axis=1)
-    else:
-        energies = np.zeros(2**n, dtype=np.int64)
+    us, vs = np.array(g.edges, dtype=np.int64).reshape(-1, 2).T
+    energies = ((1 - spins[:, us] * spins[:, vs]) // 2).sum(axis=1)
     states = tuple(tuple(row) for row in spins)
     return GibbsModel("ising", states, energies, max(len(g.edges), 0), graph=g)
 
@@ -120,11 +117,8 @@ def colouring_model(g: Graph, k: int) -> GibbsModel:
         raise ValueError("colouring state space exceeds cap")
     codes = np.arange(k**n, dtype=np.int64)
     cols = (codes[:, None] // (k ** np.arange(n))) % k
-    if g.edges:
-        us, vs = np.array(g.edges).T
-        energies = (cols[:, us] == cols[:, vs]).sum(axis=1).astype(np.int64)
-    else:
-        energies = np.zeros(k**n, dtype=np.int64)
+    us, vs = np.array(g.edges, dtype=np.int64).reshape(-1, 2).T
+    energies = (cols[:, us] == cols[:, vs]).sum(axis=1).astype(np.int64)
     states = tuple(tuple(row) for row in cols)
     return GibbsModel("colouring", states, energies, max(len(g.edges), 0),
                       graph=g, extra={"k": k})

@@ -14,21 +14,22 @@ Four estimators, layered:
     normalize by a k-sample proxy mean, then the l2 routine.
 
 Plus the generic median-amplification wrapper (power_median / powering_reps)
-with the exact binomial tail rather than an asymptotic constant.
+with the exact binomial tail (binom_upper_tail) rather than an asymptotic
+constant.  The constant C is a committed literal, which the test oracle
+recomputes from the exact outcome laws and checks bit for bit.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.stats import binom
 
-from .amplitude import (AE_FAIL_PROB, AE_SUCCESS_PROB, ae_median,
-                        ae_outcome_distribution)
+from .amplitude import AE_FAIL_PROB, ae_median
 from .outcome import (
     QueryLedger,
     ValueDistribution,
@@ -40,6 +41,7 @@ from .outcome import (
 
 __all__ = [
     "Estimate",
+    "binom_upper_tail",
     "powering_reps",
     "power_median",
     "bounded_mean_constant",
@@ -51,6 +53,8 @@ __all__ = [
     "estimate_mean_relative",
     "classical_mean_chebyshev",
 ]
+
+_BOUNDED_MEAN_C = 5.080015067216502  # see bounded_mean_constant
 
 
 @dataclass
@@ -68,19 +72,54 @@ class Estimate:
             raise ValueError("error_kind must be 'additive' or 'relative'")
 
 
+def binom_upper_tail(n: int, k: int, p):
+    """Pr[Bin(n, p) >= k] for a scalar or an array p in [0, 1].
+
+    Summed from k away from the mean n p, where the terms fall: the upper
+    terms when k > n p, else 1 minus those of Bin(n, 1-p) from n-k+1, so a
+    tail near 1 is as accurate as one near 0.  A lead term with a factor
+    out of normal float range is taken through logs, with one final exp.
+    """
+    p = np.asarray(p, dtype=float)
+    if not 0 < k <= n:
+        return np.full(p.shape, float(k <= 0))[()]
+
+    def upper(k, p):  # the lead term times 1 + running products of ratios
+        r, rest = p / (1.0 - p), np.zeros_like(p)
+        for j in range(n - 1, k - 1, -1):  # by Horner, smallest terms first
+            rest = (1.0 + rest) * (r * ((n - j) / (j + 1)))
+        with np.errstate(under="ignore"):
+            lead = p**k * (1.0 - p) ** (n - k)
+        tail = (math.comb(n, k) if n <= 1020 else 0) * lead * (1.0 + rest)
+        # by logs if a lead factor is subnormal or C(n, k) may pass 2^1024
+        far = ~(lead >= np.finfo(float).tiny) | (n > 1020)
+        with np.errstate(divide="ignore"):  # log(0) = -inf: a zero tail
+            tail[far] = np.exp(math.log(math.comb(n, k)) + k * np.log(p[far])
+                               + (n - k) * np.log1p(-p[far])
+                               + np.log1p(rest[far]))
+        return tail
+
+    beyond = k > n * p
+    out = np.empty(p.shape)
+    out[beyond] = upper(k, p[beyond])
+    out[~beyond] = 1.0 - upper(n - k + 1, 1.0 - p[~beyond])
+    return out[()]
+
+
 @lru_cache(maxsize=256)
 def powering_reps(gamma: float, delta: float) -> int:
-    """Smallest odd n with Pr[Bin(n, gamma) >= ceil(n/2)] <= delta (memoized)."""
+    """Smallest odd n with Pr[Bin(n, gamma) >= ceil(n/2)] <= delta (memoized).
+
+    The tail falls as n grows, so this bisects up to Hoeffding's n, which
+    bounds the tail by exp(-2 n (1/2 - gamma)^2) <= delta."""
     if not 0.0 <= gamma < 0.5:
         raise ValueError("per-run failure probability must be < 1/2")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must be in (0, 1)")
-    n = 1
-    while True:
-        tail = binom.sf(math.ceil(n / 2) - 1, n, gamma)
-        if tail <= delta:
-            return n
-        n += 2
+    hoeffding = math.ceil(-math.log(delta) / (2.0 * (0.5 - gamma) ** 2)) // 2
+    i = bisect.bisect_left(range(hoeffding), True, key=lambda i: (
+        binom_upper_tail(2 * i + 1, i + 1, gamma) <= delta))
+    return 2 * i + 1
 
 
 def power_median(run: Callable[[], "Estimate | float"], gamma: float,
@@ -94,34 +133,16 @@ def power_median(run: Callable[[], "Estimate | float"], gamma: float,
     return sorted(vals)[reps // 2]
 
 
-@lru_cache(maxsize=1)
 def bounded_mean_constant() -> float:
-    """Calibrated constant C for the bounded-mean error bound C(sqrt(a)/t + 1/t^2).
+    """Constant C of the bounded-mean error bound C(sqrt(a)/t + 1/t^2).
 
-    Smallest C such that, over a dense amplitude grid and a spread of t values,
-    the exact outcome kernel puts mass >= 8/pi^2 inside |a~ - a| <= C(sqrt(a)/t
-    + 1/t^2).  A 2% safety margin is applied; 2*pi + pi^2 is an analytic cap.
+    A committed literal: the smallest C such that, over a dense amplitude
+    grid and t in {4, ..., 128}, the exact outcome law puts mass >= 8/pi^2
+    inside |a~ - a| <= C(sqrt(a)/t + 1/t^2), times a 2% safety margin and
+    capped at 2*pi + pi^2.  The test oracle recomputes it from the exact
+    laws and checks the literal bit for bit.
     """
-    amps = np.unique(np.concatenate([
-        np.linspace(0.0, 1.0, 201),
-        np.geomspace(1e-6, 1e-2, 25),
-        1.0 - np.geomspace(1e-6, 1e-2, 25),
-    ]))
-    cap = 2.0 * math.pi + math.pi**2
-    worst = 0.0
-    for t in (4, 8, 16, 32, 64, 128):
-        for a in amps:
-            d = ae_outcome_distribution(float(a), t)
-            err = np.abs(d.values - a)
-            order = np.argsort(err)
-            cum = np.cumsum(d.probs[order])
-            idx = int(np.searchsorted(cum, AE_SUCCESS_PROB - 1e-12))
-            idx = min(idx, len(err) - 1)
-            radius = err[order][idx]
-            denom = math.sqrt(a) / t + 1.0 / t**2
-            need = radius / denom if denom > 0 else 0.0
-            worst = max(worst, need)
-    return float(min(worst * 1.02, cap))
+    return _BOUNDED_MEAN_C
 
 
 def l2_constant() -> float:

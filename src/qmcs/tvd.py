@@ -16,10 +16,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import binom
 
 from .amplitude import AE_FAIL_PROB, ae_median, ae_outcome_distribution
-from .mean import Estimate, powering_reps, t_for_additive_error
+from .mean import (Estimate, binom_upper_tail, powering_reps,
+                   t_for_additive_error)
 from .outcome import QueryLedger, ValueDistribution, from_arrays
 
 __all__ = [
@@ -94,7 +94,7 @@ def median_law(d: ValueDistribution, m: int) -> ValueDistribution:
         return d
     cdf = np.cumsum(d.probs)
     need = (m + 1) // 2
-    tail = binom.sf(need - 1, m, np.clip(cdf, 0.0, 1.0))  # Pr[median <= v_k]
+    tail = binom_upper_tail(m, need, np.clip(cdf, 0.0, 1.0))  # Pr[median <= v_k]
     pmf = np.diff(np.concatenate([[0.0], tail]))
     pmf = np.clip(pmf, 0.0, None)
     keep = pmf > _PRUNE

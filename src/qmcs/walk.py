@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .chains import MarkovChain, chain_for, relaxation_time
 from .gibbs import GibbsModel, gibbs_distribution
@@ -73,6 +72,8 @@ class WalkOperator:
 
     @cached_property
     def _eigensystem(self):
+        import scipy.linalg  # the dense oracle alone needs scipy
+
         # one complex Schur factorisation per operator, shared by every caller
         T, Z = scipy.linalg.schur(self.W, output="complex")
         eigs = np.diag(T)
@@ -129,10 +130,8 @@ def szegedy_walk(c: MarkovChain) -> WalkOperator:
     A = np.zeros((n * n, n))
     for x in range(n):
         A[x * n:(x + 1) * n, x] = sqrtP[x]
-    swap = np.zeros((n * n, n * n))
-    for x in range(n):
-        for y in range(n):
-            swap[y * n + x, x * n + y] = 1.0
+    rows = np.arange(n * n)  # the swap sends |x>|y> to |y>|x>
+    swap = np.eye(n * n)[(rows % n) * n + rows // n]
     W = swap @ (2.0 * A @ A.T - np.eye(n * n))
     return WalkOperator(W, c, A)
 

@@ -8,7 +8,10 @@ longer declares public.
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -73,3 +76,17 @@ def test_deleted_parameter_gone(target):
     obj = getattr(importlib.import_module(f"qmcs.{module_name}"), attr)
     params = inspect.signature(obj).parameters
     assert not set(DELETED_PARAMETERS[target]) & set(params)
+
+
+def test_import_loads_no_scipy():
+    # scipy serves only the dense oracle and the tests, and scipy.stats alone
+    # takes over a second to import, most of a CLI call.  A fresh
+    # interpreter shows every module the import pulls in.
+    code = ("import sys, qmcs, qmcs.cli; "
+            "print(' '.join(m for m in sys.modules if m.startswith('scipy')))")
+    src = str(Path(qmcs.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert out == []  # so no scipy.stats, scipy.special or scipy.linalg

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -12,6 +13,8 @@ from qmcs.outcome import QueryLedger
 
 K2 = Graph(2, ((0, 1),))
 C4 = Graph(4, ((0, 1), (1, 2), (2, 3), (3, 0)))
+TRIANGLE = Graph(3, ((0, 1), (1, 2), (0, 2)))
+K4 = Graph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
 
 
 def test_markov_chain_invariants_enforced():
@@ -111,6 +114,47 @@ def test_matching_chain_metropolis_rate():
     c = matching_chain(m, beta)
     assert c.P[0, 1] == pytest.approx(math.exp(-beta))
     assert c.P[1, 0] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("beta", [-0.5, -50.0, -1e308])
+def test_matching_chain_is_stationary_at_negative_beta(beta):
+    # removals raise the weight e^{-beta |M|} when beta < 0, so Metropolis
+    # accepts them with e^{beta}
+    for g in (K2, TRIANGLE, C4, K4):
+        m = matching_model(g)
+        c = matching_chain(m, beta)  # MarkovChain checks pi P = pi
+        pi = gibbs_distribution(m, beta)
+        assert np.abs(pi @ c.P - pi).max() <= 1e-12
+
+
+def test_matching_chain_negative_beta_rates():
+    m = matching_model(K2)
+    c = matching_chain(m, -1.3)
+    assert c.P[0, 1] == 1.0
+    assert c.P[1, 0] == pytest.approx(math.exp(-1.3))
+
+
+# sha256 prefixes of P.tobytes() from before removals were Metropolis
+# filtered; the filter is exactly 1 at beta >= 0, so no bit may move
+MATCHING_P_DIGESTS = {
+    ("triangle", 0.0): "c24fe93ca36ac4b4",
+    ("triangle", 0.7): "1fe388218df18daf",
+    ("triangle", math.inf): "09cbefbbfa3469ae",
+    ("C4", 0.0): "4b946d03d3155a22",
+    ("C4", 0.7): "a46ecc31307e60ec",
+    ("C4", math.inf): "695dfb66d3f2565a",
+    ("K4", 0.0): "6e64bffde305386b",
+    ("K4", 0.7): "001dbaaa4ad4ece6",
+    ("K4", math.inf): "459fa97f524df9b2",
+}
+
+
+@pytest.mark.parametrize("name, beta", sorted(MATCHING_P_DIGESTS))
+def test_matching_chain_bits_unchanged_at_nonnegative_beta(name, beta):
+    g = {"triangle": TRIANGLE, "C4": C4, "K4": K4}[name]
+    P = matching_chain(matching_model(g), beta).P
+    assert hashlib.sha256(P.tobytes()).hexdigest()[:16] == \
+        MATCHING_P_DIGESTS[(name, beta)]
 
 
 def test_lazy_spectrum_nonnegative():

@@ -290,6 +290,22 @@ def test_mean_classical_bad_setting_is_config_error(capsys, bernoulli, flag,
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_matching_chain_negative_beta(capsys, tmp_path):
+    # below 0 a removal raises the Gibbs weight; Metropolis accepts it w.p. e^beta
+    path = tmp_path / "triangle.txt"
+    path.write_text("3 3\n0 1\n1 2\n0 2\n")
+    code, out = _run(capsys, ["chain", "--model", "matching", "--graph",
+                              str(path), "--beta=-0.5"])
+    assert code == 0
+    assert json.loads(out)["stationarity_residual"] <= 1e-12
+    # at -50 the three one-edge matchings trade mass through the empty one
+    # with probability e^-50: the chain is stationary, and not ergodic in
+    # double precision
+    assert main(["chain", "--model", "matching", "--graph", str(path),
+                 "--beta=-50"]) == 3
+    assert "not ergodic" in capsys.readouterr().err
+
+
 def test_partition_without_ground_states_is_contract_error(capsys, tmp_path):
     # a triangle has no proper 2-colouring, so Z(inf) = 0 anchors nothing
     path = tmp_path / "triangle.txt"
@@ -356,10 +372,40 @@ def _argv(draw, root):
             f"--eps={draw(_EPS)}", f"--delta={draw(_NUMBER)}"]
 
 
-@settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_cli_fuzz_exits_cleanly(fuzz_files, data):
-    argv = data.draw(_argv(fuzz_files))
+# partition and bench: B >= 1.5 and delta >= 0.01 keep accepted runs short
+# (B near 1 means a long schedule); a tiny delta asks for thousands of
+# repetitions per ratio, so it comes with B = 1e308, whose first estimate
+# fails after the binomial-tail search has run
+_PART_B = _HOSTILE | st.floats(1.5, 8.0).map(repr)
+_PART_DELTA = _HOSTILE | st.floats(0.01, 1.0).map(repr)
+_MODES = st.sampled_from(["ideal_sampling", "walk_idealized",
+                          "walk_exact_sim", "classical"])
+_TRIALS = _HOSTILE | st.integers(-2, 3).map(str)
+
+
+@st.composite
+def _partition_bench_argv(draw, root):
+    if draw(st.booleans()):
+        delta = draw(_PART_DELTA)
+        big_b = delta == "5e-324"
+        return ["partition", "--model", draw(_MODEL), "--graph",
+                str(root / "triangle.txt"), f"--k={draw(_CHAIN_K)}",
+                f"--B={'1e308' if big_b else draw(_PART_B)}",
+                f"--eps={draw(_EPS)}", f"--delta={delta}",
+                "--mode", draw(_MODES),
+                *draw(st.sampled_from([[], ["--direction", "forward"],
+                                       ["--direction", "reversed"]]))]
+    dist = draw(st.sampled_from(["p.json", "heavy.json", "nan.json"]))
+    name = draw(st.sampled_from(["eps", "delta", ""]))
+    sweep = ",".join(draw(st.lists(_EPS, min_size=1, max_size=3)))
+    return ["bench", "--dist", str(root / dist), "--method",
+            draw(st.sampled_from(["bounded", "l2", "variance", "relative",
+                                  "classical"])),
+            f"--sweep={name}={sweep}", f"--trials={draw(_TRIALS)}",
+            f"--sigma={draw(_SIGMA)}", f"--B={draw(_B)}"]
+
+
+def _exits_cleanly(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -368,3 +414,15 @@ def test_cli_fuzz_exits_cleanly(fuzz_files, data):
     assert "Traceback" not in text
     if code != 0:
         assert sum("error: " in line for line in text.splitlines()) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_cli_fuzz_partition_and_bench_exit_cleanly(fuzz_files, data):
+    _exits_cleanly(data.draw(_partition_bench_argv(fuzz_files)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_cli_fuzz_exits_cleanly(fuzz_files, data):
+    _exits_cleanly(data.draw(_argv(fuzz_files)))

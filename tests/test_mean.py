@@ -1,12 +1,17 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import binom
 
 from qmcs import mean
-from qmcs.mean import (bounded_mean_constant, classical_mean_chebyshev,
+from qmcs.amplitude import (AE_FAIL_PROB, AE_SUCCESS_PROB,
+                            ae_outcome_distribution)
+from qmcs.mean import (binom_upper_tail, bounded_mean_constant,
+                       classical_mean_chebyshev,
                        estimate_mean_bounded, estimate_mean_l2,
                        estimate_mean_relative, estimate_mean_variance,
                        l2_constant, power_median, powering_reps,
@@ -32,9 +37,110 @@ def test_powering_reps_values():
             powering_reps(gamma, delta)
 
 
+# both tails of 1/2, the exact 1/2 and its neighbours, and p whose powers
+# leave the normal float range
+_TAIL_PS = (0.0, 5e-324, 1e-300, 1e-9, 0.01, AE_FAIL_PROB, 0.25, 0.3,
+            0.5 - 2**-53, 0.5, 0.5 + 2**-54, 0.7, 0.99, 1.0 - 1e-9,
+            1.0 - 2**-53, 1.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 11, 13, 20, 33, 60, 61])
+def test_binom_upper_tail_matches_exact_sum(n):
+    got = [binom_upper_tail(n, k, np.array(_TAIL_PS)) for k in range(n + 2)]
+    for i, p in enumerate(_TAIL_PS):
+        x = Fraction(p)
+        terms = [math.comb(n, j) * x**j * (1 - x) ** (n - j)
+                 for j in range(n + 1)]
+        exact = 0
+        for k in range(n + 1, -1, -1):  # Pr[Bin(n, p) >= k], from the top
+            exact += terms[k] if k <= n else 0
+            err = abs(Fraction(float(got[k][i])) - exact)
+            # relative to the smaller of the tail and its complement, so a
+            # tail near 1 is right to within its rounding: a few ulps per
+            # term and per unit of |log| (the lead term's exp), plus one ulp
+            small = min(exact, 1 - exact)
+            scale = n + abs(math.log(float(small))) if float(small) else 0
+            bound = Fraction(4 * 2**-53 * scale) * small
+            assert err <= bound + Fraction(math.ulp(float(exact))), (k, p)
+
+
+def test_binom_upper_tail_scalar_and_exact_cases():
+    assert binom_upper_tail(1, 1, 0.1) == 0.1  # Pr[Bin(1, p) >= 1] = p
+    assert binom_upper_tail(3, 2, 0.5) == 0.5
+    assert binom_upper_tail(5, 0, 0.3) == 1.0
+    assert binom_upper_tail(5, 6, 0.3) == 0.0
+    assert binom_upper_tail(5, 3, np.zeros((2, 2))).shape == (2, 2)
+
+
+def _scipy_powering_reps(gamma, delta):
+    n = 1
+    while binom.sf(math.ceil(n / 2) - 1, n, gamma) > delta:
+        n += 2
+    return n
+
+
+@pytest.mark.parametrize("gamma", [AE_FAIL_PROB, 0.25])
+def test_powering_reps_matches_scipy_scan(gamma):
+    # a geometric grid, the settings the estimators pass, and delta = gamma,
+    # where one run fails with probability exactly delta
+    deltas = [*np.geomspace(1e-12, 0.99, 120), gamma, 1 / 10, 1 / 9, 1 / 8,
+              *(1.0 / (10.0 * k) for k in range(1, 12)),
+              *(eps / 8.0 for eps in (0.2, 0.1, 0.05, 0.02))]
+    for delta in deltas:
+        assert powering_reps(gamma, float(delta)) == _scipy_powering_reps(
+            gamma, float(delta)), delta
+
+
+@pytest.mark.parametrize("gamma, delta, reps", [
+    (AE_FAIL_PROB, 1e-100, 929),
+    (AE_FAIL_PROB, 1e-300, 2817),
+    (0.25, 1e-300, 4771),
+    # the exact tails at n = 3033 and 3035 are 1.68 and 1.03 x 5e-324
+    (AE_FAIL_PROB, 5e-324, 3035),
+])
+def test_powering_reps_at_tiny_delta(gamma, delta, reps):
+    assert powering_reps(gamma, delta) == reps
+    tail = binom_upper_tail(reps, (reps + 1) // 2, gamma)
+    assert tail <= delta < binom_upper_tail(reps - 2, (reps - 1) // 2, gamma)
+
+
 def test_power_median_is_exact_median():
     vals = iter([10.0, 1.0, 3.0])
     assert power_median(lambda: next(vals), gamma=0.19, delta=0.1) == 3.0
+
+
+def _calibrate_bounded_mean_constant():
+    """The calibration behind the committed C (the oracle).
+
+    Smallest C such that, over a dense amplitude grid and a spread of t,
+    the exact outcome law puts mass >= 8/pi^2 inside |a~ - a| <=
+    C(sqrt(a)/t + 1/t^2).  A 2% safety margin is applied; 2*pi + pi^2 is an
+    analytic cap.
+    """
+    amps = np.unique(np.concatenate([
+        np.linspace(0.0, 1.0, 201),
+        np.geomspace(1e-6, 1e-2, 25),
+        1.0 - np.geomspace(1e-6, 1e-2, 25),
+    ]))
+    cap = 2.0 * math.pi + math.pi**2
+    worst = 0.0
+    for t in (4, 8, 16, 32, 64, 128):
+        for a in amps:
+            d = ae_outcome_distribution(float(a), t)
+            err = np.abs(d.values - a)
+            order = np.argsort(err)
+            cum = np.cumsum(d.probs[order])
+            idx = int(np.searchsorted(cum, AE_SUCCESS_PROB - 1e-12))
+            idx = min(idx, len(err) - 1)
+            radius = err[order][idx]
+            denom = math.sqrt(a) / t + 1.0 / t**2
+            need = radius / denom if denom > 0 else 0.0
+            worst = max(worst, need)
+    return float(min(worst * 1.02, cap))
+
+
+def test_bounded_mean_constant_is_the_calibrated_literal():
+    assert bounded_mean_constant() == _calibrate_bounded_mean_constant()
 
 
 def test_calibrated_constants():

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import binom
 
 from qmcs import tvd
-from qmcs.outcome import QueryLedger, make_distribution
+from qmcs.amplitude import ae_outcome_distribution
+from qmcs.outcome import QueryLedger, from_arrays, make_distribution
 from qmcs.tvd import (TvdInstance, estimate_tvd, exact_tvd, median_law,
                       ratio_stability_check, tvd_query_budget,
                       tvd_subroutine_distribution)
@@ -63,6 +65,41 @@ def test_median_law_matches_brute_force(values, data, m):
     assert set(got) <= set(brute)  # pruning may only drop values
     for v, p in brute.items():
         assert got.get(v, 0.0) == pytest.approx(p, abs=1e-12)
+
+
+def _scipy_median_law(d, m):
+    """median_law's pmf from scipy's binomial tail, pruned the same way."""
+    tail = binom.sf((m + 1) // 2 - 1, m, np.clip(np.cumsum(d.probs), 0.0, 1.0))
+    pmf = np.clip(np.diff(np.concatenate([[0.0], tail])), 0.0, None)
+    keep = pmf > 1e-16
+    return d.values[keep], pmf[keep] / pmf[keep].sum()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_median_law_matches_scipy_law(seed):
+    # seeded Dirichlet laws and the outcome laws the TVD subroutine takes
+    # medians of keep scipy's support exactly.  A concentration of 0.02
+    # leaves masses far below 1e-16 mid-CDF, where a mass is a difference
+    # of two tails near 1/2, i.e. rounding noise of up to 1.5 ulp of 1/2
+    # under either tail; there the supports may differ at such masses only.
+    rng = np.random.default_rng(seed)
+    laws = [(from_arrays(np.arange(size, dtype=float),
+                         rng.dirichlet(np.full(size, alpha))), alpha == 1.0)
+            for size, alpha in ((40, 1.0), (2400, 1.0), (2400, 0.02))]
+    laws += [(ae_outcome_distribution(float(a), int(t)), True)
+             for a, t in zip(rng.random(2), rng.integers(500, 5000, 2))]
+    for d, same_support in laws:
+        for m in (3, 11, 13, 61):
+            law = median_law(d, m)
+            values, probs = _scipy_median_law(d, m)
+            if same_support:
+                assert np.array_equal(law.values, values)
+            ours = dict(zip(law.values.tolist(), law.probs.tolist()))
+            theirs = dict(zip(values.tolist(), probs.tolist()))
+            # each mass is a difference of two tails, each a sum of m terms
+            # off by some ulps of 1
+            for v in ours.keys() | theirs.keys():
+                assert abs(ours.get(v, 0.0) - theirs.get(v, 0.0)) <= m * 2**-52
 
 
 @pytest.mark.parametrize("p, q", [
