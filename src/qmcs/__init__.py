@@ -23,9 +23,9 @@ from .gibbs import (Graph, GibbsModel, read_graph, ising_model,
                     colouring_model, matching_model, exact_partition,
                     gibbs_distribution, chi_squared, overlap_squared)
 from .chains import (MarkovChain, glauber_chain, matching_chain, chain_for,
-                     relaxation_time, mix_sample, make_lazy, mixing_steps)
+                     relaxation_time, mix_sample, mixing_steps)
 from .walk import (WalkOperator, QuantumSample, ReflectionSpec, szegedy_walk,
-                   quantum_sample_state, approx_reflection, warm_start_prepare,
+                   approx_reflection, warm_start_prepare,
                    spectral_correspondence_residual)
 from .partition import (CoolingSchedule, PartitionEstimate, ratio_variable,
                         reversed_ratio_variable, build_schedule,

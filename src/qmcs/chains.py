@@ -3,13 +3,15 @@
 Glauber (heat-bath) single-site dynamics for Ising spins and colourings,
 and a single-edge add/remove Metropolis chain for matchings.  Chains are
 dense row-stochastic matrices so stationarity, detailed balance and the
-relaxation time tau = 1/(1 - |lambda_1|) can be checked exactly.
+relaxation time tau = 1/(1 - |lambda_1|) can be checked exactly, from one
+cached eigh of the discriminant per chain.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,8 +25,8 @@ __all__ = [
     "matching_chain",
     "chain_for",
     "relaxation_time",
+    "discriminant_matrix",
     "mix_sample",
-    "make_lazy",
     "mixing_steps",
 ]
 
@@ -66,6 +68,19 @@ class MarkovChain:
     def tau(self) -> float:
         return relaxation_time(self)
 
+    @cached_property
+    def spectrum(self):
+        """Read-only eigh of the discriminant: the chain's one eigensolve."""
+        lams, vecs = np.linalg.eigh(discriminant_matrix(self))
+        lams.setflags(write=False)
+        vecs.setflags(write=False)
+        return lams, vecs
+
+
+def discriminant_matrix(c: MarkovChain) -> np.ndarray:
+    """D(x, y) = sqrt(P(x, y) P(y, x)), similar to P for a reversible chain."""
+    return np.sqrt(c.P * c.P.T)
+
 
 def glauber_chain(m: GibbsModel, beta: float) -> MarkovChain:
     """Heat-bath dynamics: pick a site uniformly, resample it from the
@@ -77,26 +92,14 @@ def glauber_chain(m: GibbsModel, beta: float) -> MarkovChain:
         raise ChainError(f"state space {size} exceeds dense cap {SPECTRAL_CAP}")
     pi = gibbs_distribution(m, beta)  # fails first on a NaN or -inf beta
     n_sites = m.graph.n_vertices
-    alphabet = (1, -1) if m.name == "ising" else tuple(range(m.extra["k"]))
-    index = {s: i for i, s in enumerate(m.states)}
-    energies = m.energies
+    codes, k = m.codes, m.extra.get("k", 2)  # codes[i] == i
     P = np.zeros((size, size))
-    for i, state in enumerate(m.states):
-        for site in range(n_sites):
-            # conditional Gibbs weights over the site's alphabet
-            neighbours = []
-            for sym in alphabet:
-                cand = state[:site] + (sym,) + state[site + 1:]
-                neighbours.append(index[cand])
-            if beta == math.inf:
-                e_loc = energies[neighbours]
-                w = (e_loc == e_loc.min()).astype(float)
-            else:
-                e_loc = energies[neighbours].astype(float)
-                w = _boltzmann(e_loc, beta)
-            w /= w.sum()
-            for j, pw in zip(neighbours, w):
-                P[i, j] += pw / n_sites
+    for place in k ** np.arange(n_sites):
+        # the k states that agree with each state off this site, by symbol
+        base = codes - codes // place % k * place
+        nb = base[:, None] + place * np.arange(k)
+        w = _boltzmann(m.energies[nb], beta)  # conditional Gibbs weights
+        P[codes[:, None], nb] += w / w.sum(axis=-1, keepdims=True) / n_sites
     return MarkovChain(P, pi)
 
 
@@ -113,23 +116,21 @@ def matching_chain(m: GibbsModel, beta: float) -> MarkovChain:
     n_edges = len(edges)
     if n_edges == 0:
         raise ChainError("matching chain needs at least one edge")
-    index = {s: i for i, s in enumerate(m.states)}
     accept_add = math.exp(-max(beta, 0.0))  # min(1, e^{-beta}); 0 at inf
     accept_remove = math.exp(min(beta, 0.0))  # 1 whenever beta >= 0
+    codes, rows = m.codes, np.arange(size)
+    has = [(codes & (1 << idx)) != 0 for idx in range(n_edges)]
+    occupied = np.zeros(size, dtype=object)  # vertex bitmask per matching
+    for idx, (u, v) in enumerate(edges):
+        occupied[has[idx]] |= (1 << u) | (1 << v)
     P = np.zeros((size, size))
-    for i, match in enumerate(m.states):
-        occupied = set()
-        for idx in match:
-            occupied.update(edges[idx])
-        for idx, (u, v) in enumerate(edges):
-            if idx in match:
-                j = index[match - {idx}]
-                P[i, j] += accept_remove / n_edges
-            elif u not in occupied and v not in occupied:
-                j = index[match | {idx}]
-                P[i, j] += accept_add / n_edges
-            # else: blocked move, stay put (handled by the diagonal below)
-        P[i, i] = 1.0 - P[i].sum() + P[i, i]
+    for idx, (u, v) in enumerate(edges):
+        # blocked moves stay put, which the diagonal below absorbs
+        free = ~has[idx] & ((occupied & ((1 << u) | (1 << v))) == 0)
+        for move, rate in ((has[idx], accept_remove), (free, accept_add)):
+            target = codes[move] ^ (1 << idx)
+            P[rows[move], np.searchsorted(codes, target)] = rate / n_edges
+    P[rows, rows] = 1.0 - P.sum(axis=1)
     return MarkovChain(P, gibbs_distribution(m, beta))
 
 
@@ -139,13 +140,10 @@ def chain_for(m: GibbsModel, beta: float) -> MarkovChain:
 
 
 def _lambda1(c: MarkovChain) -> float:
-    """Second-largest eigenvalue magnitude via the symmetrized matrix."""
+    """Second-largest eigenvalue magnitude, read from the cached spectrum."""
     if np.any(c.pi <= 0):
         raise ChainError("spectral analysis needs full-support pi")
-    s = np.sqrt(c.pi)
-    sym = (s[:, None] * c.P) / s[None, :]
-    eigs = np.linalg.eigvalsh((sym + sym.T) / 2.0)
-    mags = np.sort(np.abs(eigs))[::-1]
+    mags = np.sort(np.abs(c.spectrum[0]))[::-1]
     if abs(mags[0] - 1.0) > 1e-8:
         raise ChainError("leading eigenvalue is not 1")
     return float(mags[1]) if c.n > 1 else 0.0  # one state mixes at once
@@ -157,11 +155,6 @@ def relaxation_time(c: MarkovChain) -> float:
     if lam >= 1.0 - 1e-12:
         raise ChainError("chain is not ergodic: |lambda_1| = 1")
     return 1.0 / (1.0 - lam)
-
-
-def make_lazy(c: MarkovChain) -> MarkovChain:
-    """(P + I)/2: forces a nonnegative spectrum at the cost of doubling tau."""
-    return MarkovChain((c.P + np.eye(c.n)) / 2.0, c.pi)
 
 
 def mixing_steps(c: MarkovChain, eps: float) -> int:

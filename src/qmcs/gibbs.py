@@ -5,6 +5,12 @@ H(x) in {0, ..., n}, so the partition function Z(beta) = sum_x e^{-beta H(x)}
 and the Gibbs distribution pi_beta(x) = e^{-beta H(x)} / Z(beta) can be
 computed exactly from the energy histogram.  beta = inf is first-class:
 sums restrict to the ground states H = 0.
+
+States are integer codes in the read-only array `codes`, indexed like
+`energies`.  Ising and colouring: codes[i] == i, the mixed-radix number whose
+digit at site s (place value k^s) is that site's symbol, Ising digit 0 being
+spin +1.  Matchings: edge bitmasks as Python ints (so 63 or more edges fit),
+ascending, so the state index of a mask is np.searchsorted(codes, mask).
 """
 
 from __future__ import annotations
@@ -66,7 +72,7 @@ def read_graph(path) -> Graph:
 @dataclass(frozen=True)
 class GibbsModel:
     name: str
-    states: tuple
+    codes: np.ndarray
     energies: np.ndarray
     n_max: int          # declared energy range {0, ..., n_max}
     graph: Graph = None
@@ -76,8 +82,9 @@ class GibbsModel:
         e = np.asarray(self.energies, dtype=np.int64)
         e.setflags(write=False)
         object.__setattr__(self, "energies", e)
-        if len(self.states) != len(e):
-            raise ValueError("states/energies length mismatch")
+        self.codes.setflags(write=False)
+        if len(self.codes) != len(e):
+            raise ValueError("codes/energies length mismatch")
         if len(e) > STATE_CAP:
             raise ValueError(f"state space {len(e)} exceeds cap {STATE_CAP}")
         if len(e) and (e.min() < 0 or e.max() > self.n_max):
@@ -87,7 +94,7 @@ class GibbsModel:
 
     @property
     def size(self) -> int:
-        return len(self.states)
+        return len(self.energies)
 
 
 def ising_model(g: Graph) -> GibbsModel:
@@ -97,50 +104,44 @@ def ising_model(g: Graph) -> GibbsModel:
     it relates to the unshifted energy -sum z_u z_v by H = 2H' - |E|, so
     Z_unshifted(beta) = e^{beta |E|} * Z(2 beta).
     """
-    n = g.n_vertices
-    if 2**n > STATE_CAP:
+    if 2**g.n_vertices > STATE_CAP:
         raise ValueError("Ising state space exceeds cap")
-    codes = np.arange(2**n, dtype=np.int64)
-    spins = 1 - 2 * ((codes[:, None] >> np.arange(n)) & 1)  # bit 0 -> +1
-    us, vs = np.array(g.edges, dtype=np.int64).reshape(-1, 2).T
-    energies = ((1 - spins[:, us] * spins[:, vs]) // 2).sum(axis=1)
-    states = tuple(tuple(row) for row in spins)
-    return GibbsModel("ising", states, energies, max(len(g.edges), 0), graph=g)
+    codes = np.arange(2**g.n_vertices, dtype=np.int64)
+    energies = np.zeros_like(codes)
+    for u, v in g.edges:  # spins differ where the two bits do
+        energies += ((codes >> u) ^ (codes >> v)) & 1
+    return GibbsModel("ising", codes, energies, len(g.edges), graph=g)
 
 
 def colouring_model(g: Graph, k: int) -> GibbsModel:
     """Colourings c in {0..k-1}^n with the monochromatic-edge count as energy."""
-    n = g.n_vertices
     if k < 1:
         raise ValueError("colouring needs k >= 1 colours")
-    if k**n > STATE_CAP:
+    if k**g.n_vertices > STATE_CAP:
         raise ValueError("colouring state space exceeds cap")
-    codes = np.arange(k**n, dtype=np.int64)
-    cols = (codes[:, None] // (k ** np.arange(n))) % k
-    us, vs = np.array(g.edges, dtype=np.int64).reshape(-1, 2).T
-    energies = (cols[:, us] == cols[:, vs]).sum(axis=1).astype(np.int64)
-    states = tuple(tuple(row) for row in cols)
-    return GibbsModel("colouring", states, energies, max(len(g.edges), 0),
-                      graph=g, extra={"k": k})
+    codes = np.arange(k**g.n_vertices, dtype=np.int64)
+    energies = np.zeros_like(codes)
+    for u, v in g.edges:
+        energies += codes // k**u % k == codes // k**v % k
+    return GibbsModel("colouring", codes, energies, len(g.edges), graph=g,
+                      extra={"k": k})
 
 
 def matching_model(g: Graph) -> GibbsModel:
-    """Matchings M (as frozensets of edge indices) with energy |M|."""
-    matchings = [frozenset()]
-    used = [frozenset()]
+    """Matchings M as edge bitmasks with energy |M|.  Edge idx extends each
+    matching that leaves its ends free, by bit idx above all earlier bits."""
+    masks = np.zeros(1, dtype=object)     # Python ints: no 63-edge limit
+    occupied = np.zeros(1, dtype=object)  # vertex bitmask of each matching
+    sizes = np.zeros(1, dtype=np.int64)
     for idx, (u, v) in enumerate(g.edges):
-        new_m, new_u = [], []
-        for m, occ in zip(matchings, used):
-            if u not in occ and v not in occ:
-                new_m.append(m | {idx})
-                new_u.append(occ | {u, v})
-        matchings.extend(new_m)
-        used.extend(new_u)
-        if len(matchings) > STATE_CAP:
+        ends = (1 << u) | (1 << v)
+        free = (occupied & ends) == 0
+        masks = np.concatenate([masks, masks[free] | (1 << idx)])
+        occupied = np.concatenate([occupied, occupied[free] | ends])
+        sizes = np.concatenate([sizes, sizes[free] + 1])
+        if len(masks) > STATE_CAP:
             raise ValueError("matching state space exceeds cap")
-    energies = np.array([len(m) for m in matchings], dtype=np.int64)
-    return GibbsModel("matching", tuple(matchings), energies,
-                      max(len(g.edges), 0), graph=g)
+    return GibbsModel("matching", masks, sizes, len(g.edges), graph=g)
 
 
 def exact_partition(m: GibbsModel, beta) -> float:
@@ -157,15 +158,18 @@ def exact_partition(m: GibbsModel, beta) -> float:
 
 
 def _boltzmann(energies: np.ndarray, beta: float) -> np.ndarray:
-    """Weights e^{-beta (H - H*)} with H* the likeliest level, so that no
-    exponent is positive and no |beta| overflows; e^{-beta H} when H* = 0."""
-    top = energies.max() if beta < 0 else energies.min()
+    """Weights e^{-beta (H - H*)} along the last axis, with H* the likeliest
+    level there, so that no exponent is positive and no |beta| overflows;
+    e^{-beta H} when H* = 0.  At beta = inf, the indicator of H = H*."""
+    top = (energies.max if beta < 0 else energies.min)(axis=-1, keepdims=True)
+    if beta == math.inf:
+        return (energies == top).astype(float)
     with np.errstate(over="ignore", invalid="ignore"):
         return np.exp(-beta * (energies - top))
 
 
 def gibbs_distribution(m: GibbsModel, beta) -> np.ndarray:
-    """Probability vector over m.states, pi(x) = e^{-beta H(x)} / Z(beta)."""
+    """Probability vector over the states, pi(x) = e^{-beta H(x)} / Z(beta)."""
     if beta == math.inf:
         z = m.counts[0]
         if z == 0:

@@ -11,7 +11,7 @@ Four estimators, layered:
   * estimate_mean_variance -- Var <= sigma^2; rescale by sigma, subtract a
     proxy sample m~, estimate the negative and positive parts separately.
   * estimate_mean_relative -- relative second moment E[Y^2]/E[Y]^2 <= B;
-    normalize by a k-sample proxy mean, then the l2 routine.
+    normalize by a ceil(32B)-sample proxy mean, then the l2 routine.
 
 Plus the generic median-amplification wrapper (power_median / powering_reps)
 with the exact binomial tail (binom_upper_tail) rather than an asymptotic
@@ -249,8 +249,7 @@ def estimate_mean_relative(d: ValueDistribution, B: float, epsilon: float,
         raise ValueError("epsilon must be < 27B/4")
     if d.values.min() < 0.0:
         raise ValueError("support must be nonnegative")
-    k = math.ceil(32.0 * B)
-    samples = classical_sample_block(d, k, rng, ledger)
+    samples = classical_sample_block(d, 32.0 * B, rng, ledger)
     m = float(np.mean(samples))
     if m == 0.0:
         raise ArithmeticError("proxy mean is zero; relative estimation undefined")
@@ -271,8 +270,8 @@ def classical_mean_chebyshev(d: ValueDistribution, sigma: float, epsilon: float,
                              ledger: QueryLedger) -> Estimate:
     """Baseline: empirical mean of ceil(3 sigma^2 / eps^2) classical samples."""
     _check_positive(sigma=sigma, epsilon=epsilon)
-    n = max(1, math.ceil(3.0 * sigma**2 / epsilon**2))
-    samples = classical_sample_block(d, n, rng, ledger)
+    samples = classical_sample_block(d, max(1, 3.0 * sigma**2 / epsilon**2),
+                                     rng, ledger)
     return Estimate(value=float(np.mean(samples)), target_error=epsilon,
                     error_kind="additive", confidence=2.0 / 3.0,
                     ledger=ledger.snapshot())

@@ -8,6 +8,7 @@ built on top of them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Callable, Iterable, Tuple
 
@@ -27,6 +28,7 @@ __all__ = [
 ]
 
 _NORM_TOL = 1e-9
+SAMPLE_CAP = 10**7  # classical samples per block; the suite draws <= 120,000
 
 
 class DistributionError(ValueError):
@@ -158,9 +160,17 @@ def classical_sample(d: ValueDistribution, rng: np.random.Generator,
     return float(d.values[idx])
 
 
-def classical_sample_block(d: ValueDistribution, n: int, rng: np.random.Generator,
+def _sample_count(n) -> int:
+    """ceil(n), or an error before any draw if n exceeds SAMPLE_CAP or is nan."""
+    if not n <= SAMPLE_CAP:
+        raise ValueError(f"{n:g} classical samples exceed the cap {SAMPLE_CAP:g}")
+    return math.ceil(n)
+
+
+def classical_sample_block(d: ValueDistribution, n: float, rng: np.random.Generator,
                            ledger: QueryLedger) -> np.ndarray:
-    """Draw n iid values at once; charges n classical samples."""
-    ledger.classical_samples += int(n)
-    idx = rng.choice(d.support_size, size=int(n), p=d.probs)
+    """Draw ceil(n) iid values at once; charges that many classical samples."""
+    n = _sample_count(n)
+    ledger.classical_samples += n
+    idx = rng.choice(d.support_size, size=n, p=d.probs)
     return d.values[idx]

@@ -24,12 +24,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chains import chain_for, mix_sample, mixing_steps, relaxation_time
+from .chains import chain_for, mix_sample, mixing_steps
 from .gibbs import (GibbsModel, chebyshev_ratio, exact_partition,
                     gibbs_distribution, overlap_squared)
 from .mean import estimate_mean_relative, power_median, powering_reps
-from .outcome import (QueryLedger, ValueDistribution, classical_sample_block,
-                      from_arrays)
+from .outcome import (QueryLedger, ValueDistribution, _sample_count,
+                      classical_sample_block, from_arrays)
 from .walk import (ReflectionSpec, approx_reflection, reflection_cost,
                    warm_start_cost)
 
@@ -47,6 +47,7 @@ __all__ = [
 ]
 
 BETA_CAP = 1e6
+SCHEDULE_CAP = 256  # rungs; the suite's longest schedule has 7
 _BISECT_ITERS = 60
 
 
@@ -144,6 +145,8 @@ def build_schedule(m: GibbsModel, B: float, direction="forward") -> CoolingSched
         if lo <= b_i:
             raise ScheduleError("schedule stalled: no admissible next beta")
         betas.append(lo)
+        if len(betas) > SCHEDULE_CAP:
+            raise ScheduleError(f"schedule at B={B!r} exceeds the {SCHEDULE_CAP}-rung cap")
 
 
 def verify_schedule(m: GibbsModel, s: CoolingSchedule) -> dict:
@@ -233,13 +236,13 @@ def estimate_partition(m: GibbsModel, s: CoolingSchedule, epsilon: float,
     reps = powering_reps(0.25, delta_i)
     taus = exact_sim_charges = None
     if mode != "ideal_sampling":
-        chains = [chain_for(m, beta) for beta in s.betas[:-1]]
-        taus = [relaxation_time(c) for c in chains]
-    if mode == "walk_exact_sim":
-        # per-rung cost (2^b controlled walk powers) of the simulated reflection
-        spec = ReflectionSpec(min(0.25, eps_i), "exact_sim")
-        exact_sim_charges = [approx_reflection(c, spec, QueryLedger()).charge
-                             for c in chains]
+        # per rung, one chain alive at a time: tau and the reflection's cost
+        spec = ReflectionSpec(min(0.25, eps_i), mode.removeprefix("walk_"))
+        taus, charges = zip(*[(r.tau, r.charge) for r in (
+            approx_reflection(chain_for(m, beta), spec, QueryLedger())
+            for beta in s.betas[:-1])])
+        if mode == "walk_exact_sim":
+            exact_sim_charges = charges
 
     ratios = []
     for r in plan:
@@ -293,7 +296,7 @@ def classical_baseline(m: GibbsModel, s: CoolingSchedule, epsilon: float,
     if sampling not in ("ideal", "mix"):
         raise ValueError(f"unknown sampling {sampling!r}")
     plan, anchor = _rung_plan(m, s)
-    n = math.ceil(16.0 * s.B * s.ell / epsilon**2)
+    n = _sample_count(16.0 * s.B * s.ell / epsilon**2)
     ratios = []
     for r in plan:
         if sampling == "ideal":

@@ -30,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .chains import MarkovChain, chain_for, relaxation_time
+from .chains import MarkovChain, chain_for, discriminant_matrix, relaxation_time
 from .gibbs import GibbsModel, gibbs_distribution
 from .outcome import QueryLedger
 
@@ -40,7 +40,6 @@ __all__ = [
     "ReflectionSpec",
     "szegedy_walk",
     "spectral_correspondence_residual",
-    "quantum_sample_state",
     "discriminant_matrix",
     "approx_reflection",
     "ApproxReflection",
@@ -116,10 +115,6 @@ class ReflectionSpec:
             raise ValueError("mode must be 'exact_sim' or 'idealized'")
 
 
-def discriminant_matrix(c: MarkovChain) -> np.ndarray:
-    return np.sqrt(c.P * c.P.T)
-
-
 def szegedy_walk(c: MarkovChain) -> WalkOperator:
     n = c.n
     if n > WALK_NODE_CAP:
@@ -145,12 +140,8 @@ def spectral_correspondence_residual(w: WalkOperator) -> float:
     """
     phases, _ = w.eigensystem()
     cosines = np.cos(phases)
-    lams = np.linalg.eigvalsh(discriminant_matrix(w.chain))
+    lams = w.chain.spectrum[0]
     return float(max(np.abs(cosines - lam).min() for lam in lams))
-
-
-def quantum_sample_state(m: GibbsModel, beta) -> QuantumSample:
-    return QuantumSample(np.sqrt(gibbs_distribution(m, beta)))
 
 
 def reflection_cost(tau: float, epsilon_r: float) -> int:
@@ -191,7 +182,7 @@ class ApproxReflection:
         if spec.mode == "idealized":
             self.charge = reflection_cost(self.tau, spec.epsilon_r)
             return
-        lams, self.vecs = np.linalg.eigh(discriminant_matrix(chain))
+        lams, self.vecs = chain.spectrum
         # no threshold on theta: arccos(1 - 2^-52) ~ 2e-8 would read as a gap
         theta = np.arccos(np.clip(lams[:-1], -1.0, 1.0))
         self.b = (math.ceil(math.log2(2.0 * math.pi / theta.min()))

@@ -22,7 +22,8 @@ MODULES = sorted(info.name for info in pkgutil.iter_modules(qmcs.__path__)
                  if info.name != "__main__")
 
 # removed as unused; each must stay out of every module and of the package
-DELETED_NAMES = ("EstimatorConfig", "PhasePoint", "StabilityBound")
+DELETED_NAMES = ("EstimatorConfig", "PhasePoint", "StabilityBound",
+                 "make_lazy", "quantum_sample_state")
 DELETED_PARAMETERS = {
     "walk.ApproxReflection": ("walk",),
     "walk.ReflectionSpec": ("b", "c_r"),

@@ -1,15 +1,20 @@
 import hashlib
+import itertools
 import math
+import operator
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from qmcs.chains import (ChainError, MarkovChain, glauber_chain, make_lazy,
+from qmcs.chains import (ChainError, MarkovChain, chain_for, glauber_chain,
                          matching_chain, mix_sample, mixing_steps,
                          relaxation_time)
 from qmcs.gibbs import (Graph, colouring_model, gibbs_distribution,
                         ising_model, matching_model)
 from qmcs.outcome import QueryLedger
+from qmcs.partition import build_schedule, estimate_partition
 
 K2 = Graph(2, ((0, 1),))
 C4 = Graph(4, ((0, 1), (1, 2), (2, 3), (3, 0)))
@@ -98,7 +103,8 @@ def test_matching_chain_single_edge():
     with pytest.raises(ChainError):
         relaxation_time(c)
     # laziness restores ergodicity (lazy toggle mixes in one step)
-    assert relaxation_time(make_lazy(c)) == pytest.approx(1.0)
+    lazy = MarkovChain((c.P + np.eye(c.n)) / 2.0, c.pi)
+    assert relaxation_time(lazy) == pytest.approx(1.0)
 
 
 def test_matching_chain_frozen_limit():
@@ -158,7 +164,8 @@ def test_matching_chain_bits_unchanged_at_nonnegative_beta(name, beta):
 
 
 def test_lazy_spectrum_nonnegative():
-    c = make_lazy(matching_chain(matching_model(C4), 0.5))
+    c = matching_chain(matching_model(C4), 0.5)
+    c = MarkovChain((c.P + np.eye(c.n)) / 2.0, c.pi)
     s = np.sqrt(c.pi)
     sym = (s[:, None] * c.P) / s[None, :]
     assert np.linalg.eigvalsh((sym + sym.T) / 2).min() >= -1e-12
@@ -182,3 +189,134 @@ def test_mix_sample_converges_and_charges():
     assert ledger.walk_steps == trials * steps
     tv = 0.5 * np.abs(counts / trials - c.pi).sum()
     assert tv < 0.03
+
+
+# The per-state loop constructions that the array code replaced, kept as its
+# reference: states as tuples of spins or colours, matchings as frozensets
+# of edge indices, each chain built state by state and site by site.
+
+def _oracle_states(g, name, k):
+    if name == "matching":
+        matchings, used = [frozenset()], [frozenset()]
+        for idx, (u, v) in enumerate(g.edges):
+            new_m, new_u = [], []
+            for match, occ in zip(matchings, used):
+                if u not in occ and v not in occ:
+                    new_m.append(match | {idx})
+                    new_u.append(occ | {u, v})
+            matchings.extend(new_m)
+            used.extend(new_u)
+        return matchings
+    alphabet = (1, -1) if name == "ising" else tuple(range(k))
+    # site 0 is the lowest digit, so it varies fastest
+    return [tuple(reversed(p))
+            for p in itertools.product(alphabet, repeat=g.n_vertices)]
+
+
+def _oracle_glauber_P(states, energies, n_sites, alphabet, beta):
+    index = {s: i for i, s in enumerate(states)}
+    P = np.zeros((len(states), len(states)))
+    for i, state in enumerate(states):
+        for site in range(n_sites):
+            neighbours = [index[state[:site] + (sym,) + state[site + 1:]]
+                          for sym in alphabet]
+            if beta == math.inf:
+                e_loc = energies[neighbours]
+                w = (e_loc == e_loc.min()).astype(float)
+            else:
+                e_loc = energies[neighbours].astype(float)
+                top = e_loc.max() if beta < 0 else e_loc.min()
+                with np.errstate(over="ignore", invalid="ignore"):
+                    w = np.exp(-beta * (e_loc - top))
+            w /= w.sum()
+            for j, pw in zip(neighbours, w):
+                P[i, j] += pw / n_sites
+    return P
+
+
+def _oracle_matching_P(states, edges, beta):
+    index = {s: i for i, s in enumerate(states)}
+    accept_add = math.exp(-max(beta, 0.0))
+    accept_remove = math.exp(min(beta, 0.0))
+    P = np.zeros((len(states), len(states)))
+    for i, match in enumerate(states):
+        occupied = set()
+        for idx in match:
+            occupied.update(edges[idx])
+        for idx, (u, v) in enumerate(edges):
+            if idx in match:
+                P[i, index[match - {idx}]] += accept_remove / len(edges)
+            elif u not in occupied and v not in occupied:
+                P[i, index[match | {idx}]] += accept_add / len(edges)
+        P[i, i] = 1.0 - P[i].sum() + P[i, i]
+    return P
+
+
+def _decode(m):
+    """The model's codes as the reference's tuples or frozensets."""
+    if m.name == "matching":
+        return [frozenset(i for i in range(len(m.graph.edges)) if c >> i & 1)
+                for c in m.codes]
+    k = m.extra.get("k", 2)
+    digits = m.codes[:, None] // k ** np.arange(m.graph.n_vertices) % k
+    return [tuple(row) for row in (1 - 2 * digits if m.name == "ising"
+                                   else digits).tolist()]
+
+
+@st.composite
+def _graphs(draw):
+    n = draw(st.integers(1, 6))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph(n, tuple(edges))
+
+
+@settings(max_examples=80, deadline=None)
+@given(g=_graphs(), name=st.sampled_from(["ising", "colouring", "matching"]),
+       k=st.integers(1, 3),
+       beta=st.sampled_from([0.0, math.inf]) | st.floats(-3.0, 3.0))
+def test_array_chains_match_loop_oracle(g, name, k, beta):
+    m = {"ising": ising_model, "matching": matching_model,
+         "colouring": lambda g: colouring_model(g, k)}[name](g)
+    states = _oracle_states(g, name, k)
+    assert _decode(m) == states
+    if name == "matching":
+        assert list(m.energies) == [len(s) for s in states]
+        assume(g.edges)
+        P = _oracle_matching_P(states, g.edges, beta)
+    else:
+        alphabet = (1, -1) if name == "ising" else tuple(range(k))
+        hit = operator.ne if name == "ising" else operator.eq
+        assert list(m.energies) == [sum(hit(s[u], s[v]) for u, v in g.edges)
+                                    for s in states]
+        assume(beta != math.inf or m.counts[0] > 0)
+        P = _oracle_glauber_P(states, m.energies, g.n_vertices, alphabet, beta)
+    assert np.array_equal(chain_for(m, beta).P, P)
+
+
+def test_star_with_100_edges_builds():
+    # masks up to 2^99: int64 codes would overflow at 63 edges
+    star = Graph(101, tuple((0, leaf) for leaf in range(1, 101)))
+    m = matching_model(star)
+    assert m.size == 101 and m.codes[-1] == 1 << 99
+    c = matching_chain(m, 0.5)
+    assert np.all(c.P[0, 1:] == math.exp(-0.5) / 100)
+    assert np.all(c.P[1:, 0] == 1 / 100)
+    assert c.P[0, 0] == 1.0 - math.exp(-0.5) and c.P[100, 100] == 0.99
+
+
+def test_one_eigensolve_per_rung_chain(monkeypatch):
+    calls = []
+    for name in ("eigh", "eigvalsh", "eig", "eigvals"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda a, _f=real, _n=name: calls.append(_n) or _f(a))
+    m = ising_model(C4)
+    s = build_schedule(m, 2.0)
+    estimate_partition(m, s, 0.1, 0.25, "walk_exact_sim",
+                       np.random.default_rng(0), QueryLedger())
+    assert calls == ["eigh"] * s.ell  # one chain per rung below beta = inf
+    calls.clear()
+    c = glauber_chain(m, 0.7)
+    c.tau, c.lambda1
+    assert calls == ["eigh"]  # what `qmcs chain` reads

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import time
 import warnings
 
 import pytest
@@ -280,6 +281,7 @@ def test_chain_nan_beta_is_config_error(capsys, k2_graph, cmd, beta):
     ("--eps", "0", "epsilon must be positive"),
     ("--sigma", "0", "sigma must be positive"),
     ("--sigma", "nan", "sigma must be positive"),
+    ("--sigma", "1e6", "1.2e+15 classical samples exceed the cap 1e+07"),
 ])
 def test_mean_classical_bad_setting_is_config_error(capsys, bernoulli, flag,
                                                     value, message):
@@ -288,6 +290,31 @@ def test_mean_classical_bad_setting_is_config_error(capsys, bernoulli, flag,
                  f"{flag}={value}"])
     assert code == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("B, count", [("1e9", "3.2e+10"), ("1e308", "inf")])
+def test_mean_relative_over_sample_cap_is_config_error(capsys, bernoulli, B,
+                                                       count):
+    # the 32B proxy samples: --B 1e9 used to end in a MemoryError traceback
+    # asking for 238 GiB, and --B 1e308 in "cannot convert float infinity"
+    assert main(["mean", "--dist", bernoulli, "--method", "relative",
+                 f"--B={B}"]) == 1
+    assert capsys.readouterr().err == \
+        f"error: {count} classical samples exceed the cap 1e+07\n"
+
+
+@pytest.mark.parametrize("cmd", ["schedule", "partition"])
+def test_schedule_over_rung_cap_is_contract_error(capsys, tmp_path, cmd):
+    # B this close to 1 asks for 6,619 rungs, which took 17.8 s to build
+    path = tmp_path / "triangle.txt"
+    path.write_text("3 3\n0 1\n1 2\n0 2\n")
+    start = time.monotonic()
+    code = main([cmd, "--model", "ising", "--graph", str(path),
+                 "--B", "1.0000001"])
+    assert time.monotonic() - start < 10.0
+    assert code == 3
+    assert capsys.readouterr().err == \
+        "error: schedule at B=1.0000001 exceeds the 256-rung cap\n"
 
 
 def test_matching_chain_negative_beta(capsys, tmp_path):

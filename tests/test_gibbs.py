@@ -45,7 +45,7 @@ def test_ising_shift_identity():
     # unshifted energy -sum z_u z_v: Z_u(beta) = e^{beta m} Z(2 beta)
     m = ising_model(C4)
     beta = 0.37
-    spins = np.array(m.states)
+    spins = 1 - 2 * ((m.codes[:, None] >> np.arange(4)) & 1)  # bit 0 is +1
     us, vs = np.array(C4.edges).T
     unshifted = -(spins[:, us] * spins[:, vs]).sum(axis=1)
     z_direct = np.exp(-beta * unshifted).sum()

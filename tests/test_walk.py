@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from qmcs.chains import (MarkovChain, chain_for, glauber_chain, make_lazy,
-                         relaxation_time)
+from qmcs.chains import MarkovChain, chain_for, glauber_chain, relaxation_time
 from qmcs.gibbs import (Graph, colouring_model, gibbs_distribution,
                         ising_model, matching_model)
 from qmcs.outcome import QueryLedger
 from qmcs.partition import build_schedule
 from qmcs.walk import (ApproxReflection, ReflectionSpec, approx_reflection,
-                       discriminant_matrix, quantum_sample_state,
+                       discriminant_matrix,
                        reflection_cost, spectral_correspondence_residual,
                        szegedy_walk, warm_start_cost, warm_start_prepare)
 
@@ -99,12 +98,6 @@ def test_spectral_correspondence_random_chains():
         n = int(rng.integers(2, 7))
         w = szegedy_walk(_random_reversible(rng, n))
         assert spectral_correspondence_residual(w) <= 1e-8
-
-
-def test_quantum_sample_state_matches_gibbs():
-    m = ising_model(K2)
-    s = quantum_sample_state(m, 1.3)
-    assert np.allclose(s.amplitudes**2, gibbs_distribution(m, 1.3))
 
 
 def test_idealized_reflection_exact_and_charged():
