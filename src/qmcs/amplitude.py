@@ -36,6 +36,7 @@ __all__ = [
     "AE_SUCCESS_PROB",
     "AE_FAIL_PROB",
     "AE_LAW_T_CAP",
+    "AE_T_CAP",
 ]
 
 AE_SUCCESS_PROB = 8.0 / math.pi**2
@@ -43,6 +44,7 @@ AE_FAIL_PROB = 1.0 - AE_SUCCESS_PROB
 
 _CIRCUIT_T_CAP = 2**14
 AE_LAW_T_CAP = 2**20  # largest t whose length-t outcome law is materialized
+AE_T_CAP = 2**32  # largest t sampled: phase error pi*t*2^-52 under 1e-5 rad
 
 
 def amplitude_phase(a: float) -> float:
@@ -120,8 +122,9 @@ def _draw_outcome(omega: float, t: int, rng: np.random.Generator) -> int:
 
 def ae_sample(a: float, t: int, rng: np.random.Generator, ledger: QueryLedger) -> float:
     """One draw of the estimate a~; charges t reflections and one A / A^-1 pair."""
-    if t < 1:
-        raise ValueError("t must be >= 1")
+    if not 1 <= t <= AE_T_CAP:
+        raise ValueError("t must be >= 1" if t < 1 else f"t={t:g} exceeds "
+                         f"the amplitude-estimation cap {AE_T_CAP}")
     omega = amplitude_phase(a)
     ledger.a_uses += 1
     ledger.a_inv_uses += 1

@@ -6,6 +6,11 @@ and the Gibbs distribution pi_beta(x) = e^{-beta H(x)} / Z(beta) can be
 computed exactly from the energy histogram.  beta = inf is first-class:
 sums restrict to the ground states H = 0.
 
+_level_law gives the law of H under pi_beta on the occupied levels, at most
+|E|+1 points.  The Gibbs vector, overlaps, chi-squared and the ratio laws of
+`partition` all read it; only the chains, the coherent amplitudes of `walk`
+and the `mix` baseline need per-state vectors.
+
 States are integer codes in the read-only array `codes`, indexed like
 `energies`.  Ising and colouring: codes[i] == i, the mixed-radix number whose
 digit at site s (place value k^s) is that site's symbol, Ising digit 0 being
@@ -89,8 +94,9 @@ class GibbsModel:
             raise ValueError(f"state space {len(e)} exceeds cap {STATE_CAP}")
         if len(e) and (e.min() < 0 or e.max() > self.n_max):
             raise ValueError("energies outside declared range")
-        # energy histogram: counts[h] = #{x : H(x) = h}
+        # energy histogram counts[h] = #{x : H(x) = h}; occupied levels h
         object.__setattr__(self, "counts", np.bincount(e, minlength=self.n_max + 1))
+        object.__setattr__(self, "levels", np.nonzero(self.counts)[0])
 
     @property
     def size(self) -> int:
@@ -152,7 +158,7 @@ def exact_partition(m: GibbsModel, beta) -> float:
     """
     if beta == math.inf:
         return float(m.counts[0])
-    hs = np.nonzero(m.counts)[0]
+    hs = m.levels
     with np.errstate(over="ignore"):
         return float(np.sum(m.counts[hs] * np.exp(-float(beta) * hs)))
 
@@ -168,21 +174,25 @@ def _boltzmann(energies: np.ndarray, beta: float) -> np.ndarray:
         return np.exp(-beta * (energies - top))
 
 
-def gibbs_distribution(m: GibbsModel, beta) -> np.ndarray:
-    """Probability vector over the states, pi(x) = e^{-beta H(x)} / Z(beta)."""
+def _level_law(m: GibbsModel, beta) -> np.ndarray:
+    """Law of H under pi_beta on m.levels; at beta = inf, the mass on H = 0."""
     if beta == math.inf:
-        z = m.counts[0]
-        if z == 0:
+        if m.counts[0] == 0:
             raise ZeroDivisionError("no ground states: Z(inf) = 0")
-        probs = (m.energies == 0) / float(z)
-    else:
-        w = _boltzmann(m.energies, float(beta))
-        probs = w / w.sum()
-    total = probs.sum()
-    if not abs(total - 1.0) <= 1e-12:  # NaN fails too
+        return (m.levels == 0).astype(float)
+    w = m.counts[m.levels] * _boltzmann(m.levels, float(beta))
+    total = w.sum()  # at least counts[H*] >= 1, unless NaN
+    if not 1.0 <= total < math.inf:
         raise ArithmeticError(f"Gibbs distribution at beta={beta} failed to "
                               "normalize")
-    return probs
+    return w / total
+
+
+def gibbs_distribution(m: GibbsModel, beta) -> np.ndarray:
+    """pi(x) = e^{-beta H(x)} / Z(beta): each level's law shared by its states."""
+    per_state = np.zeros(m.n_max + 1)
+    per_state[m.levels] = _level_law(m, beta) / m.counts[m.levels]
+    return per_state[m.energies]
 
 
 def chebyshev_ratio(m: GibbsModel, beta_i, beta_j, direction="forward") -> float:
@@ -210,8 +220,7 @@ def chi_squared(m: GibbsModel, beta_i, beta_j) -> float:
     """
     if not beta_i <= beta_j:
         raise ValueError("requires beta_i <= beta_j")
-    pi = gibbs_distribution(m, beta_i)
-    nu = gibbs_distribution(m, beta_j)
+    pi, nu = _level_law(m, beta_i), _level_law(m, beta_j)  # nu/pi sees only H
     mask = pi > 0
     definitional = float(np.sum(pi[mask] * (nu[mask] / pi[mask] - 1.0) ** 2))
     ratio = chebyshev_ratio(m, beta_i, beta_j) - 1.0
@@ -222,7 +231,7 @@ def chi_squared(m: GibbsModel, beta_i, beta_j) -> float:
 
 
 def overlap_squared(m: GibbsModel, beta_i, beta_j) -> float:
-    """Squared fidelity (sum_x sqrt(pi_i(x) pi_j(x)))^2 between Gibbs states."""
-    pi = gibbs_distribution(m, beta_i)
-    nu = gibbs_distribution(m, beta_j)
-    return float(np.sum(np.sqrt(pi * nu)) ** 2)
+    """Squared fidelity (sum_x sqrt(pi_i(x) pi_j(x)))^2 between Gibbs states,
+    summed by level: sum_h sqrt(p_i(h) p_j(h)) for the level laws p."""
+    return float(np.sum(np.sqrt(_level_law(m, beta_i)
+                                * _level_law(m, beta_j))) ** 2)

@@ -270,8 +270,11 @@ def classical_mean_chebyshev(d: ValueDistribution, sigma: float, epsilon: float,
                              ledger: QueryLedger) -> Estimate:
     """Baseline: empirical mean of ceil(3 sigma^2 / eps^2) classical samples."""
     _check_positive(sigma=sigma, epsilon=epsilon)
-    samples = classical_sample_block(d, max(1, 3.0 * sigma**2 / epsilon**2),
-                                     rng, ledger)
+    try:
+        n = 3.0 * sigma**2 / epsilon**2
+    except ArithmeticError:  # sigma^2 overflowed, or epsilon^2 underflowed to 0
+        n = 3.0 * (sigma / epsilon) * (sigma / epsilon)  # inf past float range
+    samples = classical_sample_block(d, max(1, n), rng, ledger)
     return Estimate(value=float(np.mean(samples)), target_error=epsilon,
                     error_kind="additive", confidence=2.0 / 3.0,
                     ledger=ledger.snapshot())

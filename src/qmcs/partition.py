@@ -13,7 +13,9 @@ Z(inf) = 1 (the empty matching) and each Y_i is sampled under the colder
 distribution.  The terminal pair (beta_{l-1}, inf) cannot use the reversed
 ratio variable (its relative second moment diverges), so that single ratio
 is estimated forward -- the ground-state indicator under pi_{beta_{l-1}} --
-and inverted.
+and inverted.  Every schedule runs from beta = 0 to inf.  A ratio variable
+sees a state only through H, so its law lives on the occupied energy levels
+(gibbs._level_law); only the `mix` baseline reads per-state values.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .chains import chain_for, mix_sample, mixing_steps
-from .gibbs import (GibbsModel, chebyshev_ratio, exact_partition,
-                    gibbs_distribution, overlap_squared)
+from .gibbs import (GibbsModel, _level_law, chebyshev_ratio, exact_partition,
+                    overlap_squared)
 from .mean import estimate_mean_relative, power_median, powering_reps
 from .outcome import (QueryLedger, ValueDistribution, _sample_count,
                       classical_sample_block, from_arrays)
@@ -67,8 +69,9 @@ class CoolingSchedule:
             raise ScheduleError("schedule needs at least two temperatures")
         if any(b2 <= b1 for b1, b2 in zip(self.betas, self.betas[1:])):
             raise ScheduleError("betas must be strictly increasing")
-        if self.betas[0] != 0.0:
-            raise ScheduleError("schedule must start at beta = 0")
+        if (self.betas[0], self.betas[-1]) != (0.0, math.inf):
+            raise ScheduleError("schedule must start at beta = 0 and end at "
+                                "beta = inf")
         if self.B <= 1.0:
             raise ScheduleError("B must exceed 1")
         if self.direction not in ("forward", "reversed"):
@@ -89,12 +92,11 @@ class PartitionEstimate:
     meta: dict = field(default_factory=dict)
 
 
-def _state_values(m: GibbsModel, beta_i, beta_j, reverse=False) -> np.ndarray:
-    """Per-state value of the (reversed) ratio variable for the pair."""
+def _ratio_values(h: np.ndarray, beta_i, beta_j, reverse=False) -> np.ndarray:
+    """Value of the (reversed) ratio variable for the pair at the energies h."""
     if beta_j == math.inf:
-        return (m.energies == 0).astype(float)
-    return np.exp((beta_j - beta_i if reverse else -(beta_j - beta_i))
-                  * m.energies)
+        return (h == 0).astype(float)
+    return np.exp((beta_j - beta_i if reverse else -(beta_j - beta_i)) * h)
 
 
 def ratio_variable(m: GibbsModel, beta_i, beta_j) -> ValueDistribution:
@@ -105,8 +107,8 @@ def ratio_variable(m: GibbsModel, beta_i, beta_j) -> ValueDistribution:
     """
     if not beta_i < beta_j:
         raise ScheduleError("requires beta_i < beta_j")
-    pi = gibbs_distribution(m, beta_i)
-    return from_arrays(_state_values(m, beta_i, beta_j), pi)
+    return from_arrays(_ratio_values(m.levels, beta_i, beta_j),
+                       _level_law(m, beta_i))
 
 
 def reversed_ratio_variable(m: GibbsModel, beta_i, beta_j) -> ValueDistribution:
@@ -115,8 +117,8 @@ def reversed_ratio_variable(m: GibbsModel, beta_i, beta_j) -> ValueDistribution:
         raise ScheduleError("requires beta_i < beta_j")
     if beta_j == math.inf:
         raise ScheduleError("reversed ratio variable undefined at beta_j = inf")
-    pi = gibbs_distribution(m, beta_j)
-    return from_arrays(_state_values(m, beta_i, beta_j, True), pi)
+    return from_arrays(_ratio_values(m.levels, beta_i, beta_j, True),
+                       _level_law(m, beta_j))
 
 
 def build_schedule(m: GibbsModel, B: float, direction="forward") -> CoolingSchedule:
@@ -222,10 +224,11 @@ def estimate_partition(m: GibbsModel, s: CoolingSchedule, epsilon: float,
     """Telescoping estimate of Z(inf) (forward) or Z(0) (reversed).
 
     Each ratio is estimated by the relative-error mean estimator at accuracy
-    epsilon/(2*ell), median-amplified from per-run success 3/4 to delta/ell.
-    Walk modes convert each ratio's oracle charges into walk steps: every
-    state preparation becomes a warm start along the schedule prefix and
-    every reflection an approximate reflection on that rung's chain.
+    epsilon/(2*ell), median-amplified from per-run success 3/4 to delta/ell,
+    on its own ledger.  Walk modes convert that ledger's oracle charges into
+    walk steps: every state preparation becomes a warm start along the
+    schedule prefix and every reflection an approximate reflection on that
+    rung's chain.  Each ratio's ledger is then merged into the caller's.
     """
     if mode not in ("ideal_sampling", "walk_idealized", "walk_exact_sim"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -234,28 +237,32 @@ def estimate_partition(m: GibbsModel, s: CoolingSchedule, epsilon: float,
     eps_i = epsilon / (2.0 * ell)
     delta_i = delta / ell
     reps = powering_reps(0.25, delta_i)
-    taus = exact_sim_charges = None
     if mode != "ideal_sampling":
         # per rung, one chain alive at a time: tau and the reflection's cost
         spec = ReflectionSpec(min(0.25, eps_i), mode.removeprefix("walk_"))
         taus, charges = zip(*[(r.tau, r.charge) for r in (
             approx_reflection(chain_for(m, beta), spec, QueryLedger())
             for beta in s.betas[:-1])])
-        if mode == "walk_exact_sim":
-            exact_sim_charges = charges
 
     ratios = []
     for r in plan:
         dist = r.variable(m)
-        before = ledger.snapshot()
-
-        def run():
-            return estimate_mean_relative(dist, s.B, eps_i, rng, ledger)
-
-        alpha = power_median(run, gamma=0.25, delta=delta_i)
-        if taus is not None:
-            _convert_walk_charges(ledger, before, taus, r.rung, s.B,
-                                  exact_sim_charges)
+        spent = QueryLedger()
+        alpha = power_median(
+            lambda: estimate_mean_relative(dist, s.B, eps_i, rng, spent),
+            gamma=0.25, delta=delta_i)
+        if mode != "ideal_sampling":
+            # reflection accuracy gamma/R: the total coherent error R*eps_r
+            # stays a constant slice of the failure budget
+            uses = spent.reflection_uses
+            eps_r = 0.1 / max(uses, 1)
+            per_reflection = (charges[r.rung] if mode == "walk_exact_sim"
+                              else reflection_cost(taus[r.rung], eps_r))
+            prep = warm_start_cost(r.rung, max(taus[: max(r.rung, 1)]), eps_r,
+                                   s.B)
+            spent.walk_steps += ((spent.a_uses + spent.a_inv_uses) * prep
+                                 + uses * per_reflection)
+        ledger.merge(spent)
         ratios.append(r.factor(alpha))
 
     target = "Z(inf)" if s.direction == "forward" else "Z(0)"
@@ -264,29 +271,6 @@ def estimate_partition(m: GibbsModel, s: CoolingSchedule, epsilon: float,
                              delta=delta, ledger=ledger.snapshot(),
                              meta={"mode": mode, "target": target,
                                    "reps_per_ratio": reps})
-
-
-def _convert_walk_charges(ledger: QueryLedger, before: QueryLedger, taus,
-                          rung: int, B: float, exact_sim_charges):
-    """Translate oracle uses into walk steps for one ratio estimation.
-
-    Each A / A^-1 use becomes a warm-start preparation of |pi_rung> along
-    the schedule prefix; each reflection becomes an approximate reflection
-    on rung's chain.
-    """
-    da = (ledger.a_uses - before.a_uses) + (ledger.a_inv_uses - before.a_inv_uses)
-    dr = ledger.reflection_uses - before.reflection_uses
-    tau = taus[min(rung, len(taus) - 1)]
-    # reflection accuracy gamma/R: the total coherent error R*eps_r stays a
-    # constant slice of the failure budget however many reflections run
-    eps_r = 0.1 / max(dr, 1)
-    if exact_sim_charges is not None:
-        per_reflection = exact_sim_charges[min(rung, len(taus) - 1)]
-    else:
-        per_reflection = reflection_cost(tau, eps_r)
-    prep = warm_start_cost(rung, max(taus[: max(rung, 1)], default=tau),
-                           eps_r, B)
-    ledger.walk_steps += da * prep + dr * per_reflection
 
 
 def classical_baseline(m: GibbsModel, s: CoolingSchedule, epsilon: float,
@@ -303,7 +287,7 @@ def classical_baseline(m: GibbsModel, s: CoolingSchedule, epsilon: float,
             draws = classical_sample_block(r.variable(m), n, rng, ledger)
             alpha = float(np.mean(draws))
         else:
-            values = _state_values(m, r.beta_i, r.beta_j, r.reverse)
+            values = _ratio_values(m.energies, r.beta_i, r.beta_j, r.reverse)
             alpha = _mix_sampled_mean(m, s.betas[r.rung], values, n, rng,
                                       ledger)
         ratios.append(r.factor(alpha))

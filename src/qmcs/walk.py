@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .chains import MarkovChain, chain_for, discriminant_matrix, relaxation_time
-from .gibbs import GibbsModel, gibbs_distribution
+from .gibbs import GibbsModel, gibbs_distribution, overlap_squared
 from .outcome import QueryLedger
 
 __all__ = [
@@ -228,8 +228,7 @@ def warm_start_prepare(m: GibbsModel, betas, target_index: int,
     r = target_index
     if not 0 <= r < len(betas):
         raise ValueError("target index outside schedule")
-    amps = [np.sqrt(gibbs_distribution(m, b)) for b in betas[: r + 1]]
-    overlaps = [float((amps[j] @ amps[j + 1]) ** 2) for j in range(r)]
+    overlaps = [overlap_squared(m, betas[j], betas[j + 1]) for j in range(r)]
     if B is None:
         B = 1.0 / min(overlaps) if overlaps else 1.0
     if overlaps and min(overlaps) < 1.0 / B - 1e-12:
@@ -239,12 +238,12 @@ def warm_start_prepare(m: GibbsModel, betas, target_index: int,
         taus = [relaxation_time(chain_for(m, b)) for b in betas[1: r + 1]]
         tau = max(taus) if taus else 1.0
         ledger.walk_steps += warm_start_cost(r, tau, epsilon_s, B)
-        return QuantumSample(amps[r])
+        return QuantumSample(np.sqrt(gibbs_distribution(m, betas[r])))
 
     if mode != "exact_sim":
         raise ValueError("mode must be 'idealized' or 'exact_sim'")
     eps_r = epsilon_s / (4.0 * max(r, 1))
-    state = amps[0]
+    state = np.sqrt(gibbs_distribution(m, betas[0]))
     for j in range(r):
         refl = approx_reflection(chain_for(m, betas[j + 1]),
                                  ReflectionSpec(eps_r, "exact_sim"), ledger)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmcs.amplitude import (AE_LAW_T_CAP, AE_SUCCESS_PROB, _circle_dist, _draw_outcome,
+from qmcs.amplitude import (AE_LAW_T_CAP, AE_SUCCESS_PROB, AE_T_CAP, _circle_dist, _draw_outcome,
                             _kernel, ae_circuit_distribution,
                             ae_measurement_probs, ae_median,
                             ae_outcome_distribution, ae_sample,
@@ -192,6 +192,17 @@ def test_nonpositive_t_is_rejected(t):
     with pytest.raises(ValueError, match="t must be >= 1"):
         ae_median(0.3, t, 3, rng, ledger)
     assert ledger.a_uses == ledger.reflection_uses == 0
+
+
+def test_t_over_sampling_cap_is_rejected():
+    ledger = QueryLedger()
+    rng = np.random.default_rng(0)
+    for t in (AE_T_CAP + 1, 10**210):
+        with pytest.raises(ValueError, match=f"cap {AE_T_CAP}"):
+            ae_median(0.3, t, 3, rng, ledger)
+    assert ledger == QueryLedger()
+    ae_sample(0.3, AE_T_CAP, rng, ledger)  # the cap itself is sampled
+    assert ledger.reflection_uses == AE_T_CAP
 
 
 def test_t_over_outcome_law_cap_is_rejected():

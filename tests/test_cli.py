@@ -282,6 +282,8 @@ def test_chain_nan_beta_is_config_error(capsys, k2_graph, cmd, beta):
     ("--sigma", "0", "sigma must be positive"),
     ("--sigma", "nan", "sigma must be positive"),
     ("--sigma", "1e6", "1.2e+15 classical samples exceed the cap 1e+07"),
+    # sigma^2 used to overflow: "error: (34, 'Numerical result out of range')"
+    ("--sigma", "1e200", "inf classical samples exceed the cap 1e+07"),
 ])
 def test_mean_classical_bad_setting_is_config_error(capsys, bernoulli, flag,
                                                     value, message):
@@ -290,6 +292,17 @@ def test_mean_classical_bad_setting_is_config_error(capsys, bernoulli, flag,
                  f"{flag}={value}"])
     assert code == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [["--method", "variance", "--sigma", "1e200"],
+                                  ["--method", "l2", "--eps", "1e-12"]])
+def test_mean_over_ae_length_cap_is_config_error(capsys, bernoulli, argv):
+    # variance used to exit 0 charging about 3.7e210 reflections; l2 sampled
+    # at t0 = 1.3e14, where the outcome scan's phase error reaches 0.1 rad
+    assert main(["mean", "--dist", bernoulli, *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: t=") and err.count("\n") == 1
+    assert err.endswith("exceeds the amplitude-estimation cap 4294967296\n")
 
 
 @pytest.mark.parametrize("B, count", [("1e9", "3.2e+10"), ("1e308", "inf")])

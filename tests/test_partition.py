@@ -1,10 +1,16 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from qmcs.gibbs import (Graph, exact_partition, ising_model, matching_model)
-from qmcs.outcome import QueryLedger
+import qmcs
+from qmcs.gibbs import (Graph, _boltzmann, chi_squared, colouring_model,
+                        exact_partition, gibbs_distribution, ising_model,
+                        matching_model, overlap_squared)
+from qmcs.outcome import QueryLedger, from_arrays
 from qmcs.partition import (CoolingSchedule, ScheduleError, build_schedule,
                             chebyshev_ratio, classical_baseline,
                             estimate_partition, ratio_variable,
@@ -21,6 +27,12 @@ def test_schedule_validation():
         CoolingSchedule((0.0, 1.0, 0.5), 2.0, "forward")  # not increasing
     with pytest.raises(ScheduleError):
         CoolingSchedule((0.0, math.inf), 0.9, "forward")  # B <= 1
+    # a schedule stopping short of inf was estimated as if it reached it:
+    # Z(1) = 2.736 came back as Z(inf) = 2 for one Ising edge, and for
+    # matchings on C4 (reversed) 2.55 as Z(0) = 7
+    for direction in ("forward", "reversed"):
+        with pytest.raises(ScheduleError, match="end at beta = inf"):
+            CoolingSchedule((0.0, 0.5, 1.0), 2.0, direction)
 
 
 def test_ratio_variable_telescopes():
@@ -140,3 +152,84 @@ def test_estimate_rejects_bad_mode_and_schedule():
     with pytest.raises(ScheduleError):
         estimate_partition(m, bad, 0.1, 0.1, "ideal_sampling",
                            np.random.default_rng(0), QueryLedger())
+
+
+def _state_gibbs(m, beta):
+    """Oracle: the Gibbs vector weighed state by state."""
+    if beta == math.inf:
+        if m.counts[0] == 0:
+            raise ZeroDivisionError("no ground states: Z(inf) = 0")
+        return (m.energies == 0) / float(m.counts[0])
+    w = _boltzmann(m.energies, float(beta))
+    return w / w.sum()
+
+
+def _state_ratio_law(m, beta_i, beta_j, reverse=False):
+    """Oracle: the (reversed) ratio variable built from the 2^n states."""
+    if beta_j == math.inf:
+        values = (m.energies == 0).astype(float)
+    else:
+        values = np.exp((beta_j - beta_i if reverse else -(beta_j - beta_i))
+                        * m.energies)
+    return from_arrays(values, _state_gibbs(m, beta_j if reverse else beta_i))
+
+
+@st.composite
+def _models(draw):
+    n = draw(st.integers(1, 5))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    g = Graph(n, tuple(edges))
+    name = draw(st.sampled_from(["ising", "colouring", "matching"]))
+    if name == "colouring":
+        return colouring_model(g, draw(st.integers(1, 3)))
+    return ising_model(g) if name == "ising" else matching_model(g)
+
+
+_betas = st.sampled_from([0.0, math.inf]) | st.floats(-3.0, 6.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=_models(), b1=_betas, b2=_betas)
+def test_level_laws_match_state_oracles(m, b1, b2):
+    bi, bj = min(b1, b2), max(b1, b2)
+    assume(bj < math.inf or m.counts[0] > 0)
+    pi, nu = _state_gibbs(m, bi), _state_gibbs(m, bj)
+    for beta, oracle in ((bi, pi), (bj, nu)):
+        assert np.abs(gibbs_distribution(m, beta) - oracle).max() <= 1e-15
+    assert overlap_squared(m, bi, bj) == pytest.approx(
+        float(np.sum(np.sqrt(pi * nu)) ** 2), rel=1e-12, abs=1e-15)
+    mask = pi > 0
+    assert chi_squared(m, bi, bj) == pytest.approx(
+        float(np.sum(pi[mask] * (nu[mask] / pi[mask] - 1.0) ** 2)),
+        rel=1e-12, abs=1e-15)
+    assume(bi < bj)
+    laws = [(ratio_variable(m, bi, bj), _state_ratio_law(m, bi, bj))]
+    if bj < math.inf:  # the terminal pair has no reversed variable
+        laws.append((reversed_ratio_variable(m, bi, bj),
+                     _state_ratio_law(m, bi, bj, reverse=True)))
+    for law, oracle in laws:
+        assert np.array_equal(law.values, oracle.values)
+        assert np.abs(law.probs - oracle.probs).max() <= 1e-15
+        assert law.support_size <= len(m.levels)
+
+
+def test_level_quantities_build_no_gibbs_vector(monkeypatch):
+    def refuse(m, beta):
+        raise AssertionError("per-state Gibbs vector built")
+
+    for module in [mod for name, mod in list(sys.modules.items())
+                   if name == "qmcs" or name.startswith("qmcs.")]:
+        for attr, value in list(vars(module).items()):
+            if value is gibbs_distribution:
+                monkeypatch.setattr(module, attr, refuse)
+    assert qmcs.gibbs.gibbs_distribution is refuse
+    for m, direction in ((ising_model(C4), "forward"),
+                         (matching_model(C4), "reversed")):
+        s = build_schedule(m, 1.5, direction)
+        assert verify_schedule(m, s)["ok"]
+        bi, bj = s.betas[0], s.betas[1]
+        ratio_variable(m, bi, math.inf)
+        reversed_ratio_variable(m, bi, bj)
+        overlap_squared(m, bi, math.inf)
+        chi_squared(m, bi, bj)
