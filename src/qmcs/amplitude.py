@@ -10,7 +10,8 @@ mixed equally over the conjugate phases +-omega, with estimate
 a~ = sin^2(pi y / t).  Here d(x, y) = min_z |z + x - y| is circle distance.
 
 A dense circuit simulation of phase estimation on the two-dimensional
-rotation cross-validates the closed form.
+rotation cross-validates the closed form.  The sampler draws a whole median
+at once, through one outward inverse-CDF scan per conjugate phase.
 """
 
 from __future__ import annotations
@@ -95,17 +96,23 @@ def ae_outcome_distribution(a: float, t: int) -> ValueDistribution:
     return from_arrays(_estimate_values(int(t)), probs)
 
 
-def _draw_outcome(omega: float, t: int, rng: np.random.Generator) -> int:
-    """Sample y from the kernel at phase omega without materializing all t probs.
+def _check_t(t) -> None:
+    if not 1 <= t <= AE_T_CAP:
+        raise ValueError("t must be >= 1" if t < 1 else f"t={t:g} exceeds "
+                         f"the amplitude-estimation cap {AE_T_CAP}")
 
-    Inverse-CDF scan outward from the nearest grid point (offset 0, then +k
-    before -k, t/2 once), so it usually stops after a handful of terms; each
-    term is _kernel(_circle_dist(y/t, omega)) in the same float operations.
-    """
-    u = rng.random()
+
+def _draw_outcomes(omega: float, t: int, us) -> list:
+    """Outcome y for each u in us (non-empty), by inverse CDF of the kernel at omega.
+
+    One scan outward from the nearest grid point (offset 0, then +k before
+    -k, t/2 once) resolves the u's in ascending order as the running sum
+    passes each; its terms are _kernel(_circle_dist(y/t, omega)) in the same
+    float operations.  A u never reached (rounding) gets the last y scanned."""
     center = int(round(t * omega)) % t
-    acc = 0.0
-    y = center
+    out = [(center - t // 2) % t] * len(us)  # last y scanned, offset t/2 (even t: +t/2 = -t/2)
+    todo = sorted(range(len(us)), key=us.__getitem__, reverse=True)  # pop() takes the least u
+    u, acc = us[todo[-1]], 0.0
     for k in range(t // 2 + 1):
         ys = (center + k) % t, (center - k) % t
         for y in ys if 0 < 2 * k < t else ys[:1]:
@@ -115,34 +122,45 @@ def _draw_outcome(omega: float, t: int, rng: np.random.Generator) -> int:
             else:
                 r = math.sin(math.pi * t * dist) / (t * math.sin(math.pi * dist))
                 acc += r * r
-            if acc >= u:
-                return y
-    return y
+            while acc >= u:
+                out[todo.pop()] = y
+                if not todo:
+                    return out
+                u = us[todo[-1]]
+    return out
 
 
-def ae_sample(a: float, t: int, rng: np.random.Generator, ledger: QueryLedger) -> float:
-    """One draw of the estimate a~; charges t reflections and one A / A^-1 pair."""
-    if not 1 <= t <= AE_T_CAP:
-        raise ValueError("t must be >= 1" if t < 1 else f"t={t:g} exceeds "
-                         f"the amplitude-estimation cap {AE_T_CAP}")
+def ae_sample(a: float, t: int, rng: np.random.Generator, ledger: QueryLedger,
+              size: int | None = None) -> float | list[float]:
+    """One draw of the estimate a~, or a list of size draws (numpy's idiom). Each
+    draw charges t reflections and one A / A^-1 pair and takes (conjugate choice,
+    u) from its pair of rng.random(2 * size): size=n equals n calls without size."""
+    _check_t(t)
+    n = 1 if size is None else size
+    if n < 1:
+        raise ValueError("size must be >= 1")
     omega = amplitude_phase(a)
-    ledger.a_uses += 1
-    ledger.a_inv_uses += 1
-    ledger.reflection_uses += t
-    if rng.random() < 0.5:
-        omega = (1.0 - omega) % 1.0  # conjugate phase -omega
-    y = _draw_outcome(omega, t, rng)
-    y_eff = min(y, t - y)
-    return float(math.sin(math.pi * y_eff / t) ** 2)
+    ledger.a_uses += n
+    ledger.a_inv_uses += n
+    ledger.reflection_uses += n * t
+    pairs = rng.random(2 * n).tolist()
+    groups = ([], [])  # draw indices at +omega, at -omega (the conjugate choice)
+    for j in range(n):
+        groups[pairs[2 * j] < 0.5].append(j)
+    draws = [0.0] * n
+    for js, w in zip(groups, (omega, (1.0 - omega) % 1.0)):
+        if js:
+            for j, y in zip(js, _draw_outcomes(w, t, [pairs[2 * j + 1] for j in js])):
+                draws[j] = math.sin(math.pi * min(y, t - y) / t) ** 2
+    return draws[0] if size is None else draws
 
 
 def ae_median(a: float, t: int, reps: int, rng: np.random.Generator,
               ledger: QueryLedger) -> float:
-    """Median of reps independent ae_sample draws (reps must be odd, t >= 1)."""
+    """Median of one ae_sample(..., size=reps) batch (reps must be odd, t >= 1)."""
     if reps < 1 or reps % 2 == 0:
         raise ValueError("reps must be a positive odd integer")
-    draws = sorted(ae_sample(a, t, rng, ledger) for _ in range(reps))
-    return draws[reps // 2]
+    return sorted(ae_sample(a, t, rng, ledger, size=reps))[reps // 2]
 
 
 def ae_circuit_distribution(a: float, t: int) -> ValueDistribution:

@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .amplitude import AE_FAIL_PROB, ae_median
+from .amplitude import AE_FAIL_PROB, _check_t, ae_median
 from .outcome import (
     QueryLedger,
     ValueDistribution,
@@ -192,9 +192,10 @@ def estimate_mean_l2(d: ValueDistribution, epsilon: float,
         raise ValueError("support must be nonnegative")
     if not 0.0 < epsilon < 0.5:
         raise ValueError("epsilon must be in (0, 1/2)")
-    D = l2_constant()
+    t0 = l2_constant() * math.sqrt(math.log2(1.0 / epsilon)) / epsilon
+    _check_t(t0)  # before ceil: a tiny epsilon makes t0 (and k) infinite
     k = math.ceil(math.log2(1.0 / epsilon))
-    t0 = math.ceil(D * math.sqrt(math.log2(1.0 / epsilon)) / epsilon)
+    t0 = math.ceil(t0)
 
     # band l (1 <= l <= k) holds 2^(l-1) <= v < 2^l, band 0 holds v < 1;
     # amplitude E[v/2^l; v in band l], clipped to 1 against rounding

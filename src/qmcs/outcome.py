@@ -65,7 +65,7 @@ class ValueDistribution:
         return [(float(v), float(p)) for v, p in zip(self.values, self.probs)]
 
 
-@dataclass
+@dataclass(slots=True)  # callers keep one per estimate: no per-instance dict
 class QueryLedger:
     """Counters for every metered resource of one estimation run."""
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmcs.amplitude import (AE_LAW_T_CAP, AE_SUCCESS_PROB, AE_T_CAP, _circle_dist, _draw_outcome,
+from qmcs.amplitude import (AE_LAW_T_CAP, AE_SUCCESS_PROB, AE_T_CAP, _circle_dist, _draw_outcomes,
                             _kernel, ae_circuit_distribution,
                             ae_measurement_probs, ae_median,
                             ae_outcome_distribution, ae_sample,
@@ -120,14 +120,15 @@ def test_interval_coverage_is_a_probability():
     assert AE_SUCCESS_PROB - 1e-12 <= cov <= 1.0
 
 
-def _chunked_scan(omega, t, rng):
-    """The numpy inverse-CDF scan _draw_outcome replaced, kept as its oracle."""
-    u = rng.random()
+def _chunked_scan(omega, t, u):
+    """Chunked numpy inverse-CDF scan, the oracle of _draw_outcomes: the
+    outcome for one uniform u.  Offsets stop at t/2, so each outcome is read
+    once and an unreached u gets the last one."""
     center = int(round(t * omega)) % t
     acc = 0.0
     last = center
     chunk = 64
-    max_off = t // 2 + 1
+    max_off = t // 2
     for start in range(0, max_off + 1, chunk):
         offs = np.arange(start, min(start + chunk, max_off + 1))
         signed = np.empty(2 * len(offs), dtype=np.int64)
@@ -145,32 +146,43 @@ def _chunked_scan(omega, t, rng):
     return last
 
 
-class _FixedUniform:
-    """Stands in for the generator: every random() returns u."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def random(self):
-        return self.u
+SCAN_TS = [1, 2, 3, 64, 127, 128, 129, 509, 20_000]
 
 
-@pytest.mark.parametrize("t", [1, 2, 3, 64, 127, 128, 129, 509, 20_000])
+@pytest.mark.parametrize("t", SCAN_TS)
 def test_scalar_scan_matches_chunked_oracle(t):
     rng = np.random.default_rng(t)
     omegas = list(rng.uniform(0.0, 0.5, 6)) + [0.0, 0.5, 3 / t % 1.0]
     for omega in omegas:
         for w in (omega, (1.0 - omega) % 1.0):
             for u in rng.random(8):
-                want = _chunked_scan(w, t, _FixedUniform(u))
-                assert _draw_outcome(w, t, _FixedUniform(u)) == want
+                assert _draw_outcomes(w, t, [u]) == [_chunked_scan(w, t, u)]
+
+
+@pytest.mark.parametrize("t", SCAN_TS + [AE_T_CAP])
+def test_batched_scan_matches_chunked_oracle(t):
+    # one scan serves a whole vector of u's: unsorted, with duplicates, 0.0
+    # and the largest double below 1 (which the running sum may never
+    # reach; at t = AE_T_CAP that would scan 2^31 terms, so there it is
+    # drawn only at on-grid phases, where the first term is already 1)
+    rng = np.random.default_rng(t % 2**32)
+    top = float(np.nextafter(1.0, 0.0))
+    on_grid = [0.0, 0.5, 3 / t % 1.0]
+    for omega in list(rng.uniform(0.0, 0.5, 4)) + on_grid:
+        for w in (omega, (1.0 - omega) % 1.0):
+            us = list(rng.random(7)) + [0.0, 0.0]
+            us += us[:3]
+            if t < AE_T_CAP or omega in on_grid:
+                us += [top, top]
+            rng.shuffle(us)
+            assert _draw_outcomes(w, t, us) == [_chunked_scan(w, t, u) for u in us]
 
 
 @pytest.mark.parametrize("t", [1, 2, 3, 64, 128, 129, 509])
 def test_scan_with_u_just_below_one_returns_a_residue(t):
     u = np.nextafter(1.0, 0.0)
     for omega in (0.0, 0.1234, 0.25, 0.5, 0.8766):
-        y = _draw_outcome(omega, t, _FixedUniform(u))
+        [y] = _draw_outcomes(omega, t, [u])
         assert isinstance(y, int) and 0 <= y < t
 
 
@@ -179,8 +191,31 @@ def test_scan_with_u_just_below_one_returns_a_residue(t):
        t=st.integers(1, 512),
        u=st.floats(0.0, 1.0 - 1e-9))
 def test_scalar_scan_matches_chunked_oracle_property(omega, t, u):
-    assert (_draw_outcome(omega, t, _FixedUniform(u))
-            == _chunked_scan(omega, t, _FixedUniform(u)))
+    assert _draw_outcomes(omega, t, [u]) == [_chunked_scan(omega, t, u)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.floats(0.0, 1.0), t=st.integers(1, 4096), n=st.integers(1, 15),
+       seed=st.integers(0, 2**32 - 1))
+def test_sized_sample_equals_scalar_calls(a, t, n, seed):
+    rng_one, rng_n = np.random.default_rng(seed), np.random.default_rng(seed)
+    ledger_one, ledger_n = QueryLedger(), QueryLedger()
+    want = [ae_sample(a, t, rng_one, ledger_one) for _ in range(n)]
+    assert all(type(v) is float for v in want)
+    assert ae_sample(a, t, rng_n, ledger_n, size=n) == want
+    assert ledger_n == ledger_one
+    assert rng_n.bit_generator.state == rng_one.bit_generator.state
+
+
+@pytest.mark.parametrize("size", [0, -2])
+def test_size_below_one_is_rejected_before_charging(size):
+    ledger = QueryLedger()
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="size must be >= 1"):
+        ae_sample(0.3, 25, rng, ledger, size=size)
+    assert ledger == QueryLedger()
+    assert rng.bit_generator.state == state
 
 
 @pytest.mark.parametrize("t", [0, -3])

@@ -295,10 +295,12 @@ def test_mean_classical_bad_setting_is_config_error(capsys, bernoulli, flag,
 
 
 @pytest.mark.parametrize("argv", [["--method", "variance", "--sigma", "1e200"],
-                                  ["--method", "l2", "--eps", "1e-12"]])
+                                  ["--method", "l2", "--eps", "1e-12"],
+                                  ["--method", "l2", "--eps", "5e-324"]])
 def test_mean_over_ae_length_cap_is_config_error(capsys, bernoulli, argv):
     # variance used to exit 0 charging about 3.7e210 reflections; l2 sampled
-    # at t0 = 1.3e14, where the outcome scan's phase error reaches 0.1 rad
+    # at t0 = 1.3e14, where the outcome scan's phase error reaches 0.1 rad,
+    # and at eps 5e-324 printed "cannot convert float infinity to integer"
     assert main(["mean", "--dist", bernoulli, *argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: t=") and err.count("\n") == 1
