@@ -9,8 +9,8 @@ query ledger so accuracy/cost scaling can be measured instead of assumed.
 __version__ = "1.0.0"
 
 from .outcome import (QueryLedger, ValueDistribution, from_arrays,
-                      make_distribution, truncate, transform, moments,
-                      classical_sample, classical_sample_block)
+                      make_distribution, truncate, transform,
+                      classical_sample_block)
 from .amplitude import (ae_outcome_distribution, ae_sample, ae_median,
                         ae_circuit_distribution, arcsin_gap_bound,
                         measurement_tv_bound, outcome_interval_halfwidth,

@@ -62,7 +62,13 @@ class MarkovChain:
 
     @property
     def lambda1(self) -> float:
-        return _lambda1(self)
+        """Second-largest eigenvalue magnitude, read from the cached spectrum."""
+        if np.any(self.pi <= 0):
+            raise ChainError("spectral analysis needs full-support pi")
+        mags = np.sort(np.abs(self.spectrum[0]))[::-1]
+        if abs(mags[0] - 1.0) > 1e-8:
+            raise ChainError("leading eigenvalue is not 1")
+        return float(mags[1]) if self.n > 1 else 0.0  # one state mixes at once
 
     @property
     def tau(self) -> float:
@@ -90,8 +96,10 @@ def glauber_chain(m: GibbsModel, beta: float) -> MarkovChain:
     size = m.size
     if size > SPECTRAL_CAP:
         raise ChainError(f"state space {size} exceeds dense cap {SPECTRAL_CAP}")
-    pi = gibbs_distribution(m, beta)  # fails first on a NaN or -inf beta
     n_sites = m.graph.n_vertices
+    if n_sites == 0:
+        raise ChainError("glauber chain needs at least one site")
+    pi = gibbs_distribution(m, beta)  # fails first on a NaN or -inf beta
     codes, k = m.codes, m.extra.get("k", 2)  # codes[i] == i
     P = np.zeros((size, size))
     for place in k ** np.arange(n_sites):
@@ -139,19 +147,9 @@ def chain_for(m: GibbsModel, beta: float) -> MarkovChain:
     return matching_chain(m, beta) if m.name == "matching" else glauber_chain(m, beta)
 
 
-def _lambda1(c: MarkovChain) -> float:
-    """Second-largest eigenvalue magnitude, read from the cached spectrum."""
-    if np.any(c.pi <= 0):
-        raise ChainError("spectral analysis needs full-support pi")
-    mags = np.sort(np.abs(c.spectrum[0]))[::-1]
-    if abs(mags[0] - 1.0) > 1e-8:
-        raise ChainError("leading eigenvalue is not 1")
-    return float(mags[1]) if c.n > 1 else 0.0  # one state mixes at once
-
-
 def relaxation_time(c: MarkovChain) -> float:
     """tau = 1/(1 - |lambda_1|); raises if the chain is not ergodic."""
-    lam = _lambda1(c)
+    lam = c.lambda1
     if lam >= 1.0 - 1e-12:
         raise ChainError("chain is not ergodic: |lambda_1| = 1")
     return 1.0 / (1.0 - lam)
@@ -169,10 +167,8 @@ def mix_sample(c: MarkovChain, start: int, steps: int,
         raise ValueError("steps must be >= 0")
     ledger.walk_steps += steps
     state = start
-    cums = None
+    cums = np.cumsum(c.P, axis=1)
     for _ in range(steps):
-        if cums is None:
-            cums = np.cumsum(c.P, axis=1)
         state = int(np.searchsorted(cums[state], rng.random(), side="right"))
         state = min(state, c.n - 1)
     return state

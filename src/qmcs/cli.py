@@ -196,7 +196,7 @@ def cmd_walk_check(args):
         w = szegedy_walk(chain_for(m, args.beta))
     except (ChainError, ValueError) as exc:
         return _fail(EXIT_CONTRACT, str(exc))
-    phases, _ = w.eigensystem()
+    phases, _ = w.eigensystem
     resid = float(np.abs(w.W.conj().T @ w.W - np.eye(len(w.W))).max())
     _emit({"schema": SCHEMA, "model": args.model, "beta": _finite(args.beta),
            "phases": sorted(round(p, 12) for p in phases),

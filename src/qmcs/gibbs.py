@@ -48,6 +48,8 @@ class Graph:
     edges: tuple
 
     def __post_init__(self):
+        if self.n_vertices < 0:
+            raise ValueError(f"negative vertex count {self.n_vertices}")
         seen = set()
         for u, v in self.edges:
             if u == v:

@@ -14,9 +14,9 @@ Four estimators, layered:
     normalize by a ceil(32B)-sample proxy mean, then the l2 routine.
 
 Plus the generic median-amplification wrapper (power_median / powering_reps)
-with the exact binomial tail (binom_upper_tail) rather than an asymptotic
-constant.  The constant C is a committed literal, which the test oracle
-recomputes from the exact outcome laws and checks bit for bit.
+with the exact binomial tail (outcome.binom_upper_tail) rather than an
+asymptotic constant.  The constant C is a committed literal, which the test
+oracle recomputes from the exact outcome laws and checks bit for bit.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .amplitude import AE_FAIL_PROB, _check_t, ae_median
 from .outcome import (
     QueryLedger,
     ValueDistribution,
-    classical_sample,
+    binom_upper_tail,
     classical_sample_block,
     transform,
     truncate,
@@ -41,7 +41,6 @@ from .outcome import (
 
 __all__ = [
     "Estimate",
-    "binom_upper_tail",
     "powering_reps",
     "power_median",
     "bounded_mean_constant",
@@ -70,40 +69,6 @@ class Estimate:
             raise ValueError("confidence must be in (0, 1]")
         if self.error_kind not in ("additive", "relative"):
             raise ValueError("error_kind must be 'additive' or 'relative'")
-
-
-def binom_upper_tail(n: int, k: int, p):
-    """Pr[Bin(n, p) >= k] for a scalar or an array p in [0, 1].
-
-    Summed from k away from the mean n p, where the terms fall: the upper
-    terms when k > n p, else 1 minus those of Bin(n, 1-p) from n-k+1, so a
-    tail near 1 is as accurate as one near 0.  A lead term with a factor
-    out of normal float range is taken through logs, with one final exp.
-    """
-    p = np.asarray(p, dtype=float)
-    if not 0 < k <= n:
-        return np.full(p.shape, float(k <= 0))[()]
-
-    def upper(k, p):  # the lead term times 1 + running products of ratios
-        r, rest = p / (1.0 - p), np.zeros_like(p)
-        for j in range(n - 1, k - 1, -1):  # by Horner, smallest terms first
-            rest = (1.0 + rest) * (r * ((n - j) / (j + 1)))
-        with np.errstate(under="ignore"):
-            lead = p**k * (1.0 - p) ** (n - k)
-        tail = (math.comb(n, k) if n <= 1020 else 0) * lead * (1.0 + rest)
-        # by logs if a lead factor is subnormal or C(n, k) may pass 2^1024
-        far = ~(lead >= np.finfo(float).tiny) | (n > 1020)
-        with np.errstate(divide="ignore"):  # log(0) = -inf: a zero tail
-            tail[far] = np.exp(math.log(math.comb(n, k)) + k * np.log(p[far])
-                               + (n - k) * np.log1p(-p[far])
-                               + np.log1p(rest[far]))
-        return tail
-
-    beyond = k > n * p
-    out = np.empty(p.shape)
-    out[beyond] = upper(k, p[beyond])
-    out[~beyond] = 1.0 - upper(n - k + 1, 1.0 - p[~beyond])
-    return out[()]
 
 
 @lru_cache(maxsize=256)
@@ -221,7 +186,7 @@ def estimate_mean_variance(d: ValueDistribution, sigma: float, epsilon: float,
     if not epsilon < 4.0 * sigma:
         raise ValueError("epsilon must be < 4*sigma")
     scaled = transform(d, lambda v: v / sigma)
-    m = classical_sample(scaled, rng, ledger)
+    m = float(classical_sample_block(scaled, 1, rng, ledger)[0])
     ledger.a_uses += 1
     centered = transform(scaled, lambda v: v - m)
     neg_part = transform(truncate(centered, "below", 0.0), lambda v: -v / 4.0)

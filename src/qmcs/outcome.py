@@ -3,7 +3,9 @@
 A randomized (or quantum) subroutine is modelled by the distribution of its
 real-valued output.  Distributions are finite, explicit and immutable;
 truncation and value-transformation operators mirror the derived algorithms
-built on top of them.
+built on top of them, and median_law gives the exact law of a median of
+iid draws (the powering lemma's amplification), from the exact binomial
+tail binom_upper_tail.
 """
 
 from __future__ import annotations
@@ -22,12 +24,13 @@ __all__ = [
     "make_distribution",
     "truncate",
     "transform",
-    "moments",
-    "classical_sample",
+    "binom_upper_tail",
+    "median_law",
     "classical_sample_block",
 ]
 
 _NORM_TOL = 1e-9
+_PRUNE = 1e-16  # median-law mass below this is dropped
 SAMPLE_CAP = 10**7  # classical samples per block; the suite draws <= 120,000
 
 
@@ -147,17 +150,53 @@ def transform(d: ValueDistribution, f: Callable[[float], float]) -> ValueDistrib
     return from_arrays(values, d.probs)
 
 
-def moments(d: ValueDistribution) -> Tuple[float, float, float]:
-    """Exact (mean, variance, l2norm) where l2norm = sqrt(E[v^2])."""
-    return d.mean(), d.variance(), d.l2norm()
+def binom_upper_tail(n: int, k: int, p):
+    """Pr[Bin(n, p) >= k] for a scalar or an array p in [0, 1].
+
+    Summed from k away from the mean n p, where the terms fall: the upper
+    terms when k > n p, else 1 minus those of Bin(n, 1-p) from n-k+1, so a
+    tail near 1 is as accurate as one near 0.  A lead term with a factor
+    out of normal float range is taken through logs, with one final exp.
+    """
+    p = np.asarray(p, dtype=float)
+    if not 0 < k <= n:
+        return np.full(p.shape, float(k <= 0))[()]
+
+    def upper(k, p):  # the lead term times 1 + running products of ratios
+        r, rest = p / (1.0 - p), np.zeros_like(p)
+        for j in range(n - 1, k - 1, -1):  # by Horner, smallest terms first
+            rest = (1.0 + rest) * (r * ((n - j) / (j + 1)))
+        with np.errstate(under="ignore"):
+            lead = p**k * (1.0 - p) ** (n - k)
+        tail = (math.comb(n, k) if n <= 1020 else 0) * lead * (1.0 + rest)
+        # by logs if a lead factor is subnormal or C(n, k) may pass 2^1024
+        far = ~(lead >= np.finfo(float).tiny) | (n > 1020)
+        with np.errstate(divide="ignore"):  # log(0) = -inf: a zero tail
+            tail[far] = np.exp(math.log(math.comb(n, k)) + k * np.log(p[far])
+                               + (n - k) * np.log1p(-p[far])
+                               + np.log1p(rest[far]))
+        return tail
+
+    beyond = k > n * p
+    out = np.empty(p.shape)
+    out[beyond] = upper(k, p[beyond])
+    out[~beyond] = 1.0 - upper(n - k + 1, 1.0 - p[~beyond])
+    return out[()]
 
 
-def classical_sample(d: ValueDistribution, rng: np.random.Generator,
-                     ledger: QueryLedger) -> float:
-    """Draw one value; charges one classical sample."""
-    ledger.classical_samples += 1
-    idx = rng.choice(d.support_size, p=d.probs)
-    return float(d.values[idx])
+def median_law(d: ValueDistribution, m: int) -> ValueDistribution:
+    """Exact law of the median of m iid draws from d (m odd)."""
+    if m < 1 or m % 2 == 0:
+        raise ValueError("median of an even sample is ambiguous; m must be odd")
+    if m == 1:
+        return d
+    cdf = np.cumsum(d.probs)
+    need = (m + 1) // 2
+    tail = binom_upper_tail(m, need, np.clip(cdf, 0.0, 1.0))  # Pr[median <= v_k]
+    pmf = np.diff(np.concatenate([[0.0], tail]))
+    pmf = np.clip(pmf, 0.0, None)
+    keep = pmf > _PRUNE
+    return from_arrays(d.values[keep], pmf[keep] / pmf[keep].sum())
 
 
 def _sample_count(n) -> int:

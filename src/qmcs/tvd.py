@@ -14,18 +14,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .amplitude import AE_FAIL_PROB, ae_median, ae_outcome_distribution
-from .mean import (Estimate, binom_upper_tail, powering_reps,
-                   t_for_additive_error)
-from .outcome import QueryLedger, ValueDistribution, from_arrays
+from .mean import Estimate, powering_reps, t_for_additive_error
+from .outcome import QueryLedger, ValueDistribution, from_arrays, median_law
 
 __all__ = [
     "TvdInstance",
     "exact_tvd",
-    "median_law",
     "tvd_subroutine_distribution",
     "tvd_query_budget",
     "estimate_tvd",
@@ -33,7 +32,6 @@ __all__ = [
 ]
 
 _PRUNE = 1e-16
-_LAW_CACHE_SIZE = 64  # exact subroutine laws kept; the oldest goes first
 
 
 def _inner_t(n: int, epsilon: float) -> int:
@@ -86,21 +84,6 @@ def exact_tvd(p, q) -> float:
     return float(0.5 * np.abs(p - q).sum())
 
 
-def median_law(d: ValueDistribution, m: int) -> ValueDistribution:
-    """Exact law of the median of m iid draws from d (m odd)."""
-    if m < 1 or m % 2 == 0:
-        raise ValueError("median of an even sample is ambiguous; m must be odd")
-    if m == 1:
-        return d
-    cdf = np.cumsum(d.probs)
-    need = (m + 1) // 2
-    tail = binom_upper_tail(m, need, np.clip(cdf, 0.0, 1.0))  # Pr[median <= v_k]
-    pmf = np.diff(np.concatenate([[0.0], tail]))
-    pmf = np.clip(pmf, 0.0, None)
-    keep = pmf > _PRUNE
-    return from_arrays(d.values[keep], pmf[keep] / pmf[keep].sum())
-
-
 def _ratio_values(vp: np.ndarray, vq: np.ndarray) -> np.ndarray:
     num = np.abs(vp[:, None] - vq[None, :])
     den = vp[:, None] + vq[None, :]
@@ -109,15 +92,14 @@ def _ratio_values(vp: np.ndarray, vq: np.ndarray) -> np.ndarray:
     return out
 
 
-_LAW_CACHE: dict = {}
-
-
 def tvd_subroutine_distribution(inst: TvdInstance) -> ValueDistribution:
     """Exact output law of one subroutine call (memoized per instance)."""
-    key = (inst.p.tobytes(), inst.q.tobytes(), inst.epsilon)
-    cached = _LAW_CACHE.get(key)
-    if cached is not None:
-        return cached
+    return _subroutine_law(inst.p.tobytes(), inst.q.tobytes(), inst.epsilon)
+
+
+@lru_cache(maxsize=64)  # exact laws kept; the least recently used goes first
+def _subroutine_law(p: bytes, q: bytes, epsilon: float) -> ValueDistribution:
+    inst = TvdInstance(np.frombuffer(p), np.frombuffer(q), epsilon)
     t, reps = inst.t, inst.reps
     r = inst.r
     values, probs = [], []
@@ -136,11 +118,7 @@ def tvd_subroutine_distribution(inst: TvdInstance) -> ValueDistribution:
         probs.append(w[keep])
     values = np.concatenate(values)
     probs = np.concatenate(probs)
-    law = from_arrays(values, probs / probs.sum())
-    if len(_LAW_CACHE) >= _LAW_CACHE_SIZE:
-        del _LAW_CACHE[next(iter(_LAW_CACHE))]
-    _LAW_CACHE[key] = law
-    return law
+    return from_arrays(values, probs / probs.sum())
 
 
 def tvd_query_budget(n: int, epsilon: float, delta: float) -> dict:

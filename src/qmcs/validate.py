@@ -42,6 +42,12 @@ def _floor(p_succ: float, n: int) -> float:
     return p_succ - 3.0 * math.sqrt(p_succ * (1.0 - p_succ) / n)
 
 
+def _hit_rate(trials: int, run, truth: float, tol: float) -> float:
+    """Share of `trials` calls run(QueryLedger()) landing within tol of truth."""
+    hits = sum(abs(run(QueryLedger()) - truth) <= tol for _ in range(trials))
+    return hits / trials
+
+
 def _slope(eps_values, counts) -> float:
     x = np.log(1.0 / np.asarray(eps_values, float))
     y = np.log(np.asarray(counts, float))
@@ -72,39 +78,34 @@ def criterion_1():
     return ok, details
 
 
-def criterion_2(trials=1000):
+def criterion_2():
     """Bounded-mean coverage on Bernoulli(1/4) at eps = 0.01."""
-    eps, delta = 0.01, 0.1
+    eps, delta, trials = 0.01, 0.1, 1000
     d = make_distribution([(0.0, 0.75), (1.0, 0.25)])
     t = t_for_additive_error(eps)
     rng = np.random.default_rng(20)
-    hits = 0
-    for _ in range(trials):
-        est = estimate_mean_bounded(d, t, delta, rng, QueryLedger())
-        hits += abs(est.value - 0.25) <= eps
-    rate = hits / trials
+    rate = _hit_rate(trials, lambda led: estimate_mean_bounded(
+        d, t, delta, rng, led).value, 0.25, eps)
     floor = _floor(1.0 - delta, trials)
     return rate >= floor, {"rate": rate, "floor": floor, "t": t}
 
 
-def criterion_3(trials=1000):
+def criterion_3():
     """Second-moment estimator coverage on the heavy-tail two-point law."""
-    eps = 0.05
+    eps, trials = 0.05, 1000
     d = make_distribution([(0.0, 63 / 64), (8.0, 1 / 64)])
     bound = eps * (d.l2norm() + 1.0) ** 2
     rng = np.random.default_rng(30)
-    hits = 0
-    for _ in range(trials):
-        est = estimate_mean_l2(d, eps, rng, QueryLedger())
-        hits += abs(est.value - d.mean()) <= bound
-    rate = hits / trials
+    rate = _hit_rate(trials, lambda led: estimate_mean_l2(
+        d, eps, rng, led).value, d.mean(), bound)
     floor = _floor(0.8, trials)
     return rate >= floor, {"rate": rate, "floor": floor,
                            "error_bound": bound, "mean": d.mean()}
 
 
-def criterion_4(trials=200):
+def criterion_4():
     """Variance-mode coverage and the quantum/classical accuracy slopes."""
+    trials = 200
     d = make_distribution([(4.0, 0.25), (5.0, 0.5), (6.0, 0.25)])
     sigma = 1.0
     sweep = [0.1, 0.05, 0.02, 0.01, 0.005]
@@ -135,16 +136,13 @@ def criterion_4(trials=200):
                 "classical_slope": c_slope}
 
 
-def criterion_5(trials=1000):
+def criterion_5():
     """Relative-error coverage on the two-point law with B = 5/4."""
-    eps, B = 0.05, 1.25
+    eps, B, trials = 0.05, 1.25, 1000
     d = make_distribution([(1.0, 0.5), (3.0, 0.5)])
     rng = np.random.default_rng(50)
-    hits = 0
-    for _ in range(trials):
-        est = estimate_mean_relative(d, B, eps, rng, QueryLedger())
-        hits += abs(est.value - 2.0) <= eps * 2.0
-    rate = hits / trials
+    rate = _hit_rate(trials, lambda led: estimate_mean_relative(
+        d, B, eps, rng, led).value, 2.0, eps * 2.0)
     floor = _floor(0.75, trials)
     return rate >= floor, {"rate": rate, "floor": floor}
 
@@ -200,25 +198,20 @@ def criterion_7():
     return ok, {"lengths": lengths, "k2_B2": [str(b) for b in k2_b2.betas]}
 
 
-def criterion_8(trials=300):
+def criterion_8():
     """End-to-end partition estimation coverage and ledger slopes."""
+    trials = 300
     rng = np.random.default_rng(80)
     m_ising = ising_model(K2)
     s_ising = build_schedule(m_ising, 2.0)
-    hits = 0
-    for _ in range(trials):
-        pe = estimate_partition(m_ising, s_ising, 0.1, 0.25, "ideal_sampling",
-                                rng, QueryLedger())
-        hits += abs(pe.z_value - 2.0) <= 0.1 * 2.0
-    rate_ising = hits / trials
+    rate_ising = _hit_rate(trials, lambda led: estimate_partition(
+        m_ising, s_ising, 0.1, 0.25, "ideal_sampling", rng, led).z_value,
+        2.0, 0.1 * 2.0)
     m_match = matching_model(C4)
     s_match = build_schedule(m_match, 2.0, "reversed")
-    hits = 0
-    for _ in range(trials):
-        pe = estimate_partition(m_match, s_match, 0.2, 0.25, "ideal_sampling",
-                                rng, QueryLedger())
-        hits += abs(pe.z_value - 7.0) <= 0.2 * 7.0
-    rate_match = hits / trials
+    rate_match = _hit_rate(trials, lambda led: estimate_partition(
+        m_match, s_match, 0.2, 0.25, "ideal_sampling", rng, led).z_value,
+        7.0, 0.2 * 7.0)
     sweep = [0.2, 0.1, 0.05, 0.025]
     totals, classical = [], []
     for eps in sweep:
@@ -283,23 +276,18 @@ def criterion_9():
                 "worst_reflection_ratio": worst_refl, "fidelity": fidelity}
 
 
-def criterion_10(trials=200):
+def criterion_10():
     """TVD coverage at distances {0, 1/2, 1}, iteration slope, stability sweep."""
-    eps, delta = 0.1, 0.1
+    eps, delta, trials = 0.1, 0.1, 200
     instances = [
         (np.full(8, 1 / 8), np.full(8, 1 / 8)),
         (np.array([0.5, 0.5, 0.0]), np.array([0.0, 0.5, 0.5])),
         (np.array([1.0, 0.0]), np.array([0.0, 1.0])),
     ]
     rng = np.random.default_rng(100)
-    rates = []
-    for p, q in instances:
-        truth = exact_tvd(p, q)
-        hits = 0
-        for _ in range(trials):
-            est = estimate_tvd(p, q, eps, delta, rng, QueryLedger())
-            hits += abs(est.value - truth) <= eps
-        rates.append(hits / trials)
+    rates = [_hit_rate(trials, lambda led: estimate_tvd(
+        p, q, eps, delta, rng, led).value, exact_tvd(p, q), eps)
+        for p, q in instances]
     floor = _floor(1.0 - delta, trials)
     sweep = [0.04, 0.02, 0.01, 0.005]
     budget = [tvd_query_budget(3, e, delta)["ae_iterations"] for e in sweep]
@@ -319,8 +307,9 @@ def criterion_10(trials=200):
                 "stability_violations": violations}
 
 
-def criterion_11(trials=400):
+def criterion_11():
     """Arcsin gap, kernel TV bound, and failure under a tiny perturbation."""
+    trials = 400
     rng = np.random.default_rng(110)
     ok = True
     for _ in range(10000):

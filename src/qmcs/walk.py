@@ -30,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .chains import MarkovChain, chain_for, discriminant_matrix, relaxation_time
+from .chains import MarkovChain, chain_for, relaxation_time
 from .gibbs import GibbsModel, gibbs_distribution, overlap_squared
 from .outcome import QueryLedger
 
@@ -40,7 +40,6 @@ __all__ = [
     "ReflectionSpec",
     "szegedy_walk",
     "spectral_correspondence_residual",
-    "discriminant_matrix",
     "approx_reflection",
     "ApproxReflection",
     "warm_start_prepare",
@@ -65,12 +64,9 @@ class WalkOperator:
         if resid > 1e-10:
             raise ValueError(f"walk operator not unitary (residual {resid:.2e})")
 
+    @cached_property
     def eigensystem(self):
         """Unitary eigendecomposition (phases in (-pi, pi], orthonormal vectors)."""
-        return self._eigensystem
-
-    @cached_property
-    def _eigensystem(self):
         import scipy.linalg  # the dense oracle alone needs scipy
 
         # one complex Schur factorisation per operator, shared by every caller
@@ -86,7 +82,7 @@ class WalkOperator:
 
     @property
     def phase_gap(self) -> float:
-        phases, _ = self._eigensystem
+        phases, _ = self.eigensystem
         nz = np.abs(phases)[np.abs(phases) > 1e-9]
         return float(nz.min())
 
@@ -138,7 +134,7 @@ def spectral_correspondence_residual(w: WalkOperator) -> float:
     cos(theta) for a pair of walk eigenphases +-theta; comparing cosines
     avoids the arccos conditioning blowup near |lam| = 1.
     """
-    phases, _ = w.eigensystem()
+    phases, _ = w.eigensystem
     cosines = np.cos(phases)
     lams = w.chain.spectrum[0]
     return float(max(np.abs(cosines - lam).min() for lam in lams))

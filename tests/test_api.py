@@ -21,9 +21,11 @@ import qmcs
 MODULES = sorted(info.name for info in pkgutil.iter_modules(qmcs.__path__)
                  if info.name != "__main__")
 
-# removed as unused; each must stay out of every module and of the package
+# removed as unused, duplicated or pass-through; each must stay out of every
+# module and of the package
 DELETED_NAMES = ("EstimatorConfig", "PhasePoint", "StabilityBound",
-                 "make_lazy", "quantum_sample_state")
+                 "make_lazy", "quantum_sample_state", "classical_sample",
+                 "moments", "_lambda1", "_LAW_CACHE", "_LAW_CACHE_SIZE")
 DELETED_PARAMETERS = {
     "walk.ApproxReflection": ("walk",),
     "walk.ReflectionSpec": ("b", "c_r"),
@@ -35,7 +37,13 @@ DELETED_PARAMETERS = {
     "amplitude.interval_coverage": ("halfwidth",),
     "outcome.QueryLedger": ("state_copies",),
     "chains.MarkovChain": ("lazy",),
+    **{f"validate.criterion_{cid}": ("trials",)
+       for cid in (2, 3, 4, 5, 8, 10, 11)},
 }
+# each defined once, in the first module; the others only import it
+ONE_HOME = {"median_law": ("outcome", "tvd"),
+            "binom_upper_tail": ("outcome", "mean"),
+            "discriminant_matrix": ("chains", "walk")}
 
 
 def _package_imports():
@@ -77,6 +85,17 @@ def test_deleted_parameter_gone(target):
     obj = getattr(importlib.import_module(f"qmcs.{module_name}"), attr)
     params = inspect.signature(obj).parameters
     assert not set(DELETED_PARAMETERS[target]) & set(params)
+
+
+@pytest.mark.parametrize("name", sorted(ONE_HOME))
+def test_one_home_per_function(name):
+    home, *users = ONE_HOME[name]
+    fn = getattr(importlib.import_module(f"qmcs.{home}"), name)
+    assert fn.__module__ == f"qmcs.{home}"
+    for user in users:
+        module = importlib.import_module(f"qmcs.{user}")
+        assert getattr(module, name, fn) is fn
+        assert name not in module.__all__
 
 
 def test_import_loads_no_scipy():

@@ -358,6 +358,32 @@ def test_partition_without_ground_states_is_contract_error(capsys, tmp_path):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("cmd", [["model"], ["chain"],
+                                 ["partition", "--mode", "classical"]])
+def test_negative_vertex_count_is_bad_graph(capsys, tmp_path, cmd):
+    path = tmp_path / "negative.txt"
+    path.write_text("-1 0\n")
+    code = main(cmd + ["--model", "ising", "--graph", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: bad graph file: negative vertex count -1\n"
+
+
+@pytest.mark.parametrize("cmd", [["chain"], ["walk-check"],
+                                 ["partition", "--mode", "walk_idealized"]])
+def test_glauber_chain_without_sites_is_contract_error(capsys, tmp_path, cmd):
+    path = tmp_path / "empty.txt"
+    path.write_text("0 0\n")
+    code = main(cmd + ["--model", "ising", "--graph", str(path)])
+    assert code == 3
+    assert capsys.readouterr().err == \
+        "error: glauber chain needs at least one site\n"
+    # the model itself is fine: one empty configuration, Z = 1
+    code, out = _run(capsys, ["model", "--model", "ising", "--graph",
+                              str(path), "--betas", "0,inf"])
+    assert code == 0 and out == "beta,Z,Z_unshifted\n0.0,1.0,1.0\ninf,1.0,1.0\n"
+
+
 @pytest.fixture(scope="module")
 def fuzz_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")

@@ -10,13 +10,14 @@ from scipy.stats import binom
 from qmcs import mean
 from qmcs.amplitude import (AE_FAIL_PROB, AE_SUCCESS_PROB,
                             ae_outcome_distribution)
-from qmcs.mean import (binom_upper_tail, bounded_mean_constant,
+from qmcs.mean import (bounded_mean_constant,
                        classical_mean_chebyshev,
                        estimate_mean_bounded, estimate_mean_l2,
                        estimate_mean_relative, estimate_mean_variance,
                        l2_constant, power_median, powering_reps,
                        t_for_additive_error)
-from qmcs.outcome import QueryLedger, make_distribution, transform, truncate
+from qmcs.outcome import (QueryLedger, binom_upper_tail, make_distribution,
+                          transform, truncate)
 
 
 def _rng(seed):

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmcs.outcome import (DistributionError, QueryLedger, classical_sample,
+from qmcs.outcome import (DistributionError, QueryLedger,
                           classical_sample_block, from_arrays,
-                          make_distribution, moments, transform, truncate)
+                          make_distribution, transform, truncate)
 
 
 def test_merge_duplicates():
@@ -68,7 +68,7 @@ def test_moments_against_direct_sums():
     mean = sum(v * p for v, p in pairs)
     var = sum(p * (v - mean) ** 2 for v, p in pairs)
     l2 = np.sqrt(sum(p * v * v for v, p in pairs))
-    got = moments(d)
+    got = (d.mean(), d.variance(), d.l2norm())
     assert got == pytest.approx((mean, var, l2))
 
 
@@ -107,8 +107,8 @@ def test_classical_sampling_ledger_and_law():
     xs = classical_sample_block(d, 20000, rng, ledger)
     assert ledger.classical_samples == 20000
     assert np.mean(xs) == pytest.approx(0.25, abs=0.02)
-    classical_sample(d, rng, ledger)
-    assert ledger.classical_samples == 20001
+    one = classical_sample_block(d, 1, rng, ledger)
+    assert one.shape == (1,) and ledger.classical_samples == 20001
 
 
 def test_ledger_merge_and_snapshot():

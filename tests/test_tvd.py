@@ -9,8 +9,8 @@ from scipy.stats import binom
 
 from qmcs import tvd
 from qmcs.amplitude import ae_outcome_distribution
-from qmcs.outcome import QueryLedger, from_arrays, make_distribution
-from qmcs.tvd import (TvdInstance, estimate_tvd, exact_tvd, median_law,
+from qmcs.outcome import QueryLedger, from_arrays, make_distribution, median_law
+from qmcs.tvd import (TvdInstance, estimate_tvd, exact_tvd,
                       ratio_stability_check, tvd_query_budget,
                       tvd_subroutine_distribution)
 
@@ -184,17 +184,23 @@ def test_ratio_stability_randomized_sweep():
 
 
 def test_law_cache_stays_at_its_cap():
-    cap = tvd._LAW_CACHE_SIZE
-    assert cap >= 64
-    tvd._LAW_CACHE.clear()
+    cache = tvd._subroutine_law
+    cap = cache.cache_info().maxsize
+    assert cap == 64
+    cache.cache_clear()
     insts = [TvdInstance([a, 1.0 - a], [0.5, 0.5], 0.9)
-             for a in np.linspace(0.01, 0.49, cap + 5)]
-    for inst in insts:
-        tvd_subroutine_distribution(inst)
-        assert len(tvd._LAW_CACHE) <= cap
-    assert len(tvd._LAW_CACHE) == cap
-    keys = [(i.p.tobytes(), i.q.tobytes(), i.epsilon) for i in insts]
-    # the oldest entries went first; the newest are all still held
-    assert not any(k in tvd._LAW_CACHE for k in keys[:5])
-    assert all(k in tvd._LAW_CACHE for k in keys[5:])
-    tvd._LAW_CACHE.clear()
+             for a in np.linspace(0.01, 0.49, cap + 1)]
+    laws = [tvd_subroutine_distribution(inst) for inst in insts]
+    info = cache.cache_info()
+    assert (info.misses, info.currsize) == (cap + 1, cap)
+    # the newest cap laws are all held, as the very objects first built
+    assert all(tvd_subroutine_distribution(inst) is law
+               for inst, law in zip(insts[1:], laws[1:]))
+    assert cache.cache_info().hits == cap
+    # the oldest went first (a miss now, which drops insts[1]); a law read
+    # again (insts[2]) outlives the ones read before it (insts[3])
+    for i in (0, 2, 1, 2, 3):
+        tvd_subroutine_distribution(insts[i])
+    info = cache.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (cap + 2, cap + 4, cap)
+    cache.cache_clear()

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from qmcs.chains import MarkovChain, chain_for, glauber_chain, relaxation_time
+from qmcs.chains import (MarkovChain, chain_for, discriminant_matrix,
+                         glauber_chain, relaxation_time)
 from qmcs.gibbs import (Graph, colouring_model, gibbs_distribution,
                         ising_model, matching_model)
 from qmcs.outcome import QueryLedger
 from qmcs.partition import build_schedule
 from qmcs.walk import (ApproxReflection, ReflectionSpec, approx_reflection,
-                       discriminant_matrix,
                        reflection_cost, spectral_correspondence_residual,
                        szegedy_walk, warm_start_cost, warm_start_prepare)
 
@@ -50,7 +50,7 @@ class _EdgeReflection:
     """
 
     def __init__(self, walk, spec):
-        phases, self.vecs = walk.eigensystem()
+        phases, self.vecs = walk.eigensystem
         self.b = (math.ceil(math.log2(2.0 * math.pi / walk.phase_gap))
                   + math.ceil(math.log2(1.0 / spec.epsilon_r)) + 2)
         self.charge = 2**self.b
@@ -75,7 +75,7 @@ def test_walk_is_unitary_and_real():
 def test_symmetric_two_state_phases():
     # discriminant eigenvalues 1 and 1/2 -> phases {0, +-pi/3, pi}
     w = szegedy_walk(_two_state(0.25, 0.25))
-    phases, _ = w.eigensystem()
+    phases, _ = w.eigensystem
     want = np.sort([0.0, math.pi / 3.0, -math.pi / 3.0, math.pi])
     assert np.allclose(np.sort(phases), want, atol=1e-9)
     assert w.phase_gap == pytest.approx(math.pi / 3.0)
