@@ -23,7 +23,7 @@ from .gibbs import (Graph, GibbsModel, read_graph, ising_model,
                     colouring_model, matching_model, exact_partition,
                     gibbs_distribution, chi_squared, overlap_squared)
 from .chains import (MarkovChain, glauber_chain, matching_chain, chain_for,
-                     relaxation_time, mix_sample, mixing_steps)
+                     relaxation_time)
 from .walk import (WalkOperator, QuantumSample, ReflectionSpec, szegedy_walk,
                    approx_reflection, warm_start_prepare,
                    spectral_correspondence_residual)

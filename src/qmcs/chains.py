@@ -16,7 +16,6 @@ from functools import cached_property
 import numpy as np
 
 from .gibbs import GibbsModel, _boltzmann, gibbs_distribution
-from .outcome import QueryLedger
 
 __all__ = [
     "MarkovChain",
@@ -26,8 +25,6 @@ __all__ = [
     "chain_for",
     "relaxation_time",
     "discriminant_matrix",
-    "mix_sample",
-    "mixing_steps",
 ]
 
 SPECTRAL_CAP = 4096
@@ -69,10 +66,6 @@ class MarkovChain:
         if abs(mags[0] - 1.0) > 1e-8:
             raise ChainError("leading eigenvalue is not 1")
         return float(mags[1]) if self.n > 1 else 0.0  # one state mixes at once
-
-    @property
-    def tau(self) -> float:
-        return relaxation_time(self)
 
     @cached_property
     def spectrum(self):
@@ -154,21 +147,3 @@ def relaxation_time(c: MarkovChain) -> float:
         raise ChainError("chain is not ergodic: |lambda_1| = 1")
     return 1.0 / (1.0 - lam)
 
-
-def mixing_steps(c: MarkovChain, eps: float) -> int:
-    """Step count ceil(tau * ln(1/(eps * pi_min))) for TV accuracy eps."""
-    return math.ceil(c.tau * math.log(1.0 / (eps * float(c.pi.min()))))
-
-
-def mix_sample(c: MarkovChain, start: int, steps: int,
-               rng: np.random.Generator, ledger: QueryLedger) -> int:
-    """Run the chain for `steps` transitions from state index `start`."""
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
-    ledger.walk_steps += steps
-    state = start
-    cums = np.cumsum(c.P, axis=1)
-    for _ in range(steps):
-        state = int(np.searchsorted(cums[state], rng.random(), side="right"))
-        state = min(state, c.n - 1)
-    return state

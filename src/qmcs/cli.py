@@ -11,12 +11,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
 
 from . import __version__
-from .chains import ChainError, chain_for
+from .chains import ChainError, chain_for, relaxation_time
 from .gibbs import (colouring_model, exact_partition, ising_model,
                     matching_model, read_graph)
 from .mean import (bounded_mean_constant, classical_mean_chebyshev,
@@ -179,7 +180,7 @@ def cmd_chain(args):
     m = _load_model(args)
     try:
         c = chain_for(m, args.beta)
-        tau = c.tau
+        tau = relaxation_time(c)
     except ChainError as exc:
         return _fail(EXIT_CONTRACT, str(exc))
     _emit({"schema": SCHEMA, "model": args.model, "beta": _finite(args.beta),
@@ -399,7 +400,13 @@ def build_parser():
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader left; stdout on devnull keeps the final flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _fail(EXIT_IO, "stdout closed before the output was written")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_CONFIG
     except (ValueError, ArithmeticError) as exc:  # bad settings or inputs

@@ -8,8 +8,8 @@ sums restrict to the ground states H = 0.
 
 _level_law gives the law of H under pi_beta on the occupied levels, at most
 |E|+1 points.  The Gibbs vector, overlaps, chi-squared and the ratio laws of
-`partition` all read it; only the chains, the coherent amplitudes of `walk`
-and the `mix` baseline need per-state vectors.
+`partition` all read it; only the chains and the coherent amplitudes of
+`walk` need per-state vectors.
 
 States are integer codes in the read-only array `codes`, indexed like
 `energies`.  Ising and colouring: codes[i] == i, the mixed-radix number whose

@@ -15,7 +15,7 @@ ratio variable (its relative second moment diverges), so that single ratio
 is estimated forward -- the ground-state indicator under pi_{beta_{l-1}} --
 and inverted.  Every schedule runs from beta = 0 to inf.  A ratio variable
 sees a state only through H, so its law lives on the occupied energy levels
-(gibbs._level_law); only the `mix` baseline reads per-state values.
+(gibbs._level_law).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chains import chain_for, mix_sample, mixing_steps
+from .chains import chain_for
 from .gibbs import (GibbsModel, _level_law, chebyshev_ratio, exact_partition,
                     overlap_squared)
 from .mean import estimate_mean_relative, power_median, powering_reps
@@ -41,7 +41,6 @@ __all__ = [
     "ScheduleError",
     "ratio_variable",
     "reversed_ratio_variable",
-    "chebyshev_ratio",
     "build_schedule",
     "verify_schedule",
     "estimate_partition",
@@ -50,6 +49,7 @@ __all__ = [
 
 BETA_CAP = 1e6
 SCHEDULE_CAP = 256  # rungs; the suite's longest schedule has 7
+REPS_CAP = 1001  # relative estimates per ratio: delta/ell down to about 1e-64
 _BISECT_ITERS = 60
 
 
@@ -237,6 +237,9 @@ def estimate_partition(m: GibbsModel, s: CoolingSchedule, epsilon: float,
     eps_i = epsilon / (2.0 * ell)
     delta_i = delta / ell
     reps = powering_reps(0.25, delta_i)
+    if reps > REPS_CAP:
+        raise ValueError(f"delta={delta!r} needs {reps} estimates per ratio, "
+                         f"over the cap {REPS_CAP}")
     if mode != "ideal_sampling":
         # per rung, one chain alive at a time: tau and the reflection's cost
         spec = ReflectionSpec(min(0.25, eps_i), mode.removeprefix("walk_"))
@@ -274,38 +277,17 @@ def estimate_partition(m: GibbsModel, s: CoolingSchedule, epsilon: float,
 
 
 def classical_baseline(m: GibbsModel, s: CoolingSchedule, epsilon: float,
-                       rng: np.random.Generator, ledger: QueryLedger,
-                       sampling: str = "ideal") -> PartitionEstimate:
+                       rng: np.random.Generator,
+                       ledger: QueryLedger) -> PartitionEstimate:
     """Product of per-ratio sample means, 16*B*ell/eps^2 samples per ratio."""
-    if sampling not in ("ideal", "mix"):
-        raise ValueError(f"unknown sampling {sampling!r}")
     plan, anchor = _rung_plan(m, s)
     n = _sample_count(16.0 * s.B * s.ell / epsilon**2)
     ratios = []
     for r in plan:
-        if sampling == "ideal":
-            draws = classical_sample_block(r.variable(m), n, rng, ledger)
-            alpha = float(np.mean(draws))
-        else:
-            values = _ratio_values(m.energies, r.beta_i, r.beta_j, r.reverse)
-            alpha = _mix_sampled_mean(m, s.betas[r.rung], values, n, rng,
-                                      ledger)
-        ratios.append(r.factor(alpha))
+        draws = classical_sample_block(r.variable(m), n, rng, ledger)
+        ratios.append(r.factor(float(np.mean(draws))))
     return PartitionEstimate(z_value=float(anchor * np.prod(ratios)),
                              ratios=ratios, epsilon=epsilon, delta=0.25,
                              ledger=ledger.snapshot(),
-                             meta={"mode": "classical", "sampling": sampling,
+                             meta={"mode": "classical", "sampling": "ideal",
                                    "samples_per_ratio": n})
-
-
-def _mix_sampled_mean(m, beta, values, n, rng, ledger):
-    """Mean of per-state values over n finitely-mixed chain samples at beta."""
-    chain = chain_for(m, beta)
-    steps = mixing_steps(chain, 0.01)
-    total = 0.0
-    for _ in range(n):
-        start = int(rng.integers(chain.n))
-        x = mix_sample(chain, start, steps, rng, ledger)
-        ledger.classical_samples += 1
-        total += float(values[x])
-    return total / n

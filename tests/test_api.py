@@ -25,7 +25,8 @@ MODULES = sorted(info.name for info in pkgutil.iter_modules(qmcs.__path__)
 # module and of the package
 DELETED_NAMES = ("EstimatorConfig", "PhasePoint", "StabilityBound",
                  "make_lazy", "quantum_sample_state", "classical_sample",
-                 "moments", "_lambda1", "_LAW_CACHE", "_LAW_CACHE_SIZE")
+                 "moments", "_lambda1", "_LAW_CACHE", "_LAW_CACHE_SIZE",
+                 "mix_sample", "mixing_steps", "_mix_sampled_mean")
 DELETED_PARAMETERS = {
     "walk.ApproxReflection": ("walk",),
     "walk.ReflectionSpec": ("b", "c_r"),
@@ -37,13 +38,15 @@ DELETED_PARAMETERS = {
     "amplitude.interval_coverage": ("halfwidth",),
     "outcome.QueryLedger": ("state_copies",),
     "chains.MarkovChain": ("lazy",),
+    "partition.classical_baseline": ("sampling",),
     **{f"validate.criterion_{cid}": ("trials",)
        for cid in (2, 3, 4, 5, 8, 10, 11)},
 }
 # each defined once, in the first module; the others only import it
 ONE_HOME = {"median_law": ("outcome", "tvd"),
             "binom_upper_tail": ("outcome", "mean"),
-            "discriminant_matrix": ("chains", "walk")}
+            "discriminant_matrix": ("chains", "walk"),
+            "chebyshev_ratio": ("gibbs", "partition")}
 
 
 def _package_imports():

@@ -9,8 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qmcs.chains import (ChainError, MarkovChain, chain_for, glauber_chain,
-                         matching_chain, mix_sample, mixing_steps,
-                         relaxation_time)
+                         matching_chain, relaxation_time)
 from qmcs.gibbs import (Graph, colouring_model, gibbs_distribution,
                         ising_model, matching_model)
 from qmcs.outcome import QueryLedger
@@ -63,7 +62,7 @@ def test_one_state_chain_mixes_at_once():
     # one colour on a triangle leaves one state; lambda1 used to index past it
     c = glauber_chain(colouring_model(Graph(3, ((0, 1), (1, 2), (0, 2))), 1),
                       0.0)
-    assert c.n == 1 and c.lambda1 == 0.0 and c.tau == 1.0
+    assert c.n == 1 and c.lambda1 == 0.0 and relaxation_time(c) == 1.0
 
 
 def test_two_state_flip_relaxation():
@@ -169,26 +168,6 @@ def test_lazy_spectrum_nonnegative():
     s = np.sqrt(c.pi)
     sym = (s[:, None] * c.P) / s[None, :]
     assert np.linalg.eigvalsh((sym + sym.T) / 2).min() >= -1e-12
-
-
-def test_mixing_steps_formula():
-    P = np.array([[0.75, 0.25], [0.25, 0.75]])
-    c = MarkovChain(P, np.array([0.5, 0.5]))
-    assert mixing_steps(c, 0.01) == math.ceil(2.0 * math.log(200.0))
-
-
-def test_mix_sample_converges_and_charges():
-    c = glauber_chain(ising_model(K2), 1.0)
-    steps = mixing_steps(c, 0.01)
-    rng = np.random.default_rng(2)
-    ledger = QueryLedger()
-    counts = np.zeros(c.n)
-    trials = 4000
-    for _ in range(trials):
-        counts[mix_sample(c, 0, steps, rng, ledger)] += 1
-    assert ledger.walk_steps == trials * steps
-    tv = 0.5 * np.abs(counts / trials - c.pi).sum()
-    assert tv < 0.03
 
 
 # The per-state loop constructions that the array code replaced, kept as its
@@ -318,5 +297,5 @@ def test_one_eigensolve_per_rung_chain(monkeypatch):
     assert calls == ["eigh"] * s.ell  # one chain per rung below beta = inf
     calls.clear()
     c = glauber_chain(m, 0.7)
-    c.tau, c.lambda1
+    relaxation_time(c), c.lambda1
     assert calls == ["eigh"]  # what `qmcs chain` reads

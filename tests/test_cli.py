@@ -2,13 +2,18 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qmcs
 from qmcs.cli import main
 
 
@@ -330,6 +335,40 @@ def test_schedule_over_rung_cap_is_contract_error(capsys, tmp_path, cmd):
     assert code == 3
     assert capsys.readouterr().err == \
         "error: schedule at B=1.0000001 exceeds the 256-rung cap\n"
+
+
+def test_partition_over_reps_cap_is_contract_error(capsys, k2_graph):
+    # delta/ell = 5e-301 asks for 4,771 relative estimates per ratio, which
+    # took 3.4 s on two spins
+    start = time.monotonic()
+    code = main(["partition", "--model", "ising", "--graph", k2_graph,
+                 "--delta", "1e-300", "--eps", "0.9", "--B", "8"])
+    assert time.monotonic() - start < 1.0
+    assert code == 3
+    assert capsys.readouterr().err == ("error: delta=1e-300 needs 4771 "
+                                       "estimates per ratio, over the cap 1001\n")
+
+
+def test_closed_stdout_is_io_error(tmp_path):
+    # a reader that leaves early, as in `qmcs model ... | true`, used to end
+    # in a BrokenPipeError traceback and exit 1
+    path = tmp_path / "c4.txt"
+    path.write_text("4 4\n0 1\n1 2\n2 3\n3 0\n")
+    src = str(Path(qmcs.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qmcs", "model", "--model", "ising",
+             "--graph", str(path)],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_matching_chain_negative_beta(capsys, tmp_path):

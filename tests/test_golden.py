@@ -46,10 +46,10 @@ def _partition(model, mode):
     return run
 
 
-def _baseline(model, sampling):
+def _baseline(model):
     def run(rng, ledger):
         m, s = model()
-        return classical_baseline(m, s, 0.5, rng, ledger, sampling=sampling)
+        return classical_baseline(m, s, 0.5, rng, ledger)
     return run
 
 
@@ -69,10 +69,8 @@ CASES = {
     "partition_c4m_ideal_sampling": _partition(_c4_matching, "ideal_sampling"),
     "partition_c4m_walk_idealized": _partition(_c4_matching, "walk_idealized"),
     "partition_c4m_walk_exact_sim": _partition(_c4_matching, "walk_exact_sim"),
-    "baseline_k2_ideal": _baseline(_k2, "ideal"),
-    "baseline_k2_mix": _baseline(_k2, "mix"),
-    "baseline_c4m_ideal": _baseline(_c4_matching, "ideal"),
-    "baseline_c4m_mix": _baseline(_c4_matching, "mix"),
+    "baseline_k2_ideal": _baseline(_k2),
+    "baseline_c4m_ideal": _baseline(_c4_matching),
     "tvd_shifted": lambda rng, led: estimate_tvd(
         [0.5, 0.5, 0.0], [0.0, 0.5, 0.5], 0.1, 0.1, rng, led),
     "tvd_dirichlet": lambda rng, led: estimate_tvd(
@@ -196,15 +194,6 @@ EXPECTED = {
                    'walk_steps': 0,
                    'classical_samples': 384},
     },
-    'baseline_k2_mix': {
-        'z_value': 2.2108545356286062,
-        'ratios': [0.6591367559638082, 0.8385416666666666],
-        'ledger': {'a_uses': 0,
-                   'a_inv_uses': 0,
-                   'reflection_uses': 0,
-                   'walk_steps': 11904,
-                   'classical_samples': 384},
-    },
     'baseline_c4m_ideal': {
         'z_value': 7.452423280064128,
         'ratios': [3.3288730386739473, 1.7606620390871075, 1.2715231788079469],
@@ -212,15 +201,6 @@ EXPECTED = {
                    'a_inv_uses': 0,
                    'reflection_uses': 0,
                    'walk_steps': 0,
-                   'classical_samples': 1152},
-    },
-    'baseline_c4m_mix': {
-        'z_value': 6.72122437723916,
-        'ratios': [3.0663141830307077, 1.6553830941345924, 1.3241379310344827],
-        'ledger': {'a_uses': 0,
-                   'a_inv_uses': 0,
-                   'reflection_uses': 0,
-                   'walk_steps': 49152,
                    'classical_samples': 1152},
     },
     'tvd_shifted': {

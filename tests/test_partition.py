@@ -7,14 +7,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qmcs
-from qmcs.gibbs import (Graph, _boltzmann, chi_squared, colouring_model,
-                        exact_partition, gibbs_distribution, ising_model,
-                        matching_model, overlap_squared)
+from qmcs.gibbs import (Graph, _boltzmann, chebyshev_ratio, chi_squared,
+                        colouring_model, exact_partition, gibbs_distribution,
+                        ising_model, matching_model, overlap_squared)
 from qmcs.outcome import QueryLedger, from_arrays
 from qmcs.partition import (CoolingSchedule, ScheduleError, build_schedule,
-                            chebyshev_ratio, classical_baseline,
-                            estimate_partition, ratio_variable,
-                            reversed_ratio_variable, verify_schedule)
+                            classical_baseline, estimate_partition,
+                            ratio_variable, reversed_ratio_variable,
+                            verify_schedule)
 
 K2 = Graph(2, ((0, 1),))
 C4 = Graph(4, ((0, 1), (1, 2), (2, 3), (3, 0)))
@@ -122,24 +122,17 @@ def test_exact_sim_charges_exceed_idealized():
 
 
 def test_classical_baseline_sample_count_and_value():
-    m = ising_model(K2)
-    s = build_schedule(m, 2.0)
     eps = 0.1
-    ledger = QueryLedger()
-    est = classical_baseline(m, s, eps, np.random.default_rng(4), ledger)
-    n = math.ceil(16.0 * 2.0 * s.ell / eps**2)
-    assert ledger.classical_samples == n * s.ell
-    assert abs(est.z_value - 2.0) <= eps * 2.0
-
-
-def test_classical_baseline_mix_sampling():
-    m = ising_model(K2)
-    s = build_schedule(m, 2.0)
-    ledger = QueryLedger()
-    est = classical_baseline(m, s, 0.2, np.random.default_rng(5), ledger,
-                             sampling="mix")
-    assert ledger.walk_steps > 0
-    assert abs(est.z_value - 2.0) <= 0.2 * 2.0
+    for m, direction, z in ((ising_model(K2), "forward", 2.0),
+                            (matching_model(C4), "reversed", 7.0)):
+        s = build_schedule(m, 2.0, direction)
+        ledger = QueryLedger()
+        est = classical_baseline(m, s, eps, np.random.default_rng(4), ledger)
+        n = math.ceil(16.0 * 2.0 * s.ell / eps**2)
+        assert ledger.classical_samples == n * s.ell
+        # classical draws only: no oracle use and no walk step is charged
+        assert ledger.total_quantum() == 0 and ledger.a_uses == 0
+        assert abs(est.z_value - z) <= eps * z
 
 
 def test_estimate_rejects_bad_mode_and_schedule():
