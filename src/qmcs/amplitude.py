@@ -8,6 +8,8 @@ outcomes y in {0, ..., t-1}: the squared Dirichlet kernel
 
 mixed equally over the conjugate phases +-omega, with estimate
 a~ = sin^2(pi y / t).  Here d(x, y) = min_z |z + x - y| is circle distance.
+Outcomes y and t - y give the same estimate, so the law of a~ folds y onto
+the half grid sin^2(pi i / t), i = 0..t//2, which is strictly increasing.
 
 A dense circuit simulation of phase estimation on the two-dimensional
 rotation cross-validates the closed form.  The sampler draws a whole median
@@ -20,7 +22,7 @@ import math
 
 import numpy as np
 
-from .outcome import QueryLedger, ValueDistribution, from_arrays
+from .outcome import QueryLedger, ValueDistribution
 
 __all__ = [
     "amplitude_phase",
@@ -56,15 +58,15 @@ def amplitude_phase(a: float) -> float:
 
 
 def _circle_dist(x, y):
-    return np.abs(np.mod(x - y + 0.5, 1.0) - 0.5)
+    z = x - y + 0.5
+    return np.abs(z - np.floor(z) - 0.5)  # z - floor(z) is np.mod(z, 1.0), bit for bit
 
 
 def _kernel(delta: np.ndarray, t: int) -> np.ndarray:
     """Squared Dirichlet kernel with the on-grid limit value 1."""
-    out = np.ones_like(delta)
-    off = delta != 0.0
-    s = np.sin(np.pi * delta[off])
-    out[off] = (np.sin(np.pi * t * delta[off]) / (t * s)) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 on the grid
+        out = (np.sin(np.pi * t * delta) / (t * np.sin(np.pi * delta))) ** 2
+    out[delta == 0.0] = 1.0
     return out
 
 
@@ -83,17 +85,24 @@ def ae_measurement_probs(a: float, t: int) -> np.ndarray:
     return probs / total
 
 
-def _estimate_values(t: int) -> np.ndarray:
-    """a~ = sin^2(pi*y/t), computed from min(y, t-y) so conjugates merge exactly."""
-    y = np.arange(t)
-    y_eff = np.minimum(y, t - y)
-    return np.sin(np.pi * y_eff / t) ** 2
+def _fold(probs: np.ndarray) -> ValueDistribution:
+    """Law of a~ = sin^2(pi*y/t) from the length-t law of y.
+
+    Outcomes y and t-y give the same estimate, so y folds onto the half grid
+    sin^2(pi*i/t), i = 0..t//2, with mass probs[i] + probs[t-i]."""
+    t = len(probs)
+    values = np.sin(np.pi * np.arange(t // 2 + 1) / t) ** 2
+    if not np.all(values[1:] > values[:-1]):
+        raise ArithmeticError(f"estimate grid of t={t} is not strictly increasing")
+    pairs = (t - 1) // 2  # i = 1..pairs meet their conjugate t-i
+    merged = probs[: t // 2 + 1].copy()
+    merged[1 : pairs + 1] += probs[::-1][:pairs]
+    return ValueDistribution(values, merged / merged.sum())
 
 
 def ae_outcome_distribution(a: float, t: int) -> ValueDistribution:
     """Closed-form distribution of the estimate a~ for amplitude a, t iterations."""
-    probs = ae_measurement_probs(float(a), int(t))  # checks t before allocating
-    return from_arrays(_estimate_values(int(t)), probs)
+    return _fold(ae_measurement_probs(float(a), int(t)))  # checks t before allocating
 
 
 def _check_t(t) -> None:
@@ -187,7 +196,7 @@ def ae_circuit_distribution(a: float, t: int) -> ValueDistribution:
     state = f_inv @ state
     probs = np.abs(state[:, 0]) ** 2 + np.abs(state[:, 1]) ** 2
     probs = probs / probs.sum()
-    return from_arrays(_estimate_values(t), probs)
+    return _fold(probs)
 
 
 def arcsin_gap_bound(x: float, y: float):

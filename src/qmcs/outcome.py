@@ -5,13 +5,15 @@ real-valued output.  Distributions are finite, explicit and immutable;
 truncation and value-transformation operators mirror the derived algorithms
 built on top of them, and median_law gives the exact law of a median of
 iid draws (the powering lemma's amplification), from the exact binomial
-tail binom_upper_tail.
+tail binom_upper_tail, evaluated only on the window of the CDF where a
+median mass can pass the pruning level.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, fields, replace
+from functools import lru_cache
 from typing import Callable, Iterable, Tuple
 
 import numpy as np
@@ -171,32 +173,50 @@ def binom_upper_tail(n: int, k: int, p):
         tail = (math.comb(n, k) if n <= 1020 else 0) * lead * (1.0 + rest)
         # by logs if a lead factor is subnormal or C(n, k) may pass 2^1024
         far = ~(lead >= np.finfo(float).tiny) | (n > 1020)
-        with np.errstate(divide="ignore"):  # log(0) = -inf: a zero tail
-            tail[far] = np.exp(math.log(math.comb(n, k)) + k * np.log(p[far])
-                               + (n - k) * np.log1p(-p[far])
-                               + np.log1p(rest[far]))
+        if far.any():
+            with np.errstate(divide="ignore"):  # log(0) = -inf: a zero tail
+                tail[far] = np.exp(math.log(math.comb(n, k)) + k * np.log(p[far])
+                                   + (n - k) * np.log1p(-p[far])
+                                   + np.log1p(rest[far]))
         return tail
 
     beyond = k > n * p
     out = np.empty(p.shape)
-    out[beyond] = upper(k, p[beyond])
-    out[~beyond] = 1.0 - upper(n - k + 1, 1.0 - p[~beyond])
+    if beyond.any():  # a side of n p that holds no p is skipped
+        out[beyond] = upper(k, p[beyond])
+    if not beyond.all():
+        out[~beyond] = 1.0 - upper(n - k + 1, 1.0 - p[~beyond])
     return out[()]
 
 
+@lru_cache(maxsize=256)
+def _tail_floor(m: int) -> float:
+    """c with C(m, h) c^h = 1e-18, h = (m+1)/2, taken in logs: by the union
+    bound, Pr[Bin(m, p) >= h] <= 1e-18 for every p <= c."""
+    h = (m + 1) // 2
+    log_comb = math.lgamma(m + 1) - math.lgamma(h + 1) - math.lgamma(m - h + 1)
+    return math.exp((math.log(1e-18) - log_comb) / h)
+
+
 def median_law(d: ValueDistribution, m: int) -> ValueDistribution:
-    """Exact law of the median of m iid draws from d (m odd)."""
+    """Exact law of the median of m iid draws from d (m odd).
+
+    Pr[median <= v_k] = Pr[Bin(m, F_k) >= (m+1)/2] on the CDF F of d, taken
+    only where a mass can pass the pruning level, plus one neighbour below:
+    a tail is about 1e-18 at most while F_k <= c = _tail_floor(m), and rounds
+    to exactly 1 once 1 - F_k <= c (the same bound, on the lower tail)."""
     if m < 1 or m % 2 == 0:
         raise ValueError("median of an even sample is ambiguous; m must be odd")
     if m == 1:
         return d
-    cdf = np.cumsum(d.probs)
-    need = (m + 1) // 2
-    tail = binom_upper_tail(m, need, np.clip(cdf, 0.0, 1.0))  # Pr[median <= v_k]
-    pmf = np.diff(np.concatenate([[0.0], tail]))
-    pmf = np.clip(pmf, 0.0, None)
+    cdf = np.clip(np.cumsum(d.probs), 0.0, 1.0)
+    c = _tail_floor(m)
+    lo = max(int(np.searchsorted(cdf, c, side="right")) - 1, 0)
+    hi = int(np.searchsorted(cdf, 1.0 - c)) + 1  # through the first tail of 1
+    tail = binom_upper_tail(m, (m + 1) // 2, cdf[lo:hi])
+    pmf = np.diff(np.concatenate([[0.0], tail]))  # at lo > 0 a tail <= ~1e-18: pruned
     keep = pmf > _PRUNE
-    return from_arrays(d.values[keep], pmf[keep] / pmf[keep].sum())
+    return from_arrays(d.values[lo:hi][keep], pmf[keep] / pmf[keep].sum())
 
 
 def _sample_count(n) -> int:
