@@ -4,12 +4,15 @@ The estimation procedure with t Grover-type iterations on an amplitude
 a = sin^2(pi*omega) induces a closed-form distribution over measurement
 outcomes y in {0, ..., t-1}: the squared Dirichlet kernel
 
-    Pr[y | omega] = sin^2(pi t D) / (t^2 sin^2(pi D)),   D = d(y/t, omega),
+    Pr[y | omega] = sin^2(pi t D) / (t^2 sin^2(pi D)),   D = y/t - omega,
 
 mixed equally over the conjugate phases +-omega, with estimate
-a~ = sin^2(pi y / t).  Here d(x, y) = min_z |z + x - y| is circle distance.
-Outcomes y and t - y give the same estimate, so the law of a~ folds y onto
-the half grid sin^2(pi i / t), i = 0..t//2, which is strictly increasing.
+a~ = sin^2(pi y / t).  With c = round(t omega) and delta = t omega - c,
+outcome y = c + k, k in (-t/2, t/2], has t D = k - delta, so its mass is
+sin^2(pi delta) / (t sin(pi (k - delta) / t))^2: one sine per outcome.
+The -omega phase puts y's mass on t - y, whose estimate is y's, so the law
+of a~ is the +omega law folded onto the strictly increasing half grid
+sin^2(pi i / t), i = 0..t//2.
 
 A dense circuit simulation of phase estimation on the two-dimensional
 rotation cross-validates the closed form.  The sampler draws a whole median
@@ -19,6 +22,7 @@ at once, through one outward inverse-CDF scan per conjugate phase.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -57,32 +61,42 @@ def amplitude_phase(a: float) -> float:
     return math.asin(math.sqrt(a)) / math.pi
 
 
-def _circle_dist(x, y):
-    z = x - y + 0.5
-    return np.abs(z - np.floor(z) - 0.5)  # z - floor(z) is np.mod(z, 1.0), bit for bit
+@lru_cache(maxsize=16)  # one grid per t: a t near the cap holds 4 MB
+def _half_grid(t: int) -> np.ndarray:
+    """Estimates sin^2(pi*i/t), i = 0..t//2, checked strictly increasing."""
+    values = np.sin(np.pi * np.arange(t // 2 + 1) / t) ** 2
+    if not np.all(values[1:] > values[:-1]):
+        raise ArithmeticError(f"estimate grid of t={t} is not strictly increasing")
+    values.setflags(write=False)
+    return values
 
 
-def _kernel(delta: np.ndarray, t: int) -> np.ndarray:
-    """Squared Dirichlet kernel with the on-grid limit value 1."""
-    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 on the grid
-        out = (np.sin(np.pi * t * delta) / (t * np.sin(np.pi * delta))) ** 2
-    out[delta == 0.0] = 1.0
-    return out
-
-
-def ae_measurement_probs(a: float, t: int) -> np.ndarray:
-    """Length-t probability vector over raw outcomes y."""
+def _outcome_kernel(a: float, t: int) -> np.ndarray:
+    """Length-t law of y at +omega, in y order, from the offset form."""
     if t < 1:
         raise ValueError("t must be >= 1")
     if t > AE_LAW_T_CAP:
         raise ValueError(f"t={t} exceeds the outcome-law cap {AE_LAW_T_CAP}")
-    omega = amplitude_phase(a)
-    y = np.arange(t) / t
-    probs = 0.5 * _kernel(_circle_dist(y, omega), t) + 0.5 * _kernel(_circle_dist(y, -omega), t)
+    phase = t * amplitude_phase(a)  # outcome y = c + k has t*D = k - delta
+    c = round(phase)
+    delta = phase - c
+    k0 = -((t - 1) // 2)  # offsets k = k0..t//2 from y = c
+    if delta == 0.0:  # on the grid: all mass on y = c
+        probs = np.zeros(t)
+        probs[-k0] = 1.0
+    else:
+        k = np.arange(k0, t // 2 + 1) - delta
+        probs = (math.sin(math.pi * delta) / (t * np.sin(np.pi / t * k))) ** 2
     total = probs.sum()
     if abs(total - 1.0) > 1e-10:
         raise ArithmeticError(f"kernel normalization drifted: {total}")
-    return probs / total
+    return np.roll(probs / total, c + k0)
+
+
+def ae_measurement_probs(a: float, t: int) -> np.ndarray:
+    """Length-t probability vector over raw outcomes y."""
+    probs = _outcome_kernel(a, t)
+    return 0.5 * probs + 0.5 * np.roll(probs[::-1], 1)  # -omega puts y's mass on t - y
 
 
 def _fold(probs: np.ndarray) -> ValueDistribution:
@@ -91,18 +105,15 @@ def _fold(probs: np.ndarray) -> ValueDistribution:
     Outcomes y and t-y give the same estimate, so y folds onto the half grid
     sin^2(pi*i/t), i = 0..t//2, with mass probs[i] + probs[t-i]."""
     t = len(probs)
-    values = np.sin(np.pi * np.arange(t // 2 + 1) / t) ** 2
-    if not np.all(values[1:] > values[:-1]):
-        raise ArithmeticError(f"estimate grid of t={t} is not strictly increasing")
     pairs = (t - 1) // 2  # i = 1..pairs meet their conjugate t-i
     merged = probs[: t // 2 + 1].copy()
     merged[1 : pairs + 1] += probs[::-1][:pairs]
-    return ValueDistribution(values, merged / merged.sum())
+    return ValueDistribution(_half_grid(t), merged / merged.sum())
 
 
 def ae_outcome_distribution(a: float, t: int) -> ValueDistribution:
     """Closed-form distribution of the estimate a~ for amplitude a, t iterations."""
-    return _fold(ae_measurement_probs(float(a), int(t)))  # checks t before allocating
+    return _fold(_outcome_kernel(float(a), int(t)))  # checks t before allocating
 
 
 def _check_t(t) -> None:
@@ -116,8 +127,9 @@ def _draw_outcomes(omega: float, t: int, us) -> list:
 
     One scan outward from the nearest grid point (offset 0, then +k before
     -k, t/2 once) resolves the u's in ascending order as the running sum
-    passes each; its terms are _kernel(_circle_dist(y/t, omega)) in the same
-    float operations.  A u never reached (rounding) gets the last y scanned."""
+    passes each; its term at y is the kernel (sin(pi t d) / (t sin(pi d)))^2,
+    1 at d = 0, at circle distance d = |(y/t - omega + 1/2) mod 1 - 1/2|.
+    A u never reached (rounding) gets the last y scanned."""
     center = int(round(t * omega)) % t
     out = [(center - t // 2) % t] * len(us)  # last y scanned, offset t/2 (even t: +t/2 = -t/2)
     todo = sorted(range(len(us)), key=us.__getitem__, reverse=True)  # pop() takes the least u

@@ -216,7 +216,9 @@ def median_law(d: ValueDistribution, m: int) -> ValueDistribution:
     tail = binom_upper_tail(m, (m + 1) // 2, cdf[lo:hi])
     pmf = np.diff(np.concatenate([[0.0], tail]))  # at lo > 0 a tail <= ~1e-18: pruned
     keep = pmf > _PRUNE
-    return from_arrays(d.values[lo:hi][keep], pmf[keep] / pmf[keep].sum())
+    # the window is sorted and distinct: from_arrays' two divisions, no merge
+    probs = pmf[keep] / pmf[keep].sum()
+    return ValueDistribution(d.values[lo:hi][keep], probs / probs.sum())
 
 
 def _sample_count(n) -> int:

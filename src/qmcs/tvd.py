@@ -20,7 +20,7 @@ import numpy as np
 
 from .amplitude import AE_FAIL_PROB, ae_median, ae_outcome_distribution
 from .mean import Estimate, powering_reps, t_for_additive_error
-from .outcome import QueryLedger, ValueDistribution, from_arrays, median_law
+from .outcome import _PRUNE, QueryLedger, ValueDistribution, from_arrays, median_law
 
 __all__ = [
     "TvdInstance",
@@ -30,8 +30,6 @@ __all__ = [
     "estimate_tvd",
     "ratio_stability_check",
 ]
-
-_PRUNE = 1e-16
 
 
 def _inner_t(n: int, epsilon: float) -> int:

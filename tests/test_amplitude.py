@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmcs.amplitude import (AE_LAW_T_CAP, AE_SUCCESS_PROB, AE_T_CAP, _circle_dist, _draw_outcomes,
-                            _kernel, ae_circuit_distribution,
+from qmcs.amplitude import (AE_LAW_T_CAP, AE_SUCCESS_PROB, AE_T_CAP, _draw_outcomes,
+                            ae_circuit_distribution,
                             ae_measurement_probs, ae_median,
                             ae_outcome_distribution, ae_sample,
                             amplitude_phase, arcsin_gap_bound,
@@ -118,6 +118,19 @@ def test_stability_bound_monotone_in_perturbation():
 def test_interval_coverage_is_a_probability():
     cov = interval_coverage(0.37, 100)
     assert AE_SUCCESS_PROB - 1e-12 <= cov <= 1.0
+
+
+def _circle_dist(x, y):
+    z = x - y + 0.5
+    return np.abs(z - np.floor(z) - 0.5)  # z - floor(z) is np.mod(z, 1.0), bit for bit
+
+
+def _kernel(delta: np.ndarray, t: int) -> np.ndarray:
+    """Squared Dirichlet kernel with the on-grid limit value 1."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 on the grid
+        out = (np.sin(np.pi * t * delta) / (t * np.sin(np.pi * delta))) ** 2
+    out[delta == 0.0] = 1.0
+    return out
 
 
 def _chunked_scan(omega, t, u):

@@ -21,12 +21,13 @@ import qmcs
 MODULES = sorted(info.name for info in pkgutil.iter_modules(qmcs.__path__)
                  if info.name != "__main__")
 
-# removed as unused, duplicated or pass-through; each must stay out of every
-# module and of the package
+# removed as unused, duplicated or pass-through, or kept only as test
+# oracles; each must stay out of every module and of the package
 DELETED_NAMES = ("EstimatorConfig", "PhasePoint", "StabilityBound",
                  "make_lazy", "quantum_sample_state", "classical_sample",
                  "moments", "_lambda1", "_LAW_CACHE", "_LAW_CACHE_SIZE",
-                 "mix_sample", "mixing_steps", "_mix_sampled_mean")
+                 "mix_sample", "mixing_steps", "_mix_sampled_mean",
+                 "_kernel", "_circle_dist")
 DELETED_PARAMETERS = {
     "walk.ApproxReflection": ("walk",),
     "walk.ReflectionSpec": ("b", "c_r"),

@@ -1,26 +1,34 @@
-"""Bit identity of the fast exact-law construction against the direct one.
+"""Exact-law constructions against their oracles.
 
-The oracles below build the same laws the plain way: circle distance by
-np.mod, the kernel on masked copies, the estimate law through from_arrays
-(np.unique and a bincount over all t outcomes), and median_law from the
-binomial tail over the whole CDF.  Every law must match them float for
-float, so seeded outputs and ledger counts cannot move.
+The outcome law is built in offset form, one sine per outcome; its masses
+are checked against a 40-digit mpmath reference and, within a tolerance,
+against the old two-kernel construction (circle distance by np.mod, the
+kernel at +omega and -omega on masked copies).  The other pieces keep their
+floats, and must match their plain oracles float for float: the estimate
+law through from_arrays (np.unique and a bincount over all t outcomes), and
+median_law from the binomial tail over the whole CDF, and from from_arrays
+on the window.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_amplitude import _circle_dist, _kernel  # the sampler scan's oracle
 
 from qmcs import amplitude, tvd
-from qmcs.amplitude import (AE_LAW_T_CAP, _circle_dist, _fold, _kernel,
-                            ae_circuit_distribution, ae_outcome_distribution)
-from qmcs.outcome import (ValueDistribution, binom_upper_tail, from_arrays,
-                          median_law)
+from qmcs.amplitude import (AE_LAW_T_CAP, _fold, ae_circuit_distribution,
+                            ae_measurement_probs, ae_outcome_distribution,
+                            amplitude_phase)
+from qmcs.outcome import (_PRUNE, ValueDistribution, _tail_floor,
+                          binom_upper_tail, from_arrays, median_law)
 
 TVD_LAW_TS = (1124, 1590, 2248, 3180, 4496, 6359)  # t of the n, eps of TVD ops
+TWO_KERNEL_TOL = 5e-12  # offset form against the old two-kernel construction
+MPMATH_TOL = 2e-13  # either construction against the 40-digit reference
 
 
 def _mod_circle_dist(x, y):
@@ -42,6 +50,34 @@ def _estimate_values(t):
 
 def _unique_fold(probs):
     return from_arrays(_estimate_values(len(probs)), probs)
+
+
+def _two_kernel_law(a, t):
+    """The estimate law as built before the offset form: the kernel at +omega
+    and at -omega over all t outcomes, mixed, normalized and folded."""
+    omega = amplitude_phase(a)
+    y = np.arange(t) / t
+    probs = (0.5 * _masked_kernel(_mod_circle_dist(y, omega), t)
+             + 0.5 * _masked_kernel(_mod_circle_dist(y, -omega), t))
+    return _unique_fold(probs / probs.sum())
+
+
+def _mpmath_masses(a, t):
+    """Masses of the estimate law, i = 0..t//2, at 40 digits from the exact a."""
+    with mpmath.workdps(40):
+        omega = mpmath.asin(mpmath.sqrt(mpmath.mpf(a))) / mpmath.pi
+
+        def kernel(d):
+            if d == 0:
+                return mpmath.mpf(1)
+            return (mpmath.sin(mpmath.pi * t * d) / (t * mpmath.sin(mpmath.pi * d))) ** 2
+
+        masses = []
+        for i in range(t // 2 + 1):
+            ys = {i, (t - i) % t}
+            masses.append(sum(kernel(mpmath.mpf(y) / t - w) for y in ys
+                              for w in (omega, -omega)) / 2)
+        return np.array([float(m) for m in masses])
 
 
 def _split_binom_upper_tail(n, k, p):
@@ -80,11 +116,23 @@ def _full_median_law(d, m):
     return from_arrays(d.values[keep], pmf[keep] / pmf[keep].sum())
 
 
+def _from_arrays_median_law(d, m):
+    """The windowed median law with from_arrays building the result."""
+    if m == 1:
+        return d
+    cdf = np.clip(np.cumsum(d.probs), 0.0, 1.0)
+    c = _tail_floor(m)
+    lo = max(int(np.searchsorted(cdf, c, side="right")) - 1, 0)
+    hi = int(np.searchsorted(cdf, 1.0 - c)) + 1
+    tail = binom_upper_tail(m, (m + 1) // 2, cdf[lo:hi])
+    pmf = np.diff(np.concatenate([[0.0], tail]))
+    keep = pmf > _PRUNE
+    return from_arrays(d.values[lo:hi][keep], pmf[keep] / pmf[keep].sum())
+
+
 def _oracle(f, *args):
-    """f(*args) with every fast piece swapped for its oracle."""
+    """f(*args) with the fold and the median law swapped for their oracles."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(amplitude, "_circle_dist", _mod_circle_dist)
-        mp.setattr(amplitude, "_kernel", _masked_kernel)
         mp.setattr(amplitude, "_fold", _unique_fold)
         mp.setattr(tvd, "median_law", _full_median_law)
         return f(*args)
@@ -93,6 +141,11 @@ def _oracle(f, *args):
 def _assert_same_law(got: ValueDistribution, want: ValueDistribution):
     assert np.array_equal(got.values, want.values)
     assert np.array_equal(got.probs, want.probs)
+
+
+def _assert_close_law(got: ValueDistribution, want: ValueDistribution, tol):
+    assert np.array_equal(got.values, want.values)
+    assert np.max(np.abs(got.probs - want.probs)) <= tol
 
 
 def _on_grid(t):
@@ -104,6 +157,7 @@ def test_outcome_law_matches_oracle(t):
     rng = np.random.default_rng(t)
     for a in [0.0, 0.25, 0.5, 1.0, *_on_grid(t), *rng.random(6)]:
         law = ae_outcome_distribution(a, t)
+        _assert_close_law(law, _two_kernel_law(a, t), TWO_KERNEL_TOL)
         _assert_same_law(law, _oracle(ae_outcome_distribution, a, t))
         for m in (3, 11, 13):
             _assert_same_law(median_law(law, m), _full_median_law(law, m))
@@ -114,8 +168,43 @@ def test_outcome_law_matches_oracle(t):
        m=st.sampled_from([1, 3, 5, 11, 13, 61]))
 def test_outcome_and_median_laws_match_oracle_property(a, t, m):
     law = ae_outcome_distribution(a, t)
+    _assert_close_law(law, _two_kernel_law(a, t), TWO_KERNEL_TOL)
     _assert_same_law(law, _oracle(ae_outcome_distribution, a, t))
     _assert_same_law(median_law(law, m), _full_median_law(law, m))
+
+
+def _reference_cases():
+    rng = np.random.default_rng(1500)
+    cases = [(1, 0.3), (2, 0.5), (3, 1.0), (4, 0.0)]
+    for t in [*rng.integers(1, 1501, 10), 1500]:
+        t = int(t)
+        i = int(rng.integers(0, t // 2 + 1))
+        grid = math.sin(math.pi * i / t) ** 2
+        near = float(np.clip(grid + rng.choice([-1, 1]) * 10.0 ** -rng.integers(6, 15), 0, 1))
+        cases += [(t, float(a)) for a in (rng.random(), grid, near)]
+    return cases
+
+
+@pytest.mark.parametrize("t, a", _reference_cases())
+def test_outcome_law_matches_mpmath_reference(t, a):
+    law = ae_outcome_distribution(a, t)
+    assert np.max(np.abs(law.probs - _mpmath_masses(a, t))) <= MPMATH_TOL
+    raw = ae_measurement_probs(a, t)  # the raw law folds onto the same masses
+    _assert_close_law(_unique_fold(raw), law, 1e-15)
+
+
+def test_outcome_law_holds_its_normalization_up_to_the_cap():
+    # the two-kernel sum drifted past the 1e-10 gate near the cap: each of
+    # its kernels lost up to ~1e-10 to sin(pi t D) at t D up to 2^19
+    rng = np.random.default_rng(20)
+    cases = [(0.7629081020677478, 841170), (0.3, AE_LAW_T_CAP)]
+    cases += [(float(a), int(t)) for a, t in
+              zip(rng.random(6), rng.integers(AE_LAW_T_CAP // 2, AE_LAW_T_CAP + 1, 6))]
+    for a, t in cases:
+        law = ae_outcome_distribution(a, t)
+        assert law.support_size == t // 2 + 1
+        assert abs(law.probs.sum() - 1.0) <= 1e-12
+        assert abs(ae_measurement_probs(a, t).sum() - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("t", [1, 2, 3, 4, 17, 32, 129])
@@ -190,7 +279,9 @@ def test_windowed_median_law_matches_full_law(m):
             _dirichlet_law(m, 2400, 0.02)]
     laws += [ae_outcome_distribution(a, t) for a, t in ((0.0123, 6359), (0.5, 1124))]
     for d in laws:
-        _assert_same_law(median_law(d, m), _full_median_law(d, m))
+        law = median_law(d, m)
+        _assert_same_law(law, _full_median_law(d, m))
+        _assert_same_law(law, _from_arrays_median_law(d, m))  # built in place
 
 
 @pytest.mark.parametrize("seed", range(4))
