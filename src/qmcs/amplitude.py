@@ -1,22 +1,18 @@
 """Exact simulation of the amplitude-estimation primitive.
 
 The estimation procedure with t Grover-type iterations on an amplitude
-a = sin^2(pi*omega) induces a closed-form distribution over measurement
-outcomes y in {0, ..., t-1}: the squared Dirichlet kernel
-
-    Pr[y | omega] = sin^2(pi t D) / (t^2 sin^2(pi D)),   D = y/t - omega,
-
-mixed equally over the conjugate phases +-omega, with estimate
-a~ = sin^2(pi y / t).  With c = round(t omega) and delta = t omega - c,
-outcome y = c + k, k in (-t/2, t/2], has t D = k - delta, so its mass is
-sin^2(pi delta) / (t sin(pi (k - delta) / t))^2: one sine per outcome.
-The -omega phase puts y's mass on t - y, whose estimate is y's, so the law
-of a~ is the +omega law folded onto the strictly increasing half grid
-sin^2(pi i / t), i = 0..t//2.
-
-A dense circuit simulation of phase estimation on the two-dimensional
-rotation cross-validates the closed form.  The sampler draws a whole median
-at once, through one outward inverse-CDF scan per conjugate phase.
+a = sin^2(pi*omega) draws outcome y in {0, ..., t-1} from the squared
+Dirichlet kernel sin^2(pi t D) / (t^2 sin^2(pi D)), D = y/t - omega, mixed
+equally over the conjugate phases +-omega, with estimate a~ = sin^2(pi y/t).
+With c = round(t omega) and delta = t omega - c, outcome y = c + k,
+k in (-t/2, t/2], has t D = k - delta, so its mass is
+sin^2(pi delta) / (t sin(pi (k - delta) / t))^2: one sine per outcome.  The
+exact law and the sampler both use this offset form.  The -omega phase puts
+y's mass on t - y, whose estimate is y's, so the law of a~ is the +omega law
+folded onto the strictly increasing half grid sin^2(pi i / t), i = 0..t//2.
+The sampler draws a whole median at once, through one outward inverse-CDF
+scan per conjugate phase.  A dense circuit simulation of phase estimation on
+the two-dimensional rotation cross-validates the closed form.
 """
 
 from __future__ import annotations
@@ -71,15 +67,20 @@ def _half_grid(t: int) -> np.ndarray:
     return values
 
 
+def _grid_offset(omega: float, t: int) -> tuple[int, float]:
+    """Grid point c = round(t*omega) and offset delta = t*omega - c of omega."""
+    phase = t * omega
+    c = round(phase)
+    return c, phase - c
+
+
 def _outcome_kernel(a: float, t: int) -> np.ndarray:
     """Length-t law of y at +omega, in y order, from the offset form."""
     if t < 1:
         raise ValueError("t must be >= 1")
     if t > AE_LAW_T_CAP:
         raise ValueError(f"t={t} exceeds the outcome-law cap {AE_LAW_T_CAP}")
-    phase = t * amplitude_phase(a)  # outcome y = c + k has t*D = k - delta
-    c = round(phase)
-    delta = phase - c
+    c, delta = _grid_offset(amplitude_phase(a), t)
     k0 = -((t - 1) // 2)  # offsets k = k0..t//2 from y = c
     if delta == 0.0:  # on the grid: all mass on y = c
         probs = np.zeros(t)
@@ -123,28 +124,25 @@ def _check_t(t) -> None:
 
 
 def _draw_outcomes(omega: float, t: int, us) -> list:
-    """Outcome y for each u in us (non-empty), by inverse CDF of the kernel at omega.
+    """Outcome y for each u in us (non-empty), by inverse CDF of the law at omega.
 
-    One scan outward from the nearest grid point (offset 0, then +k before
-    -k, t/2 once) resolves the u's in ascending order as the running sum
-    passes each; its term at y is the kernel (sin(pi t d) / (t sin(pi d)))^2,
-    1 at d = 0, at circle distance d = |(y/t - omega + 1/2) mod 1 - 1/2|.
-    A u never reached (rounding) gets the last y scanned."""
-    center = int(round(t * omega)) % t
-    out = [(center - t // 2) % t] * len(us)  # last y scanned, offset t/2 (even t: +t/2 = -t/2)
+    One scan outward from the grid point c (offset k = 0, then +k before -k,
+    t/2 once) resolves the u's in ascending order as the running sum of the
+    offset-form masses passes each.  On the grid (delta = 0) every u gets c;
+    a u never reached (rounding) gets the last y scanned."""
+    c, delta = _grid_offset(omega, t)
+    if delta == 0.0:
+        return [c % t] * len(us)
+    s, step = math.sin(math.pi * delta), math.pi / t
+    out = [(c - t // 2) % t] * len(us)  # last y scanned, offset t/2 (even t: +t/2 = -t/2)
     todo = sorted(range(len(us)), key=us.__getitem__, reverse=True)  # pop() takes the least u
     u, acc = us[todo[-1]], 0.0
     for k in range(t // 2 + 1):
-        ys = (center + k) % t, (center - k) % t
-        for y in ys if 0 < 2 * k < t else ys[:1]:
-            dist = abs((y / t - omega + 0.5) % 1.0 - 0.5)
-            if dist == 0.0:
-                acc += 1.0
-            else:
-                r = math.sin(math.pi * t * dist) / (t * math.sin(math.pi * dist))
-                acc += r * r
+        for j in (k, -k) if 0 < 2 * k < t else (k,):
+            r = s / (t * math.sin(step * (j - delta)))
+            acc += r * r
             while acc >= u:
-                out[todo.pop()] = y
+                out[todo.pop()] = (c + j) % t
                 if not todo:
                     return out
                 u = us[todo[-1]]
@@ -152,28 +150,26 @@ def _draw_outcomes(omega: float, t: int, us) -> list:
 
 
 def ae_sample(a: float, t: int, rng: np.random.Generator, ledger: QueryLedger,
-              size: int | None = None) -> float | list[float]:
-    """One draw of the estimate a~, or a list of size draws (numpy's idiom). Each
-    draw charges t reflections and one A / A^-1 pair and takes (conjugate choice,
-    u) from its pair of rng.random(2 * size): size=n equals n calls without size."""
+              size: int) -> list[float]:
+    """A list of size draws of the estimate a~. Each draw charges t reflections
+    and one A / A^-1 pair and takes (conjugate choice, u) from its pair of
+    rng.random(2 * size), so size=n equals n calls with size=1."""
     _check_t(t)
-    n = 1 if size is None else size
-    if n < 1:
+    if size < 1:
         raise ValueError("size must be >= 1")
     omega = amplitude_phase(a)
-    ledger.a_uses += n
-    ledger.a_inv_uses += n
-    ledger.reflection_uses += n * t
-    pairs = rng.random(2 * n).tolist()
-    groups = ([], [])  # draw indices at +omega, at -omega (the conjugate choice)
-    for j in range(n):
-        groups[pairs[2 * j] < 0.5].append(j)
-    draws = [0.0] * n
+    ledger.a_uses += size
+    ledger.a_inv_uses += size
+    ledger.reflection_uses += size * t
+    pairs = rng.random(2 * size).tolist()
+    groups = ([j for j in range(size) if pairs[2 * j] >= 0.5],  # at +omega
+              [j for j in range(size) if pairs[2 * j] < 0.5])  # at -omega
+    draws = [0.0] * size
     for js, w in zip(groups, (omega, (1.0 - omega) % 1.0)):
         if js:
             for j, y in zip(js, _draw_outcomes(w, t, [pairs[2 * j + 1] for j in js])):
                 draws[j] = math.sin(math.pi * min(y, t - y) / t) ** 2
-    return draws[0] if size is None else draws
+    return draws
 
 
 def ae_median(a: float, t: int, reps: int, rng: np.random.Generator,

@@ -275,6 +275,7 @@ def cmd_tvd(args):
 
 
 def cmd_bench(args):
+    _check_range("--trials", args.trials, 0, math.inf)
     d = _load_distribution(args.dist)
     name, _, values = args.sweep.partition("=")
     try:
@@ -400,6 +401,8 @@ def build_parser():
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if args.seed < 0:  # numpy would reject it mid-command
+            raise ValueError("--seed must be >= 0")
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe fails here, not at exit
         return code

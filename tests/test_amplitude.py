@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -57,7 +58,7 @@ def test_sampler_matches_exact_law():
     rng = np.random.default_rng(11)
     ledger = QueryLedger()
     n = 40000
-    draws = np.array([ae_sample(a, t, rng, ledger) for _ in range(n)])
+    draws = np.array(ae_sample(a, t, rng, ledger, size=n))
     for v, p in zip(d.values, d.probs):
         if p > 5e-3:
             freq = np.mean(np.isclose(draws, v))
@@ -67,7 +68,7 @@ def test_sampler_matches_exact_law():
 def test_sample_charges_ledger():
     ledger = QueryLedger()
     rng = np.random.default_rng(0)
-    ae_sample(0.3, 25, rng, ledger)
+    assert len(ae_sample(0.3, 25, rng, ledger, size=1)) == 1
     assert ledger.reflection_uses == 25
     assert ledger.a_uses == 1 and ledger.a_inv_uses == 1
 
@@ -191,6 +192,37 @@ def test_batched_scan_matches_chunked_oracle(t):
             assert _draw_outcomes(w, t, us) == [_chunked_scan(w, t, u) for u in us]
 
 
+def _mpmath_scan_prefix(omega, t, terms):
+    """The first scanned outcomes and their 40-digit partial sums at omega."""
+    with mpmath.workdps(40):
+        phase = mpmath.mpf(omega) * t  # the double omega, exactly
+        c = int(mpmath.nint(phase))
+        delta = phase - c
+        ys, sums, acc = [], [], mpmath.mpf(0)
+        for k in range(terms):
+            for j in (k, -k) if k else (0,):
+                acc += (mpmath.sin(mpmath.pi * delta)
+                        / (t * mpmath.sin(mpmath.pi * (j - delta) / t))) ** 2
+                ys.append((c + j) % t)
+                sums.append(acc)
+    return ys, sums
+
+
+@pytest.mark.parametrize("t", [2**24, 2**30, AE_T_CAP])
+def test_scan_at_large_t_splits_off_grid_boundaries(t):
+    # u a relative 1e-9 on either side of each partial sum of the first
+    # scanned terms selects the outcome on that side: the scan's terms hold
+    # far tighter than 1e-9 at the sampling cap
+    rng = np.random.default_rng(t % 2**32 + 1)
+    for omega in rng.uniform(0.0, 0.5, 3):
+        for w in (float(omega), (1.0 - omega) % 1.0):
+            ys, sums = _mpmath_scan_prefix(w, t, 4)  # 7 terms
+            for edge in sums[:6]:
+                for u in (float(edge * (1 - 1e-9)), float(edge * (1 + 1e-9))):
+                    want = next(y for y, b in zip(ys, sums) if b >= u)
+                    assert _draw_outcomes(w, t, [u]) == [want]
+
+
 @pytest.mark.parametrize("t", [1, 2, 3, 64, 128, 129, 509])
 def test_scan_with_u_just_below_one_returns_a_residue(t):
     u = np.nextafter(1.0, 0.0)
@@ -213,7 +245,7 @@ def test_scalar_scan_matches_chunked_oracle_property(omega, t, u):
 def test_sized_sample_equals_scalar_calls(a, t, n, seed):
     rng_one, rng_n = np.random.default_rng(seed), np.random.default_rng(seed)
     ledger_one, ledger_n = QueryLedger(), QueryLedger()
-    want = [ae_sample(a, t, rng_one, ledger_one) for _ in range(n)]
+    want = [v for _ in range(n) for v in ae_sample(a, t, rng_one, ledger_one, size=1)]
     assert all(type(v) is float for v in want)
     assert ae_sample(a, t, rng_n, ledger_n, size=n) == want
     assert ledger_n == ledger_one
@@ -236,7 +268,7 @@ def test_nonpositive_t_is_rejected(t):
     ledger = QueryLedger()
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="t must be >= 1"):
-        ae_sample(0.3, t, rng, ledger)
+        ae_sample(0.3, t, rng, ledger, size=1)
     with pytest.raises(ValueError, match="t must be >= 1"):
         ae_median(0.3, t, 3, rng, ledger)
     assert ledger.a_uses == ledger.reflection_uses == 0
@@ -249,7 +281,7 @@ def test_t_over_sampling_cap_is_rejected():
         with pytest.raises(ValueError, match=f"cap {AE_T_CAP}"):
             ae_median(0.3, t, 3, rng, ledger)
     assert ledger == QueryLedger()
-    ae_sample(0.3, AE_T_CAP, rng, ledger)  # the cap itself is sampled
+    ae_sample(0.3, AE_T_CAP, rng, ledger, size=1)  # the cap itself is sampled
     assert ledger.reflection_uses == AE_T_CAP
 
 

@@ -14,9 +14,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qmcs
+from qmcs.amplitude import ae_sample
+from qmcs.outcome import QueryLedger
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(qmcs.__path__)
                  if info.name != "__main__")
@@ -100,6 +103,14 @@ def test_one_home_per_function(name):
         module = importlib.import_module(f"qmcs.{user}")
         assert getattr(module, name, fn) is fn
         assert name not in module.__all__
+
+
+def test_ae_sample_has_one_return_shape():
+    # size has no default, and one draw is a list of one float
+    size = inspect.signature(ae_sample).parameters["size"]
+    assert size.default is inspect.Parameter.empty
+    draws = ae_sample(0.3, 25, np.random.default_rng(0), QueryLedger(), size=1)
+    assert type(draws) is list and [type(v) for v in draws] == [float]
 
 
 def test_import_loads_no_scipy():

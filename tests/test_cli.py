@@ -163,6 +163,31 @@ def test_bench_csv_shape(capsys, bernoulli):
     assert "eps" in lines[0]
 
 
+@pytest.mark.parametrize("trials", ["-1", "0"])
+def test_bench_nonpositive_trials_is_config_error(capsys, bernoulli, trials):
+    # -1 used to print numpy's "can't convert negative value to uint32_t",
+    # 0 a CSV header with no rows and exit 0
+    code = main(["bench", "--dist", bernoulli, f"--trials={trials}"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: --trials must be in (0, inf)\n"
+
+
+@pytest.mark.parametrize("cmd", [
+    ["mean", "--dist", "{dist}"],
+    ["partition", "--model", "ising", "--graph", "{graph}"],
+    ["tvd", "--p", "{dist}", "--q", "{dist}"],
+    ["bench", "--dist", "{dist}"],
+], ids=["mean", "partition", "tvd", "bench"])
+def test_negative_seed_is_config_error(capsys, bernoulli, k2_graph, cmd):
+    # used to print numpy's "expected non-negative integer"
+    argv = [arg.format(dist=bernoulli, graph=k2_graph) for arg in cmd]
+    code = main([*argv, "--seed=-1"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: --seed must be >= 0\n"
+
+
 def test_output_file_option(capsys, bernoulli, tmp_path):
     out_path = tmp_path / "result.json"
     code = main(["mean", "--dist", bernoulli, "--out", str(out_path)])

@@ -6,11 +6,16 @@ and why.  Criterion 12 only checks that two runs agree with each other,
 this test checks that they agree with the recorded history.
 """
 
+import contextlib
+import hashlib
+import io
+import json
 import zlib
 
 import numpy as np
 import pytest
 
+from qmcs.cli import main
 from qmcs.gibbs import Graph, ising_model, matching_model
 from qmcs.mean import (classical_mean_chebyshev, estimate_mean_bounded,
                        estimate_mean_l2, estimate_mean_relative,
@@ -226,3 +231,100 @@ EXPECTED = {
 def test_seeded_output_unchanged(name):
     # each case's seed is the CRC-32 of its name, so adding a case moves none
     assert observe(name, zlib.crc32(name.encode())) == EXPECTED[name]
+
+
+# Seeded CLI commands, pinned by the SHA-256 of their exit code and stdout.
+# The input files are written fresh for each test, and no output names a path.
+CLI_FILES = {
+    "bernoulli.json": {"support": [[0.0, 0.75], [1.0, 0.25]]},
+    "three_point.json": {"support": [[4.0, 0.25], [5.0, 0.5], [6.0, 0.25]]},
+    "two_point.json": {"support": [[1.0, 0.5], [3.0, 0.5]]},
+    "at_one.json": {"support": [[1.0, 1.0]]},  # a = 1: t*omega = t/2
+    "p.json": {"support": [[0, 0.7], [1, 0.3]]},
+    "q.json": {"support": [[1, 0.4], [2, 0.6]]},
+    "r.json": {"support": [[2, 0.5], [3, 0.5]]},  # disjoint from p
+    "k2.txt": "2 1\n0 1\n",
+    "c4.txt": "4 4\n0 1\n1 2\n2 3\n3 0\n",
+}
+_C4 = {model: ["--model", model, "--graph", "c4.txt"]
+       for model in ("ising", "matching")}
+CLI_CASES = {
+    **{f"mean_{method}": ["mean", "--dist", dist, "--method", method,
+                          "--eps", "0.05", "--seed", "7"]
+       for method, dist in (("bounded", "bernoulli.json"),
+                            ("l2", "bernoulli.json"),
+                            ("variance", "three_point.json"),
+                            ("relative", "two_point.json"),
+                            ("classical", "three_point.json"))},
+    **{f"partition_c4_{model}_{mode}": [
+        "partition", *_C4[model], "--mode", mode, "--eps", "0.2",
+        "--seed", "3"]
+       for model in ("ising", "matching")
+       for mode in ("ideal_sampling", "walk_idealized", "walk_exact_sim",
+                    "classical")},
+    "tvd_overlap": ["tvd", "--p", "p.json", "--q", "q.json", "--seed", "5"],
+    "tvd_overlap_eps": ["tvd", "--p", "q.json", "--q", "r.json",
+                        "--eps", "0.05", "--seed", "11"],
+    "schedule_c4_ising": ["schedule", *_C4["ising"]],
+    "schedule_c4_matching": ["schedule", *_C4["matching"],
+                             "--direction", "reversed"],
+    "chain_c4_ising": ["chain", *_C4["ising"], "--beta", "0.5"],
+    "chain_c4_matching": ["chain", *_C4["matching"], "--beta", "1.0"],
+    "walk_check_k2": ["walk-check", "--model", "ising", "--graph", "k2.txt",
+                      "--beta", "0.5"],
+    "bench_bounded": ["bench", "--dist", "bernoulli.json", "--method",
+                      "bounded", "--sweep", "eps=0.1,0.05", "--trials", "2",
+                      "--seed", "9"],
+    "model_c4_ising": ["model", *_C4["ising"]],
+    "ae_check": ["ae-check", "--a", "0.3", "--t", "100"],
+    # half-integer t*omega: the conjugate scan starts from its own grid point
+    "mean_bounded_at_one_t5": ["mean", "--dist", "at_one.json", "--method",
+                               "bounded", "--t", "5", "--seed", "7"],
+    "tvd_disjoint": ["tvd", "--p", "p.json", "--q", "r.json", "--seed", "5"],
+}
+
+
+def cli_digest(name, root):
+    """SHA-256 of one CLI case's exit code and stdout, its files under root."""
+    for fname, content in CLI_FILES.items():
+        text = content if isinstance(content, str) else json.dumps(content)
+        (root / fname).write_text(text)
+    argv = [str(root / arg) if arg in CLI_FILES else arg for arg in CLI_CASES[name]]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return hashlib.sha256(f"{code}\n{out.getvalue()}".encode()).hexdigest()
+
+
+CLI_EXPECTED = {
+    'ae_check': '40d64aefe751e7d8c601b4de77641f6a085c88768cffcea358055163d9b53a40',
+    'bench_bounded': '2579022fee4bad5855f8196f3c6566aed86fb73a582d1760249ebbe1ff79eb9b',
+    'chain_c4_ising': '8ad2cdd77a7dd7f03fd5c380fe9d803048549b1150e8979f0751b2b1db9612fd',
+    'chain_c4_matching': 'f593f55d45e8b76dda56fc00a883829fcc85ba6f2da200bf13d1d94612e30632',
+    'mean_bounded': 'b8c98108fec9a9dc8d87c14851348d044e2f3e16718862d120e94bd159ceddf7',
+    'mean_bounded_at_one_t5': 'b4683cf1974cddd9a0c3f590daf6e146f3bb84738cbd60d73cfdc0aaf909abc0',
+    'mean_classical': '2e4668d6656ae919c2f5f24632dba4964861b749787b182560fbcb791b32aa3d',
+    'mean_l2': '5e0fc58f8bbd978b292e06fdffef326ee9c86ae5a95d93f54efcca03e448cdfb',
+    'mean_relative': '8e1b52fee04e70a16fd33380523717f59d506b49617bf7272b869ee00194db3b',
+    'mean_variance': 'c02a14fcd4ae43471800c7d68132dafeb46252b8bf9182fde0e01e905fd4292a',
+    'model_c4_ising': 'b94205e2924069f5b1eb4f19380b5e9869a2dd5421079ccc0dbaa76e02f064fc',
+    'partition_c4_ising_classical': 'a96447a4086ffd010f0969bca26576f12beaa21b1c59910877b11ce567eed257',
+    'partition_c4_ising_ideal_sampling': 'a295adfdafec920a842ea6183195a647fbb7daeaaf1a1d0866b6e460f1a1cb4a',
+    'partition_c4_ising_walk_exact_sim': 'eedba8a4228c3d59787c9634d81ccee2f4d69f70d403442f80790b53b8093f19',
+    'partition_c4_ising_walk_idealized': 'f5f7fa75b48abbd4df8a983626d1fe717f62eb0dc4039a78b1ec818b607d5936',
+    'partition_c4_matching_classical': 'd62cba478aa510279ba8843fa5fabe5116c35f8b57ef8038ab6a1b18ad844889',
+    'partition_c4_matching_ideal_sampling': '7d3bd78b62aa52e875862fd36eb21a38caea9b2ac67821c91aa5bcc7f3cb48ff',
+    'partition_c4_matching_walk_exact_sim': '94b1cee945e418ae398b65ecd3ebd2f8885eb0e9bf243855f9f3309f91bf132f',
+    'partition_c4_matching_walk_idealized': '1f9898dbec04bb72848e0934d29dbef0cd8370f587d08e6f684a52b824fa2fc6',
+    'schedule_c4_ising': '88094604d9b9ae7ea881a185b9e0cd93ad6fff9537480e06273d64288746eeac',
+    'schedule_c4_matching': '506b9a058cec62d281868ffbc69992f58697391b31a89190addd41eb6b998295',
+    'tvd_disjoint': '2026b4557d5a3247f86ae2f9a032579426ea9295048cb0b561616a320eb581aa',
+    'tvd_overlap': '40b5f5ed6f13aed56943d625c0de859a07269f4381b79c6ea37b2a25e7d014d2',
+    'tvd_overlap_eps': '1042876faf15ca0bb4181ac14fba0212e541f34d47a461c84deab40f01446ff0',
+    'walk_check_k2': 'de8576cfdadbca373b60e462f93440b4ca9f91d31362afbbc5b62b2c0d8f675c',
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_CASES))
+def test_seeded_cli_output_unchanged(name, tmp_path):
+    assert cli_digest(name, tmp_path) == CLI_EXPECTED[name]
