@@ -6,7 +6,7 @@ truncation and value-transformation operators mirror the derived algorithms
 built on top of them, and median_law gives the exact law of a median of
 iid draws (the powering lemma's amplification), from the exact binomial
 tail binom_upper_tail, evaluated only on the window of the CDF where a
-median mass can pass the pruning level.
+median mass can pass the pruning level (median_laws: for a stream of laws).
 """
 
 from __future__ import annotations
@@ -28,11 +28,13 @@ __all__ = [
     "transform",
     "binom_upper_tail",
     "median_law",
+    "median_laws",
     "classical_sample_block",
 ]
 
 _NORM_TOL = 1e-9
 _PRUNE = 1e-16  # median-law mass below this is dropped
+_TAIL_BLOCK = 4096  # CDF points per binomial-tail pass: bounds its temporaries
 SAMPLE_CAP = 10**7  # classical samples per block; the suite draws <= 120,000
 
 
@@ -198,27 +200,50 @@ def _tail_floor(m: int) -> float:
     return math.exp((math.log(1e-18) - log_comb) / h)
 
 
-def median_law(d: ValueDistribution, m: int) -> ValueDistribution:
-    """Exact law of the median of m iid draws from d (m odd).
+def _window_laws(values: list, cdfs: list, m: int) -> list:
+    """Median laws on CDF windows (cdfs over values), from one tail pass."""
+    tail = binom_upper_tail(m, (m + 1) // 2, np.concatenate(cdfs))
+    starts = np.cumsum([0] + [len(v) for v in values[:-1]])
+    pmf = np.diff(tail, prepend=0.0)
+    pmf[starts] = tail[starts]  # = tail - 0.0; at lo > 0 a tail <= ~1e-18: pruned
+    laws = []
+    for v, w in zip(values, np.split(pmf, starts[1:])):
+        keep = w > _PRUNE  # the window is sorted and distinct: from_arrays' divisions, no merge
+        probs = w[keep] / w[keep].sum()
+        laws.append(ValueDistribution(v[keep], probs / probs.sum()))
+    return laws
+
+
+def median_laws(ds: Iterable[ValueDistribution], m: int) -> list:
+    """Exact law of the median of m iid draws (m odd) from each d in ds.
 
     Pr[median <= v_k] = Pr[Bin(m, F_k) >= (m+1)/2] on the CDF F of d, taken
     only where a mass can pass the pruning level, plus one neighbour below:
     a tail is about 1e-18 at most while F_k <= c = _tail_floor(m), and rounds
-    to exactly 1 once 1 - F_k <= c (the same bound, on the lower tail)."""
+    to exactly 1 once 1 - F_k <= c (the same bound, on the lower tail).  Each
+    d is dropped once its window is cut; one tail pass serves _TAIL_BLOCK
+    or more CDF points of windows, so a stream of laws is never held at once."""
     if m < 1 or m % 2 == 0:
         raise ValueError("median of an even sample is ambiguous; m must be odd")
     if m == 1:
-        return d
-    cdf = np.clip(np.cumsum(d.probs), 0.0, 1.0)
+        return list(ds)
     c = _tail_floor(m)
-    lo = max(int(np.searchsorted(cdf, c, side="right")) - 1, 0)
-    hi = int(np.searchsorted(cdf, 1.0 - c)) + 1  # through the first tail of 1
-    tail = binom_upper_tail(m, (m + 1) // 2, cdf[lo:hi])
-    pmf = np.diff(np.concatenate([[0.0], tail]))  # at lo > 0 a tail <= ~1e-18: pruned
-    keep = pmf > _PRUNE
-    # the window is sorted and distinct: from_arrays' two divisions, no merge
-    probs = pmf[keep] / pmf[keep].sum()
-    return ValueDistribution(d.values[lo:hi][keep], probs / probs.sum())
+    laws, values, cdfs, pending = [], [], [], 0
+    for d in ds:
+        cdf = np.clip(np.cumsum(d.probs), 0.0, 1.0)
+        lo = max(int(np.searchsorted(cdf, c, side="right")) - 1, 0)
+        hi = int(np.searchsorted(cdf, 1.0 - c)) + 1  # through the first tail of 1
+        values.append(d.values[lo:hi])  # a view: outcome laws of one t share theirs
+        cdfs.append(cdf[lo:hi].copy())
+        if (pending := pending + hi - lo) >= _TAIL_BLOCK:
+            laws += _window_laws(values, cdfs, m)
+            values, cdfs, pending = [], [], 0
+    return laws + _window_laws(values, cdfs, m) if cdfs else laws
+
+
+def median_law(d: ValueDistribution, m: int) -> ValueDistribution:
+    """Exact law of the median of m iid draws from d (m odd): median_laws of one."""
+    return median_laws([d], m)[0]
 
 
 def _sample_count(n) -> int:

@@ -92,7 +92,7 @@ class PartitionEstimate:
     meta: dict = field(default_factory=dict)
 
 
-def _ratio_values(h: np.ndarray, beta_i, beta_j, reverse=False) -> np.ndarray:
+def _ratio_at_levels(h: np.ndarray, beta_i, beta_j, reverse=False) -> np.ndarray:
     """Value of the (reversed) ratio variable for the pair at the energies h."""
     if beta_j == math.inf:
         return (h == 0).astype(float)
@@ -107,7 +107,7 @@ def ratio_variable(m: GibbsModel, beta_i, beta_j) -> ValueDistribution:
     """
     if not beta_i < beta_j:
         raise ScheduleError("requires beta_i < beta_j")
-    return from_arrays(_ratio_values(m.levels, beta_i, beta_j),
+    return from_arrays(_ratio_at_levels(m.levels, beta_i, beta_j),
                        _level_law(m, beta_i))
 
 
@@ -117,7 +117,7 @@ def reversed_ratio_variable(m: GibbsModel, beta_i, beta_j) -> ValueDistribution:
         raise ScheduleError("requires beta_i < beta_j")
     if beta_j == math.inf:
         raise ScheduleError("reversed ratio variable undefined at beta_j = inf")
-    return from_arrays(_ratio_values(m.levels, beta_i, beta_j, True),
+    return from_arrays(_ratio_at_levels(m.levels, beta_i, beta_j, True),
                        _level_law(m, beta_j))
 
 

@@ -7,7 +7,8 @@ and outputs |p~ - q~| / (p~ + q~).  Its exact output law is a finite mixture
 computable in closed form; the top-level estimator then runs bounded-mean
 estimation on that amplitude.  Internal accuracy is eps/8, making the
 subroutine bias |E~ - ||p-q||| at most eps/2; the outer estimation
-contributes the other eps/2.
+contributes the other eps/2.  A fresh law streams its outcome laws through
+median_laws and takes each ratio only where its weight passes the pruning.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ import numpy as np
 
 from .amplitude import AE_FAIL_PROB, ae_median, ae_outcome_distribution
 from .mean import Estimate, powering_reps, t_for_additive_error
-from .outcome import _PRUNE, QueryLedger, ValueDistribution, from_arrays, median_law
+from .outcome import (_PRUNE, QueryLedger, ValueDistribution, from_arrays,  # noqa: F401
+                      median_law, median_laws)  # median_law: perfbench/tracer.py wraps it here
 
 __all__ = [
     "TvdInstance",
@@ -82,14 +84,6 @@ def exact_tvd(p, q) -> float:
     return float(0.5 * np.abs(p - q).sum())
 
 
-def _ratio_values(vp: np.ndarray, vq: np.ndarray) -> np.ndarray:
-    num = np.abs(vp[:, None] - vq[None, :])
-    den = vp[:, None] + vq[None, :]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.where(den > 0, num / np.maximum(den, 1e-300), 0.0)
-    return out
-
-
 def tvd_subroutine_distribution(inst: TvdInstance) -> ValueDistribution:
     """Exact output law of one subroutine call (memoized per instance)."""
     return _subroutine_law(inst.p.tobytes(), inst.q.tobytes(), inst.epsilon)
@@ -98,25 +92,23 @@ def tvd_subroutine_distribution(inst: TvdInstance) -> ValueDistribution:
 @lru_cache(maxsize=64)  # exact laws kept; the least recently used goes first
 def _subroutine_law(p: bytes, q: bytes, epsilon: float) -> ValueDistribution:
     inst = TvdInstance(np.frombuffer(p), np.frombuffer(q), epsilon)
-    t, reps = inst.t, inst.reps
     r = inst.r
+    rows = [x for x in range(inst.n) if r[x] > 0.0]
+    amps = list(dict.fromkeys(a for x in rows for a in (inst.p[x], inst.q[x])))
+    outcome_laws = (ae_outcome_distribution(a, inst.t) for a in amps)  # one at a time
+    laws = dict(zip(amps, median_laws(outcome_laws, inst.reps)))
     values, probs = [], []
-    laws = {}
-    for x in range(inst.n):
-        if r[x] <= 0.0:
-            continue
-        for a in (inst.p[x], inst.q[x]):
-            if a not in laws:
-                laws[a] = median_law(ae_outcome_distribution(a, t), reps)
+    for x in rows:
         lp, lq = laws[inst.p[x]], laws[inst.q[x]]
-        vals = _ratio_values(lp.values, lq.values)
         w = r[x] * np.outer(lp.probs, lq.probs)
-        keep = w > _PRUNE
-        values.append(vals[keep])
-        probs.append(w[keep])
-    values = np.concatenate(values)
+        i, j = np.nonzero(w > _PRUNE)  # the ratio only where weight survives
+        vp, vq = lp.values[i], lq.values[j]
+        den = vp + vq
+        with np.errstate(invalid="ignore", divide="ignore"):
+            values.append(np.where(den > 0, np.abs(vp - vq) / np.maximum(den, 1e-300), 0.0))
+        probs.append(w[i, j])
     probs = np.concatenate(probs)
-    return from_arrays(values, probs / probs.sum())
+    return from_arrays(np.concatenate(values), probs / probs.sum())
 
 
 def tvd_query_budget(n: int, epsilon: float, delta: float) -> dict:

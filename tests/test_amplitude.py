@@ -184,7 +184,10 @@ def test_batched_scan_matches_chunked_oracle(t):
     on_grid = [0.0, 0.5, 3 / t % 1.0]
     for omega in list(rng.uniform(0.0, 0.5, 4)) + on_grid:
         for w in (omega, (1.0 - omega) % 1.0):
-            us = list(rng.random(7)) + [0.0, 0.0]
+            us = list(rng.random(7))
+            if t == AE_T_CAP and omega not in on_grid:
+                _assert_far_from_partial_sums(w, t, us)
+            us += [0.0, 0.0]
             us += us[:3]
             if t < AE_T_CAP or omega in on_grid:
                 us += [top, top]
@@ -206,6 +209,20 @@ def _mpmath_scan_prefix(omega, t, terms):
                 ys.append((c + j) % t)
                 sums.append(acc)
     return ys, sums
+
+
+def _assert_far_from_partial_sums(omega, t, us):
+    """Each u lies a relative 1e-6 or more from every 40-digit partial sum up
+    to the outcome it selects, so an oracle whose sums err by ~1e-7 (the
+    circle form at t = AE_T_CAP) selects the same outcome as exact sums."""
+    terms = 4
+    while (sums := _mpmath_scan_prefix(omega, t, terms)[1])[-1] < max(us):
+        terms *= 2
+    for u in us:
+        for edge in sums:
+            assert abs(u - edge) >= 1e-6 * edge, (u, float(edge))
+            if edge >= u:
+                break
 
 
 @pytest.mark.parametrize("t", [2**24, 2**30, AE_T_CAP])

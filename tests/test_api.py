@@ -30,7 +30,7 @@ DELETED_NAMES = ("EstimatorConfig", "PhasePoint", "StabilityBound",
                  "make_lazy", "quantum_sample_state", "classical_sample",
                  "moments", "_lambda1", "_LAW_CACHE", "_LAW_CACHE_SIZE",
                  "mix_sample", "mixing_steps", "_mix_sampled_mean",
-                 "_kernel", "_circle_dist")
+                 "_kernel", "_circle_dist", "_ratio_values")
 DELETED_PARAMETERS = {
     "walk.ApproxReflection": ("walk",),
     "walk.ReflectionSpec": ("b", "c_r"),
@@ -48,6 +48,7 @@ DELETED_PARAMETERS = {
 }
 # each defined once, in the first module; the others only import it
 ONE_HOME = {"median_law": ("outcome", "tvd"),
+            "median_laws": ("outcome", "tvd"),
             "binom_upper_tail": ("outcome", "mean"),
             "discriminant_matrix": ("chains", "walk"),
             "chebyshev_ratio": ("gibbs", "partition")}
@@ -103,6 +104,19 @@ def test_one_home_per_function(name):
         module = importlib.import_module(f"qmcs.{user}")
         assert getattr(module, name, fn) is fn
         assert name not in module.__all__
+
+
+def test_traced_layers_resolve():
+    # the benchmark's tracer wraps module.fn for each entry of its LAYERS
+    # table and fails at start-up if one is missing; read, not imported
+    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    [layers] = [node.value for node in ast.parse(tracer.read_text()).body
+                if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["LAYERS"]]
+    missing = [f"{mod}.{fn}" for mod, fns in ast.literal_eval(layers).items()
+               for fn in fns
+               if not callable(getattr(importlib.import_module(f"qmcs.{mod}"), fn, None))]
+    assert missing == []
 
 
 def test_ae_sample_has_one_return_shape():

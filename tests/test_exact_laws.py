@@ -19,12 +19,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_amplitude import _circle_dist, _kernel  # the sampler scan's oracle
 
-from qmcs import amplitude, tvd
+from qmcs import amplitude, outcome, tvd
 from qmcs.amplitude import (AE_LAW_T_CAP, _fold, ae_circuit_distribution,
                             ae_measurement_probs, ae_outcome_distribution,
                             amplitude_phase)
 from qmcs.outcome import (_PRUNE, ValueDistribution, _tail_floor,
-                          binom_upper_tail, from_arrays, median_law)
+                          binom_upper_tail, from_arrays, median_law,
+                          median_laws)
 
 TVD_LAW_TS = (1124, 1590, 2248, 3180, 4496, 6359)  # t of the n, eps of TVD ops
 TWO_KERNEL_TOL = 5e-12  # offset form against the old two-kernel construction
@@ -131,11 +132,36 @@ def _from_arrays_median_law(d, m):
 
 
 def _oracle(f, *args):
-    """f(*args) with the fold and the median law swapped for their oracles."""
+    """f(*args) with the fold and the median laws swapped for their oracles."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(amplitude, "_fold", _unique_fold)
-        mp.setattr(tvd, "median_law", _full_median_law)
+        mp.setattr(tvd, "median_laws", lambda ds, m: [_full_median_law(d, m) for d in ds])
         return f(*args)
+
+
+def _matrix_subroutine_law(p, q, epsilon):
+    """The subroutine law as built before the batched median laws: one
+    median_law per distinct probability, the ratio over the whole |lp| x |lq|
+    matrix, then the weights pruned."""
+    inst = tvd.TvdInstance(p, q, epsilon)
+    r, laws, values, probs = inst.r, {}, [], []
+    for x in range(inst.n):
+        if r[x] <= 0.0:
+            continue
+        for a in (inst.p[x], inst.q[x]):
+            if a not in laws:
+                laws[a] = median_law(ae_outcome_distribution(a, inst.t), inst.reps)
+        lp, lq = laws[inst.p[x]], laws[inst.q[x]]
+        num = np.abs(lp.values[:, None] - lq.values[None, :])
+        den = lp.values[:, None] + lq.values[None, :]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            vals = np.where(den > 0, num / np.maximum(den, 1e-300), 0.0)
+        w = r[x] * np.outer(lp.probs, lq.probs)
+        keep = w > _PRUNE
+        values.append(vals[keep])
+        probs.append(w[keep])
+    probs = np.concatenate(probs)
+    return from_arrays(np.concatenate(values), probs / probs.sum())
 
 
 def _assert_same_law(got: ValueDistribution, want: ValueDistribution):
@@ -222,6 +248,72 @@ def test_subroutine_law_matches_oracle(n):
         p, q = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))
         args = p.tobytes(), q.tobytes(), eps / 8
         _assert_same_law(build(*args), _oracle(build, *args))
+
+
+def _sweep_instances():
+    """60 seeded (p, q, eps/8): n in {2, 4, 16, 64, 100} by Dirichlet
+    concentrations {1, 0.1, 0.02}, each independent, p = q, on disjoint
+    halves, and zero on a common half (rows with r[x] = 0)."""
+    rng = np.random.default_rng(60)
+    for n in (2, 4, 16, 64, 100):
+        half = np.arange(n) < n // 2
+        for alpha in (1.0, 0.1, 0.02):
+            def law(support):
+                w = np.zeros(n)
+                w[support] = rng.dirichlet(np.full(np.count_nonzero(support), alpha))
+                return w
+
+            full = np.ones(n, bool)
+            same = law(full)
+            pairs = [(law(full), law(full)), (same, same.copy()),
+                     (law(half), law(~half)), (law(~half), law(~half))]
+            for i, (p, q) in enumerate(pairs):
+                yield p, q, (0.1, 0.05)[i % 2] / 8
+
+
+def test_subroutine_law_matches_matrix_construction():
+    build = tvd._subroutine_law.__wrapped__  # past the LRU
+    cases = list(_sweep_instances())
+    assert len(cases) == 60
+    assert sum(np.any((p + q) == 0.0) for p, q, _ in cases) >= 15
+    for p, q, eps in cases:
+        _assert_same_law(build(p.tobytes(), q.tobytes(), eps),
+                         _matrix_subroutine_law(p, q, eps))
+
+
+def _point_mass(v):
+    return ValueDistribution(np.array([v]), np.array([1.0]))
+
+
+_LAW_POOL = st.one_of(
+    st.floats(0.0, 1.0).map(_point_mass),
+    st.tuples(st.floats(0.0, 1.0), st.integers(1, 7000)).map(
+        lambda at: ae_outcome_distribution(*at)),
+    st.tuples(st.integers(0, 99), st.sampled_from([40, 2400]),
+              st.sampled_from([1.0, 0.02])).map(lambda s: _dirichlet_law(*s)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(ds=st.lists(_LAW_POOL, min_size=1, max_size=6),
+       m=st.sampled_from([1, 3, 11, 13, 61]),
+       block=st.sampled_from([1, 50, 4096]), stream=st.booleans())
+def test_median_laws_match_one_at_a_time(ds, m, block, stream):
+    # windows of several laws share each tail pass (block CDF points or more)
+    want = [median_law(d, m) for d in ds]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(outcome, "_TAIL_BLOCK", block)
+        got = median_laws((d for d in ds) if stream else ds, m)
+    assert len(got) == len(ds)
+    for g, w, d in zip(got, want, ds):
+        _assert_same_law(g, w)
+        if m > 1:
+            _assert_same_law(g, _from_arrays_median_law(d, m))
+
+
+def test_median_laws_of_nothing_and_even_m():
+    assert median_laws([], 3) == [] and median_laws(iter([]), 1) == []
+    with pytest.raises(ValueError, match="odd"):
+        median_laws([_point_mass(0.5)], 4)
 
 
 # the phases _chunked_scan in test_amplitude reaches: omega in [0, 1) and

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -204,3 +205,21 @@ def test_law_cache_stays_at_its_cap():
     info = cache.cache_info()
     assert (info.hits, info.misses, info.currsize) == (cap + 2, cap + 4, cap)
     cache.cache_clear()
+
+
+def test_fresh_law_does_not_hold_its_outcome_laws_at_once():
+    # the outcome laws stream through median_laws one at a time: a build
+    # peaks well below what holding all their masses together would take
+    rng = np.random.default_rng(64)
+    p, q = rng.dirichlet(np.ones(64)), rng.dirichlet(np.ones(64))
+    inst = TvdInstance(p, q, 0.05 / 8)
+    build = tvd._subroutine_law.__wrapped__  # past the LRU
+    build(p.tobytes(), q.tobytes(), inst.epsilon)  # warm the per-t caches
+    tracemalloc.start()
+    try:
+        build(p.tobytes(), q.tobytes(), inst.epsilon)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    count = len(set(p) | set(q))
+    assert peak < count * (inst.t // 2 + 1) * 8 / 2
