@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 STATE_CAP = 2**20
+MEMO_CAP = 16  # set-ups kept per model (GibbsModel._memoized), oldest evicted
 
 
 @dataclass(frozen=True)
@@ -99,6 +100,22 @@ class GibbsModel:
         # energy histogram counts[h] = #{x : H(x) = h}; occupied levels h
         object.__setattr__(self, "counts", np.bincount(e, minlength=self.n_max + 1))
         object.__setattr__(self, "levels", np.nonzero(self.counts)[0])
+        object.__setattr__(self, "_memo", {})
+
+    def _memoized(self, key, build):
+        """build() once per key while the key is among the MEMO_CAP latest.
+
+        Holds the partition set-up of this model (its keys are laid out in
+        partition); it lives and dies with the model.  A build that raises
+        stores nothing, so the error raises again on the next call.
+        """
+        memo = self._memo
+        if key not in memo:
+            value = build()
+            if len(memo) >= MEMO_CAP:
+                del memo[next(iter(memo))]  # the oldest: dicts keep insertion order
+            memo[key] = value
+        return memo[key]
 
     @property
     def size(self) -> int:

@@ -16,6 +16,15 @@ is estimated forward -- the ground-state indicator under pi_{beta_{l-1}} --
 and inverted.  Every schedule runs from beta = 0 to inf.  A ratio variable
 sees a state only through H, so its law lives on the occupied energy levels
 (gibbs._level_law).
+
+Everything an estimate computes before its first draw depends only on the
+model and the schedule, so it is memoized on the model (at most
+gibbs.MEMO_CAP entries, the oldest evicted), under two keys that only this
+module knows: ("plan", s), the verified plan, its anchor and each pair's
+ratio law (at most |E|+1 points); and ("rungs", betas below inf), each rung
+chain's tau and smallest walk phase, the two scalars that the walk modes'
+reflection charges read at any epsilon.  No chain or eigenvector is kept,
+and a set-up that raises is not stored, so it raises on every call.
 """
 
 from __future__ import annotations
@@ -26,13 +35,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chains import chain_for
+from .chains import chain_for, relaxation_time
 from .gibbs import (GibbsModel, _level_law, chebyshev_ratio, exact_partition,
                     overlap_squared)
 from .mean import estimate_mean_relative, power_median, powering_reps
 from .outcome import (QueryLedger, ValueDistribution, _sample_count,
                       classical_sample_block, from_arrays)
-from .walk import (ReflectionSpec, approx_reflection, reflection_cost,
+from .walk import (ReflectionSpec, phase_bits, reflection_cost,
                    warm_start_cost)
 
 __all__ = [
@@ -180,11 +189,7 @@ class _Ratio(NamedTuple):
     rung: int        # schedule index of the Gibbs law the variable samples
     reverse: bool    # reversed variable, E[Y] = Z(beta_i)/Z(beta_j)
     inverted: bool   # E[Y] = Z(inf)/Z(beta_i): the factor is its inverse
-
-    def variable(self, m: GibbsModel) -> ValueDistribution:
-        if self.reverse:
-            return reversed_ratio_variable(m, self.beta_i, self.beta_j)
-        return ratio_variable(m, self.beta_i, self.beta_j)
+    law: ValueDistribution  # the ratio variable, on the occupied levels
 
     def factor(self, alpha: float) -> float:
         """The telescoping factor given an estimate of E[Y]."""
@@ -197,25 +202,50 @@ class _Ratio(NamedTuple):
 
 def _rung_plan(m: GibbsModel, s: CoolingSchedule):
     """The verified schedule's pairs as estimated, and the anchor Z(0)
-    (forward) or Z(inf) (reversed) that their product multiplies.
+    (forward) or Z(inf) (reversed) that their product multiplies; memoized
+    on the model per schedule.
 
     Forward pairs, and the terminal pair (beta, inf) in either direction,
     sample the ratio variable under pi_{beta_i}; other reversed pairs sample
     the reversed variable under pi_{beta_j}.  The reversed schedule's terminal
     estimate is Z(inf)/Z(beta), so it is inverted.
     """
-    if not verify_schedule(m, s)["ok"]:
-        raise ScheduleError("schedule fails verification")
-    reverse = s.direction == "reversed"
-    plan = []
-    for i in range(s.ell):
-        bi, bj = s.betas[i], s.betas[i + 1]
-        terminal = bj == math.inf
-        rev = reverse and not terminal
-        plan.append(_Ratio(bi, bj, i + 1 if rev else i, rev,
-                           reverse and terminal))
-    anchor = exact_partition(m, math.inf if reverse else 0.0)
-    return plan, anchor
+    def build():
+        if not verify_schedule(m, s)["ok"]:
+            raise ScheduleError("schedule fails verification")
+        reverse = s.direction == "reversed"
+        plan = []
+        for i in range(s.ell):
+            bi, bj = s.betas[i], s.betas[i + 1]
+            terminal = bj == math.inf
+            rev = reverse and not terminal
+            law = (reversed_ratio_variable if rev else ratio_variable)(m, bi, bj)
+            plan.append(_Ratio(bi, bj, i + 1 if rev else i, rev,
+                               reverse and terminal, law))
+        return tuple(plan), exact_partition(m, math.inf if reverse else 0.0)
+
+    return m._memoized(("plan", s), build)
+
+
+def _rung_spectra(m: GibbsModel, s: CoolingSchedule):
+    """Per rung below beta = inf, the chain's tau and its smallest walk phase
+    arccos(lam) over the eigenvalues of D but the top one; memoized on the
+    model per rung betas, on which alone they depend.
+
+    Idealized reflections are charged from tau, exact_sim ones from the phase
+    (walk.phase_bits).  One chain is alive at a time, and only the two
+    scalars outlive it.
+    """
+    def build():
+        out = []
+        for beta in s.betas[:-1]:
+            c = chain_for(m, beta)
+            tau = relaxation_time(c)  # rejects non-ergodic chains
+            theta = np.arccos(np.clip(c.spectrum[0][:-1], -1.0, 1.0))
+            out.append((tau, float(theta.min())))
+        return tuple(zip(*out))
+
+    return m._memoized(("rungs", s.betas[:-1]), build)
 
 
 def estimate_partition(m: GibbsModel, s: CoolingSchedule, epsilon: float,
@@ -241,26 +271,24 @@ def estimate_partition(m: GibbsModel, s: CoolingSchedule, epsilon: float,
         raise ValueError(f"delta={delta!r} needs {reps} estimates per ratio, "
                          f"over the cap {REPS_CAP}")
     if mode != "ideal_sampling":
-        # per rung, one chain alive at a time: tau and the reflection's cost
         spec = ReflectionSpec(min(0.25, eps_i), mode.removeprefix("walk_"))
-        taus, charges = zip(*[(r.tau, r.charge) for r in (
-            approx_reflection(chain_for(m, beta), spec, QueryLedger())
-            for beta in s.betas[:-1])])
+        taus, thetas = _rung_spectra(m, s)
 
     ratios = []
     for r in plan:
-        dist = r.variable(m)
         spent = QueryLedger()
         alpha = power_median(
-            lambda: estimate_mean_relative(dist, s.B, eps_i, rng, spent),
+            lambda: estimate_mean_relative(r.law, s.B, eps_i, rng, spent),
             gamma=0.25, delta=delta_i)
         if mode != "ideal_sampling":
             # reflection accuracy gamma/R: the total coherent error R*eps_r
             # stays a constant slice of the failure budget
             uses = spent.reflection_uses
             eps_r = 0.1 / max(uses, 1)
-            per_reflection = (charges[r.rung] if mode == "walk_exact_sim"
-                              else reflection_cost(taus[r.rung], eps_r))
+            per_reflection = (
+                2**phase_bits(thetas[r.rung], spec.epsilon_r)
+                if mode == "walk_exact_sim"
+                else reflection_cost(taus[r.rung], eps_r))
             prep = warm_start_cost(r.rung, max(taus[: max(r.rung, 1)]), eps_r,
                                    s.B)
             spent.walk_steps += ((spent.a_uses + spent.a_inv_uses) * prep
@@ -284,7 +312,7 @@ def classical_baseline(m: GibbsModel, s: CoolingSchedule, epsilon: float,
     n = _sample_count(16.0 * s.B * s.ell / epsilon**2)
     ratios = []
     for r in plan:
-        draws = classical_sample_block(r.variable(m), n, rng, ledger)
+        draws = classical_sample_block(r.law, n, rng, ledger)
         ratios.append(r.factor(float(np.mean(draws))))
     return PartitionEstimate(z_value=float(anchor * np.prod(ratios)),
                              ratios=ratios, epsilon=epsilon, delta=0.25,

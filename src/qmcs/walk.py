@@ -44,6 +44,7 @@ __all__ = [
     "ApproxReflection",
     "warm_start_prepare",
     "reflection_cost",
+    "phase_bits",
     "warm_start_cost",
 ]
 
@@ -153,6 +154,14 @@ def warm_start_cost(r: int, tau: float, epsilon_s: float, B: float) -> int:
     return math.ceil(r * math.sqrt(tau) * log2 * B * max(math.log(B), 1.0))
 
 
+def phase_bits(theta_min: float, epsilon_r: float) -> int:
+    """Phase bits b of one exact_sim reflection, charged 2^b walk steps:
+    enough to resolve the smallest nonzero walk phase theta_min, and
+    log2(1/epsilon_r) more for accuracy."""
+    return (math.ceil(math.log2(2.0 * math.pi / theta_min))
+            + math.ceil(math.log2(1.0 / epsilon_r)) + 2)
+
+
 class ApproxReflection:
     """Realized reflection about |pi> = sum_x sqrt(pi(x))|x> on node vectors.
 
@@ -181,8 +190,7 @@ class ApproxReflection:
         lams, self.vecs = chain.spectrum
         # no threshold on theta: arccos(1 - 2^-52) ~ 2e-8 would read as a gap
         theta = np.arccos(np.clip(lams[:-1], -1.0, 1.0))
-        self.b = (math.ceil(math.log2(2.0 * math.pi / theta.min()))
-                  + math.ceil(math.log2(1.0 / spec.epsilon_r)) + 2)
+        self.b = phase_bits(theta.min(), spec.epsilon_r)
         T = 2**self.b
         fejer = np.sin(T * theta / 2.0) / (T * np.sin(theta / 2.0))
         r0 = 2.0 * fejer**2 - 1.0

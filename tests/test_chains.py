@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qmcs import chains
 from qmcs.chains import (ChainError, MarkovChain, chain_for, glauber_chain,
                          matching_chain, relaxation_time)
 from qmcs.gibbs import (Graph, colouring_model, gibbs_distribution,
@@ -296,6 +297,17 @@ def test_one_eigensolve_per_rung_chain(monkeypatch):
                        np.random.default_rng(0), QueryLedger())
     assert calls == ["eigh"] * s.ell  # one chain per rung below beta = inf
     calls.clear()
+    # each rung's tau and walk phase are memoized on the model: later
+    # estimates on the same schedule, at any epsilon and in either walk mode,
+    # build no chain and solve no spectrum
+    with monkeypatch.context() as patch:
+        for name in ("glauber_chain", "matching_chain"):
+            patch.setattr(chains, name, lambda *a, _n=name: calls.append(_n))
+        for eps, mode in ((0.1, "walk_exact_sim"), (0.05, "walk_exact_sim"),
+                          (0.2, "walk_idealized")):
+            estimate_partition(m, s, eps, 0.25, mode,
+                               np.random.default_rng(0), QueryLedger())
+    assert calls == []
     c = glauber_chain(m, 0.7)
     relaxation_time(c), c.lambda1
     assert calls == ["eigh"]  # what `qmcs chain` reads

@@ -7,14 +7,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qmcs
-from qmcs.gibbs import (Graph, _boltzmann, chebyshev_ratio, chi_squared,
-                        colouring_model, exact_partition, gibbs_distribution,
-                        ising_model, matching_model, overlap_squared)
-from qmcs.outcome import QueryLedger, from_arrays
-from qmcs.partition import (CoolingSchedule, ScheduleError, build_schedule,
-                            classical_baseline, estimate_partition,
-                            ratio_variable, reversed_ratio_variable,
-                            verify_schedule)
+from qmcs.chains import ChainError, chain_for
+from qmcs.gibbs import (MEMO_CAP, Graph, _boltzmann, chebyshev_ratio,
+                        chi_squared, colouring_model, exact_partition,
+                        gibbs_distribution, ising_model, matching_model,
+                        overlap_squared)
+from qmcs.outcome import QueryLedger, ValueDistribution, from_arrays
+from qmcs.partition import (CoolingSchedule, ScheduleError, _rung_spectra,
+                            build_schedule, classical_baseline,
+                            estimate_partition, ratio_variable,
+                            reversed_ratio_variable, verify_schedule)
+from qmcs.walk import ReflectionSpec, approx_reflection, phase_bits
 
 K2 = Graph(2, ((0, 1),))
 C4 = Graph(4, ((0, 1), (1, 2), (2, 3), (3, 0)))
@@ -164,7 +167,12 @@ def _state_ratio_law(m, beta_i, beta_j, reverse=False):
     else:
         values = np.exp((beta_j - beta_i if reverse else -(beta_j - beta_i))
                         * m.energies)
-    return from_arrays(values, _state_gibbs(m, beta_j if reverse else beta_i))
+    probs = _state_gibbs(m, beta_j if reverse else beta_i)
+    # each level's mass summed exactly: a running sum of ~100 state masses
+    # drifts by several ulps, more than the law under test
+    uniq, inverse = np.unique(values, return_inverse=True)
+    merged = [math.fsum(probs[inverse == k]) for k in range(len(uniq))]
+    return from_arrays(uniq, merged)
 
 
 @st.composite
@@ -226,3 +234,84 @@ def test_level_quantities_build_no_gibbs_vector(monkeypatch):
         reversed_ratio_variable(m, bi, bj)
         overlap_squared(m, bi, math.inf)
         chi_squared(m, bi, bj)
+
+
+def _memo_leaves(x):
+    """Every non-container value in a memo key or entry."""
+    if isinstance(x, (tuple, list)):
+        for item in x:
+            yield from _memo_leaves(item)
+    elif isinstance(x, ValueDistribution):
+        yield from (x.values, x.probs)
+    else:
+        yield x
+
+
+@pytest.mark.parametrize("mode", ["ideal_sampling", "walk_idealized",
+                                  "walk_exact_sim"])
+def test_memoized_setup_matches_fresh_models(mode):
+    # seeded estimates on one model, whose set-up is built by the first call
+    # and read by the rest, are bit for bit those on freshly built models
+    for build, direction in ((lambda: ising_model(C4), "forward"),
+                             (lambda: matching_model(C4), "reversed")):
+        def run(m, seed):
+            s = build_schedule(m, 2.0, direction)
+            pe = estimate_partition(m, s, 0.2, 0.25, mode,
+                                    np.random.default_rng(seed), QueryLedger())
+            return pe.z_value.hex(), [r.hex() for r in pe.ratios], pe.ledger
+
+        warm = build()
+        for seed in (5, 6, 7):
+            assert run(warm, seed) == run(build(), seed)
+        # scalars and level laws only: no chain, P or eigenvector is kept
+        for leaf in _memo_leaves(list(warm._memo.items())):
+            assert isinstance(leaf, (str, int, float, CoolingSchedule,
+                                     np.ndarray)), leaf
+            assert not isinstance(leaf, np.ndarray) or leaf.size <= len(warm.levels)
+
+
+def test_rung_spectra_give_each_reflections_tau_and_charge():
+    # the two memoized scalars per rung charge what a reflection on the
+    # rung's chain charges, at any epsilon
+    for m, direction in ((ising_model(C4), "forward"),
+                         (matching_model(C4), "reversed")):
+        s = build_schedule(m, 2.0, direction)
+        taus, thetas = _rung_spectra(m, s)
+        for beta, tau, theta in zip(s.betas[:-1], taus, thetas, strict=True):
+            for eps in (0.25, 0.01, 1e-6):
+                refl = approx_reflection(chain_for(m, beta),
+                                         ReflectionSpec(eps, "exact_sim"),
+                                         QueryLedger())
+                assert refl.tau == tau
+                assert refl.charge == 2**phase_bits(theta, eps)
+
+
+def test_failed_setup_raises_every_call_and_is_not_memoized():
+    # 8,192 states, over the dense chain cap: each rung's chain is refused
+    m = ising_model(Graph(13, tuple((i, (i + 1) % 13) for i in range(13))))
+    s = build_schedule(m, 2.0)
+    for _ in range(2):
+        with pytest.raises(ChainError):
+            estimate_partition(m, s, 0.1, 0.25, "walk_idealized",
+                               np.random.default_rng(0), QueryLedger())
+    assert [key[0] for key in m._memo] == ["plan"]  # verified; no rung spectra
+    m = ising_model(K2)
+    bad = CoolingSchedule((0.0, math.inf), 1.5, "forward")  # ratio 2 > 1.5
+    for _ in range(2):
+        with pytest.raises(ScheduleError):
+            estimate_partition(m, bad, 0.1, 0.1, "ideal_sampling",
+                               np.random.default_rng(0), QueryLedger())
+        with pytest.raises(ScheduleError):
+            classical_baseline(m, bad, 0.1, np.random.default_rng(0),
+                               QueryLedger())
+    assert m._memo == {}
+
+
+def test_memo_keeps_the_latest_cap_keys():
+    m = ising_model(K2)  # Z(0)/Z(inf) = 2: every B >= 2 verifies (0, inf)
+    schedules = [CoolingSchedule((0.0, math.inf), 2.0 + i, "forward")
+                 for i in range(MEMO_CAP + 3)]
+    for i, s in enumerate(schedules):
+        classical_baseline(m, s, 0.9, np.random.default_rng(i), QueryLedger())
+        assert len(m._memo) == min(i + 1, MEMO_CAP)
+    assert [key[1] for key in m._memo] == schedules[-MEMO_CAP:]
