@@ -24,7 +24,7 @@ from .gibbs import (Graph, GibbsModel, read_graph, ising_model,
                     gibbs_distribution, chi_squared, overlap_squared)
 from .chains import (MarkovChain, glauber_chain, matching_chain, chain_for,
                      relaxation_time)
-from .walk import (WalkOperator, QuantumSample, ReflectionSpec, szegedy_walk,
+from .walk import (WalkOperator, QuantumSample, szegedy_walk,
                    approx_reflection, warm_start_prepare,
                    spectral_correspondence_residual)
 from .partition import (CoolingSchedule, PartitionEstimate, ratio_variable,

@@ -125,6 +125,7 @@ def t_for_additive_error(epsilon: float) -> int:
     """Smallest t with C(1/t + 1/t^2) <= epsilon (worst case over amplitudes)."""
     _check_positive(epsilon=epsilon)
     C = bounded_mean_constant()
+    _check_t(max(1.0, C / epsilon))  # before int(): C / 5e-324 is inf
     t = max(1, int(C / epsilon))
     while C * (1.0 / t + 1.0 / t**2) > epsilon:
         t += 1

@@ -41,8 +41,7 @@ from .gibbs import (GibbsModel, _level_law, chebyshev_ratio, exact_partition,
 from .mean import estimate_mean_relative, power_median, powering_reps
 from .outcome import (QueryLedger, ValueDistribution, _sample_count,
                       classical_sample_block, from_arrays)
-from .walk import (ReflectionSpec, phase_bits, reflection_cost,
-                   warm_start_cost)
+from .walk import phase_bits, reflection_cost, walk_phases, warm_start_cost
 
 __all__ = [
     "CoolingSchedule",
@@ -229,8 +228,8 @@ def _rung_plan(m: GibbsModel, s: CoolingSchedule):
 
 def _rung_spectra(m: GibbsModel, s: CoolingSchedule):
     """Per rung below beta = inf, the chain's tau and its smallest walk phase
-    arccos(lam) over the eigenvalues of D but the top one; memoized on the
-    model per rung betas, on which alone they depend.
+    (walk.walk_phases); memoized on the model per rung betas, on which alone
+    they depend.
 
     Idealized reflections are charged from tau, exact_sim ones from the phase
     (walk.phase_bits).  One chain is alive at a time, and only the two
@@ -241,8 +240,7 @@ def _rung_spectra(m: GibbsModel, s: CoolingSchedule):
         for beta in s.betas[:-1]:
             c = chain_for(m, beta)
             tau = relaxation_time(c)  # rejects non-ergodic chains
-            theta = np.arccos(np.clip(c.spectrum[0][:-1], -1.0, 1.0))
-            out.append((tau, float(theta.min())))
+            out.append((tau, float(walk_phases(c).min())))
         return tuple(zip(*out))
 
     return m._memoized(("rungs", s.betas[:-1]), build)
@@ -262,6 +260,8 @@ def estimate_partition(m: GibbsModel, s: CoolingSchedule, epsilon: float,
     """
     if mode not in ("ideal_sampling", "walk_idealized", "walk_exact_sim"):
         raise ValueError(f"unknown mode {mode!r}")
+    if not epsilon > 0.0:  # NaN fails too; before the set-up's eigensolves
+        raise ValueError("epsilon must be positive")
     plan, anchor = _rung_plan(m, s)
     ell = s.ell
     eps_i = epsilon / (2.0 * ell)
@@ -271,7 +271,6 @@ def estimate_partition(m: GibbsModel, s: CoolingSchedule, epsilon: float,
         raise ValueError(f"delta={delta!r} needs {reps} estimates per ratio, "
                          f"over the cap {REPS_CAP}")
     if mode != "ideal_sampling":
-        spec = ReflectionSpec(min(0.25, eps_i), mode.removeprefix("walk_"))
         taus, thetas = _rung_spectra(m, s)
 
     ratios = []
@@ -286,7 +285,7 @@ def estimate_partition(m: GibbsModel, s: CoolingSchedule, epsilon: float,
             uses = spent.reflection_uses
             eps_r = 0.1 / max(uses, 1)
             per_reflection = (
-                2**phase_bits(thetas[r.rung], spec.epsilon_r)
+                2**phase_bits(thetas[r.rung], min(0.25, eps_i))
                 if mode == "walk_exact_sim"
                 else reflection_cost(taus[r.rung], eps_r))
             prep = warm_start_cost(r.rung, max(taus[: max(r.rung, 1)]), eps_r,

@@ -30,7 +30,7 @@ from .partition import (build_schedule, classical_baseline, estimate_partition,
                         ratio_variable, verify_schedule)
 from .tvd import (estimate_tvd, exact_tvd, ratio_stability_check,
                   tvd_query_budget)
-from .walk import (ReflectionSpec, approx_reflection, szegedy_walk,
+from .walk import (approx_reflection, szegedy_walk,
                    spectral_correspondence_residual, warm_start_prepare)
 
 K2 = Graph(2, ((0, 1),))
@@ -256,8 +256,7 @@ def criterion_9():
     k2_chain = glauber_chain(ising_model(K2), 1.0)
     worst_refl = 0.0
     for chain, eps_r in ((two_state, 0.01), (k2_chain, 0.05)):
-        refl = approx_reflection(chain, ReflectionSpec(eps_r, "exact_sim"),
-                                 QueryLedger())
+        refl = approx_reflection(chain, eps_r, QueryLedger())
         for _ in range(100):
             u = rng.standard_normal(chain.n)
             err = refl.error_norm(u / np.linalg.norm(u))

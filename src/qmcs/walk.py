@@ -10,12 +10,12 @@ So everything built on W runs on the n-dimensional node register from
 eigh(D); the dense n^2 x n^2 W (szegedy_walk, WalkOperator) is kept only as
 the oracle that checks this correspondence.
 
-Two contracts built on W run in dual modes:
+Two contracts are built on W:
 
-  * approx_reflection -- approximates 2|pi><pi| - I.  `exact_sim` simulates
-    phase estimation with b phase bits on the phases arccos(lam_k) and
-    exposes its realized action and error; `idealized` applies the exact
-    reflection and charges ceil(sqrt(tau) * ln(1/eps_r)) walk steps.
+  * approx_reflection -- approximates 2|pi><pi| - I by phase estimation
+    with b phase bits on the walk phases arccos(lam_k) (walk_phases), and
+    exposes its realized action and error.  An idealized reflection is only
+    a charge, ceil(sqrt(tau) * ln(1/eps_r)) walk steps (reflection_cost).
   * warm_start_prepare -- walks a cooling schedule 0 = beta_0 < ... < beta_r,
     producing |pi_r> by iterated projection |pi_j> -> |pi_{j+1}>; `idealized`
     returns the exact state and charges the stated
@@ -25,7 +25,7 @@ Two contracts built on W run in dual modes:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -37,7 +37,6 @@ from .outcome import QueryLedger
 __all__ = [
     "WalkOperator",
     "QuantumSample",
-    "ReflectionSpec",
     "szegedy_walk",
     "spectral_correspondence_residual",
     "approx_reflection",
@@ -45,6 +44,7 @@ __all__ = [
     "warm_start_prepare",
     "reflection_cost",
     "phase_bits",
+    "walk_phases",
     "warm_start_cost",
 ]
 
@@ -56,14 +56,16 @@ class WalkOperator:
     W: np.ndarray
     chain: MarkovChain
     node_embedding: np.ndarray  # n^2 x n isometry, columns |x>|p_x>
+    unitarity_residual: float = field(init=False)  # max |W^dag W - I|
 
     def __post_init__(self):
         W = np.asarray(self.W, complex)
         W.setflags(write=False)
         object.__setattr__(self, "W", W)
-        resid = np.abs(W.conj().T @ W - np.eye(len(W))).max()
+        resid = float(np.abs(W.conj().T @ W - np.eye(len(W))).max())
         if resid > 1e-10:
             raise ValueError(f"walk operator not unitary (residual {resid:.2e})")
+        object.__setattr__(self, "unitarity_residual", resid)
 
     @cached_property
     def eigensystem(self):
@@ -98,18 +100,6 @@ class QuantumSample:
         object.__setattr__(self, "amplitudes", a)
         if abs(np.linalg.norm(a) - 1.0) > 1e-12:
             raise ValueError("quantum sample must be normalized")
-
-
-@dataclass(frozen=True)
-class ReflectionSpec:
-    epsilon_r: float
-    mode: str = "idealized"  # "exact_sim" | "idealized"
-
-    def __post_init__(self):
-        if self.epsilon_r <= 0:
-            raise ValueError("epsilon_r must be positive")
-        if self.mode not in ("exact_sim", "idealized"):
-            raise ValueError("mode must be 'exact_sim' or 'idealized'")
 
 
 def szegedy_walk(c: MarkovChain) -> WalkOperator:
@@ -155,42 +145,43 @@ def warm_start_cost(r: int, tau: float, epsilon_s: float, B: float) -> int:
 
 
 def phase_bits(theta_min: float, epsilon_r: float) -> int:
-    """Phase bits b of one exact_sim reflection, charged 2^b walk steps:
-    enough to resolve the smallest nonzero walk phase theta_min, and
-    log2(1/epsilon_r) more for accuracy."""
+    """Phase bits b of one reflection, charged 2^b walk steps: enough to
+    resolve the smallest nonzero walk phase theta_min, and log2(1/epsilon_r)
+    more for accuracy."""
     return (math.ceil(math.log2(2.0 * math.pi / theta_min))
             + math.ceil(math.log2(1.0 / epsilon_r)) + 2)
+
+
+def walk_phases(c: MarkovChain) -> np.ndarray:
+    """Walk phases arccos(lam) over every eigenvalue lam of D but the top one
+    (lam = 1, phase 0, unique for an ergodic chain), in eigh's order."""
+    # no threshold on theta: arccos(1 - 2^-52) ~ 2e-8 would read as a gap
+    return np.arccos(np.clip(c.spectrum[0][:-1], -1.0, 1.0))
 
 
 class ApproxReflection:
     """Realized reflection about |pi> = sum_x sqrt(pi(x))|x> on node vectors.
 
-    exact_sim: phase estimation with b phase bits, b set by the smallest
-    nonzero walk phase theta_k = arccos(lam_k).  The stationary top eigenpair
-    of D (lam = 1, unique for an ergodic chain) has phase 0 and is fixed
-    exactly.  On the walk eigenvectors of phase +-theta, the ancilla-0 overlap
-    after the reflect-and-undo circuit is the Fejer kernel
+    Phase estimation with b phase bits, b set by the smallest nonzero walk
+    phase theta_k = arccos(lam_k).  The stationary top eigenpair of D
+    (lam = 1, unique for an ergodic chain) has phase 0 and is fixed exactly.
+    On the walk eigenvectors of phase +-theta, the ancilla-0 overlap after
+    the reflect-and-undo circuit is the Fejer kernel
     r0(theta) = 2 (sin(T theta/2) / (T sin(theta/2)))^2 - 1, T = 2^b, and the
     realized error is sqrt(2 + 2 r0).  r0 is even in theta, so the ancilla-0
     block on node vectors is V diag(r0) V^T; the 2^b-dimensional ancilla is
     never stored.
-
-    idealized: exact reflection; every application charges walk steps.
     """
 
-    def __init__(self, chain: MarkovChain, spec: ReflectionSpec,
+    def __init__(self, chain: MarkovChain, epsilon_r: float,
                  ledger: QueryLedger):
-        self.chain = chain
-        self.spec = spec
+        if not 0.0 < epsilon_r < math.inf:  # NaN fails too
+            raise ValueError("epsilon_r must be positive and finite")
         self.ledger = ledger
         self.tau = relaxation_time(chain)  # rejects non-ergodic chains
-        if spec.mode == "idealized":
-            self.charge = reflection_cost(self.tau, spec.epsilon_r)
-            return
-        lams, self.vecs = chain.spectrum
-        # no threshold on theta: arccos(1 - 2^-52) ~ 2e-8 would read as a gap
-        theta = np.arccos(np.clip(lams[:-1], -1.0, 1.0))
-        self.b = phase_bits(theta.min(), spec.epsilon_r)
+        self.vecs = chain.spectrum[1]
+        theta = walk_phases(chain)
+        self.b = phase_bits(theta.min(), epsilon_r)
         T = 2**self.b
         fejer = np.sin(T * theta / 2.0) / (T * np.sin(theta / 2.0))
         r0 = 2.0 * fejer**2 - 1.0
@@ -200,22 +191,18 @@ class ApproxReflection:
 
     def error_norm(self, u: np.ndarray) -> float:
         """||R~(A u|0^b>) - ((2|pi><pi|-I) A u)|0^b>|| for the node vector u."""
-        if self.spec.mode != "exact_sim":
-            return 0.0
         return float(np.linalg.norm(self.err * (self.vecs.T @ u)))
 
     def apply_postselected(self, u: np.ndarray) -> np.ndarray:
-        """Ancilla-0 block of R~ on the node vector u; idealized mode is exact."""
+        """Ancilla-0 block of R~ on the node vector u."""
         self.ledger.walk_steps += self.charge
-        if self.spec.mode == "idealized":
-            s = np.sqrt(self.chain.pi)
-            return 2.0 * s * (s @ u) - u
         return self.vecs @ (self.r0 * (self.vecs.T @ u))
 
 
-def approx_reflection(c: MarkovChain, spec: ReflectionSpec,
+def approx_reflection(c: MarkovChain, epsilon_r: float,
                       ledger: QueryLedger) -> ApproxReflection:
-    return ApproxReflection(c, spec, ledger)
+    """The name warm starts call, and the one the benchmark's tracer wraps."""
+    return ApproxReflection(c, epsilon_r, ledger)
 
 
 def warm_start_prepare(m: GibbsModel, betas, target_index: int,
@@ -232,6 +219,8 @@ def warm_start_prepare(m: GibbsModel, betas, target_index: int,
     r = target_index
     if not 0 <= r < len(betas):
         raise ValueError("target index outside schedule")
+    if not 0.0 < epsilon_s < 1.0:  # NaN fails too
+        raise ValueError("epsilon_s must be in (0, 1)")
     overlaps = [overlap_squared(m, betas[j], betas[j + 1]) for j in range(r)]
     if B is None:
         B = 1.0 / min(overlaps) if overlaps else 1.0
@@ -249,8 +238,7 @@ def warm_start_prepare(m: GibbsModel, betas, target_index: int,
     eps_r = epsilon_s / (4.0 * max(r, 1))
     state = np.sqrt(gibbs_distribution(m, betas[0]))
     for j in range(r):
-        refl = approx_reflection(chain_for(m, betas[j + 1]),
-                                 ReflectionSpec(eps_r, "exact_sim"), ledger)
+        refl = approx_reflection(chain_for(m, betas[j + 1]), eps_r, ledger)
         state = 0.5 * (state + refl.apply_postselected(state))
         norm = np.linalg.norm(state)
         if norm < 1e-12:

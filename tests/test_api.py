@@ -30,10 +30,11 @@ DELETED_NAMES = ("EstimatorConfig", "PhasePoint", "StabilityBound",
                  "make_lazy", "quantum_sample_state", "classical_sample",
                  "moments", "_lambda1", "_LAW_CACHE", "_LAW_CACHE_SIZE",
                  "mix_sample", "mixing_steps", "_mix_sampled_mean",
-                 "_kernel", "_circle_dist", "_ratio_values")
+                 "_kernel", "_circle_dist", "_ratio_values",
+                 "ReflectionSpec")
 DELETED_PARAMETERS = {
-    "walk.ApproxReflection": ("walk",),
-    "walk.ReflectionSpec": ("b", "c_r"),
+    "walk.ApproxReflection": ("walk", "spec"),
+    "walk.approx_reflection": ("spec",),
     "walk.reflection_cost": ("c_r",),
     "walk.warm_start_cost": ("c_s",),
     "walk.warm_start_prepare": ("c_s",),
@@ -139,3 +140,14 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout.split()
     assert out == []  # so no scipy.stats, scipy.special or scipy.linalg
+
+
+def test_readme_quick_example_runs(capsys):
+    # README's "Quick example" block, read from README.md and run as
+    # written, so that an API change cannot leave it stale
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("\n## Quick example\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    value, uses = capsys.readouterr().out.split()
+    assert abs(float(value) - 0.25) <= 0.01 and int(uses) > 0

@@ -334,8 +334,9 @@ def test_t_for_additive_error_rejects_nonpositive_epsilon(eps):
 
 
 def test_t_for_subnormal_epsilon_overflows_cleanly():
-    # C / 5e-324 is inf; numpy's C used to warn before int() raised
-    with pytest.raises(OverflowError):
+    # C / 5e-324 is inf; numpy's C used to warn before int() raised, and
+    # then int() raised OverflowError
+    with pytest.raises(ValueError, match="exceeds the amplitude-estimation cap"):
         t_for_additive_error(5e-324)
 
 

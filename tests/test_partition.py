@@ -17,7 +17,7 @@ from qmcs.partition import (CoolingSchedule, ScheduleError, _rung_spectra,
                             build_schedule, classical_baseline,
                             estimate_partition, ratio_variable,
                             reversed_ratio_variable, verify_schedule)
-from qmcs.walk import ReflectionSpec, approx_reflection, phase_bits
+from qmcs.walk import approx_reflection, phase_bits
 
 K2 = Graph(2, ((0, 1),))
 C4 = Graph(4, ((0, 1), (1, 2), (2, 3), (3, 0)))
@@ -279,11 +279,25 @@ def test_rung_spectra_give_each_reflections_tau_and_charge():
         taus, thetas = _rung_spectra(m, s)
         for beta, tau, theta in zip(s.betas[:-1], taus, thetas, strict=True):
             for eps in (0.25, 0.01, 1e-6):
-                refl = approx_reflection(chain_for(m, beta),
-                                         ReflectionSpec(eps, "exact_sim"),
+                refl = approx_reflection(chain_for(m, beta), eps,
                                          QueryLedger())
                 assert refl.tau == tau
                 assert refl.charge == 2**phase_bits(theta, eps)
+
+
+@pytest.mark.parametrize("mode", ["ideal_sampling", "walk_idealized",
+                                  "walk_exact_sim"])
+def test_estimate_partition_checks_epsilon_before_setup(mode):
+    # walk modes used to solve and memoize every rung chain before a NaN
+    # epsilon failed, and ideal_sampling verified the plan before epsilon 0
+    m = ising_model(C4)
+    s = build_schedule(m, 2.0)
+    for eps in (0.0, -0.1, math.nan):
+        ledger = QueryLedger()
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            estimate_partition(m, s, eps, 0.25, mode, np.random.default_rng(0),
+                               ledger)
+        assert m._memo == {} and ledger == QueryLedger()
 
 
 def test_failed_setup_raises_every_call_and_is_not_memoized():

@@ -9,9 +9,9 @@ from qmcs.gibbs import (Graph, colouring_model, gibbs_distribution,
                         ising_model, matching_model)
 from qmcs.outcome import QueryLedger
 from qmcs.partition import build_schedule
-from qmcs.walk import (ApproxReflection, ReflectionSpec, approx_reflection,
-                       reflection_cost, spectral_correspondence_residual,
-                       szegedy_walk, warm_start_cost, warm_start_prepare)
+from qmcs.walk import (ApproxReflection, approx_reflection,
+                       spectral_correspondence_residual, szegedy_walk,
+                       warm_start_cost, warm_start_prepare)
 
 K2 = Graph(2, ((0, 1),))
 
@@ -49,10 +49,10 @@ class _EdgeReflection:
     overlap summed over y without the closed form.  Acts on edge vectors.
     """
 
-    def __init__(self, walk, spec):
+    def __init__(self, walk, epsilon_r):
         phases, self.vecs = walk.eigensystem
         self.b = (math.ceil(math.log2(2.0 * math.pi / walk.phase_gap))
-                  + math.ceil(math.log2(1.0 / spec.epsilon_r)) + 2)
+                  + math.ceil(math.log2(1.0 / epsilon_r)) + 2)
         self.charge = 2**self.b
         zero = np.abs(phases) <= 1e-9
         r0 = 2.0 * _overlap_by_doubling(phases, self.b) - 1.0
@@ -70,6 +70,9 @@ class _EdgeReflection:
 def test_walk_is_unitary_and_real():
     w = szegedy_walk(_two_state(0.25, 0.25))
     assert np.allclose(w.W @ w.W.T, np.eye(4), atol=1e-12)
+    # the residual kept from construction is the one qmcs walk-check prints
+    assert w.unitarity_residual == float(
+        np.abs(w.W.conj().T @ w.W - np.eye(4)).max())
 
 
 def test_symmetric_two_state_phases():
@@ -100,26 +103,11 @@ def test_spectral_correspondence_random_chains():
         assert spectral_correspondence_residual(w) <= 1e-8
 
 
-def test_idealized_reflection_exact_and_charged():
-    c = _two_state(0.25, 0.25)
-    ledger = QueryLedger()
-    refl = approx_reflection(c, ReflectionSpec(0.01, "idealized"), ledger)
-    rng = np.random.default_rng(3)
-    v = rng.standard_normal(2)
-    v /= np.linalg.norm(v)
-    out = refl.apply_postselected(v)
-    s = np.sqrt(c.pi)
-    assert np.allclose(out, 2.0 * s * (s @ v) - v, atol=1e-12)
-    # exact involution
-    assert np.allclose(refl.apply_postselected(out), v, atol=1e-12)
-    assert ledger.walk_steps == 2 * reflection_cost(relaxation_time(c), 0.01)
-
-
 def test_exact_sim_reflection_error_within_budget():
     c = _two_state(0.25, 0.25)
     eps = 0.05
     ledger = QueryLedger()
-    refl = approx_reflection(c, ReflectionSpec(eps, "exact_sim"), ledger)
+    refl = approx_reflection(c, eps, ledger)
     rng = np.random.default_rng(4)
     for _ in range(20):
         v = rng.standard_normal(2)
@@ -133,9 +121,8 @@ def test_exact_sim_reflection_error_within_budget():
 
 def test_exact_sim_phase_bits_grow_with_accuracy():
     c = _two_state(0.25, 0.25)
-    b1 = ApproxReflection(c, ReflectionSpec(0.1, "exact_sim"), QueryLedger()).b
-    b2 = ApproxReflection(c, ReflectionSpec(0.001, "exact_sim"),
-                          QueryLedger()).b
+    b1 = ApproxReflection(c, 0.1, QueryLedger()).b
+    b2 = ApproxReflection(c, 0.001, QueryLedger()).b
     assert b2 > b1
 
 
@@ -149,11 +136,11 @@ def test_reference_overlap_matches_exponential_sum():
         assert np.abs(_overlap_by_doubling(phases, b) - direct).max() <= 1e-12
 
 
-def _assert_matches_dense(c, spec, rng):
+def _assert_matches_dense(c, epsilon_r, rng):
     """Node reflection == A^T R_dense(A u), same error norm, b and charge."""
-    node = ApproxReflection(c, spec, QueryLedger())
+    node = ApproxReflection(c, epsilon_r, QueryLedger())
     w = szegedy_walk(c)
-    ref = _EdgeReflection(w, spec)
+    ref = _EdgeReflection(w, epsilon_r)
     assert (node.b, node.charge) == (ref.b, ref.charge)
     A = w.node_embedding
     for u in [np.sqrt(c.pi), *rng.standard_normal((3, c.n))]:
@@ -168,8 +155,7 @@ def test_node_reflection_matches_dense_walk_random_chains(eps_r):
     rng = np.random.default_rng(13)
     for n in range(2, 9):
         for _ in range(2):
-            _assert_matches_dense(_random_reversible(rng, n),
-                                  ReflectionSpec(eps_r, "exact_sim"), rng)
+            _assert_matches_dense(_random_reversible(rng, n), eps_r, rng)
 
 
 # (model, B, direction, partition eps) of the golden and benchmark partition
@@ -192,18 +178,22 @@ def test_node_reflection_matches_dense_walk_on_rung_chains(name):
     build, B, direction, eps = PARTITION_INSTANCES[name]
     m = build()
     s = build_schedule(m, B, direction)
-    # the reflection spec and rung chains estimate_partition uses
-    spec = ReflectionSpec(min(0.25, eps / (2.0 * s.ell)), "exact_sim")
+    # the reflection accuracy and rung chains estimate_partition uses
+    eps_r = min(0.25, eps / (2.0 * s.ell))
     rng = np.random.default_rng(14)
     for beta in s.betas[:-1]:
-        _assert_matches_dense(chain_for(m, beta), spec, rng)
+        _assert_matches_dense(chain_for(m, beta), eps_r, rng)
 
 
-def test_reflection_spec_validation():
-    with pytest.raises(ValueError):
-        ReflectionSpec(-0.1)
-    with pytest.raises(ValueError):
-        ReflectionSpec(0.1, "other")
+def test_approx_reflection_checks_epsilon():
+    # NaN used to pass and fail later in phase_bits ("cannot convert float
+    # NaN to integer"), and inf there with "math domain error"
+    c = _two_state(0.25, 0.25)
+    for eps_r in (-0.1, 0.0, math.nan, math.inf):
+        ledger = QueryLedger()
+        with pytest.raises(ValueError, match="epsilon_r must be positive"):
+            approx_reflection(c, eps_r, ledger)
+        assert ledger == QueryLedger()
 
 
 def test_warm_start_idealized_charges_and_state():
@@ -235,6 +225,24 @@ def test_warm_start_exact_sim_beyond_dense_walk_size():
                             QueryLedger())
     target = np.sqrt(gibbs_distribution(m, s.betas[r]))
     assert float(qs.amplitudes @ target) ** 2 >= 1.0 - eps
+
+
+@pytest.mark.parametrize("mode", ["idealized", "exact_sim"])
+@pytest.mark.parametrize("r", [0, 1])
+def test_warm_start_rejects_epsilon_outside_unit_interval(monkeypatch, mode, r):
+    # at r >= 1, 0 raised ZeroDivisionError (idealized), -0.1 "math domain
+    # error" and NaN "cannot convert float NaN to integer"; at r = 0 every
+    # value passed.  The check precedes every overlap and every charge.
+    def no_overlap(*args):
+        raise AssertionError("overlap computed before the epsilon check")
+
+    monkeypatch.setattr("qmcs.walk.overlap_squared", no_overlap)
+    for eps in (0.0, -0.1, math.nan, 1.0, 1.5):
+        ledger = QueryLedger()
+        with pytest.raises(ValueError, match=r"epsilon_s must be in \(0, 1\)"):
+            warm_start_prepare(ising_model(K2), [0.0, 0.5, 1.0], r, eps, mode,
+                               ledger, B=2.0)
+        assert ledger == QueryLedger()
 
 
 def test_warm_start_rejects_bad_overlap_promise():
