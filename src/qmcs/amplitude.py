@@ -7,12 +7,13 @@ equally over the conjugate phases +-omega, with estimate a~ = sin^2(pi y/t).
 With c = round(t omega) and delta = t omega - c, outcome y = c + k,
 k in (-t/2, t/2], has t D = k - delta, so its mass is
 sin^2(pi delta) / (t sin(pi (k - delta) / t))^2: one sine per outcome.  The
-exact law and the sampler both use this offset form.  The -omega phase puts
-y's mass on t - y, whose estimate is y's, so the law of a~ is the +omega law
-folded onto the strictly increasing half grid sin^2(pi i / t), i = 0..t//2.
-The sampler draws a whole median at once, through one outward inverse-CDF
-scan per conjugate phase.  A dense circuit simulation of phase estimation on
-the two-dimensional rotation cross-validates the closed form.
+-omega phase puts y's mass on t - y, whose estimate is y's, so the law of a~
+is the +omega law folded onto the strictly increasing half grid
+sin^2(pi i / t), i = 0..t//2.  The exact law and the sampler both follow this
+one construction: the sampler draws a whole median at once, one uniform per
+draw, through a single outward inverse-CDF scan of the +omega law in offset
+form, and folds each y to min(y, t - y).  A dense circuit simulation of phase
+estimation on the two-dimensional rotation cross-validates the closed form.
 """
 
 from __future__ import annotations
@@ -125,7 +126,7 @@ def _check_t(t) -> None:
 
 
 def _draw_outcomes(omega: float, t: int, us) -> list:
-    """Outcome y for each u in us (non-empty), by inverse CDF of the law at omega.
+    """Outcome y for each u in us (non-empty), by inverse CDF of the +omega law.
 
     One scan outward from the grid point c (offset k = 0, then +k before -k,
     t/2 once) resolves the u's in ascending order as the running sum of the
@@ -153,8 +154,9 @@ def _draw_outcomes(omega: float, t: int, us) -> list:
 def ae_sample(a: float, t: int, rng: np.random.Generator, ledger: QueryLedger,
               size: int) -> list[float]:
     """A list of size draws of the estimate a~. Each draw charges t reflections
-    and one A / A^-1 pair and takes (conjugate choice, u) from its pair of
-    rng.random(2 * size), so size=n equals n calls with size=1."""
+    and one A / A^-1 pair and takes its u from rng.random(size); the +omega
+    outcome y gives a~ = sin^2(pi min(y, t - y) / t), as in
+    ae_outcome_distribution's fold.  So size=n equals n calls with size=1."""
     _check_t(t)
     if size < 1:
         raise ValueError("size must be >= 1")
@@ -162,15 +164,8 @@ def ae_sample(a: float, t: int, rng: np.random.Generator, ledger: QueryLedger,
     ledger.a_uses += size
     ledger.a_inv_uses += size
     ledger.reflection_uses += size * t
-    pairs = rng.random(2 * size).tolist()
-    groups = ([j for j in range(size) if pairs[2 * j] >= 0.5],  # at +omega
-              [j for j in range(size) if pairs[2 * j] < 0.5])  # at -omega
-    draws = [0.0] * size
-    for js, w in zip(groups, (omega, (1.0 - omega) % 1.0)):
-        if js:
-            for j, y in zip(js, _draw_outcomes(w, t, [pairs[2 * j + 1] for j in js])):
-                draws[j] = math.sin(math.pi * min(y, t - y) / t) ** 2
-    return draws
+    return [math.sin(math.pi * min(y, t - y) / t) ** 2
+            for y in _draw_outcomes(omega, t, rng.random(size).tolist())]
 
 
 def ae_median(a: float, t: int, reps: int, rng: np.random.Generator,

@@ -87,15 +87,10 @@ def powering_reps(gamma: float, delta: float) -> int:
     return 2 * i + 1
 
 
-def power_median(run: Callable[[], "Estimate | float"], gamma: float,
-                 delta: float) -> float:
+def power_median(run: Callable[[], float], gamma: float, delta: float) -> float:
     """Median of enough runs to push failure probability gamma down to delta."""
     reps = powering_reps(gamma, delta)
-    vals = []
-    for _ in range(reps):
-        out = run()
-        vals.append(out.value if isinstance(out, Estimate) else float(out))
-    return sorted(vals)[reps // 2]
+    return sorted(run() for _ in range(reps))[reps // 2]
 
 
 def bounded_mean_constant() -> float:
@@ -195,7 +190,7 @@ def estimate_mean_variance(d: ValueDistribution, sigma: float, epsilon: float,
     eps_sub = epsilon / (32.0 * sigma)
 
     def run(part):
-        return estimate_mean_l2(part, eps_sub, rng, ledger)
+        return estimate_mean_l2(part, eps_sub, rng, ledger).value
 
     mu_neg = power_median(lambda: run(neg_part), gamma=1.0 / 5.0, delta=1.0 / 9.0)
     mu_pos = power_median(lambda: run(pos_part), gamma=1.0 / 5.0, delta=1.0 / 9.0)
@@ -224,7 +219,7 @@ def estimate_mean_relative(d: ValueDistribution, B: float, epsilon: float,
     eps_sub = 2.0 * epsilon / (3.0 * (2.0 * math.sqrt(B) + 1.0) ** 2)
 
     def run():
-        return estimate_mean_l2(normalized, eps_sub, rng, ledger)
+        return estimate_mean_l2(normalized, eps_sub, rng, ledger).value
 
     mu = power_median(run, gamma=1.0 / 5.0, delta=1.0 / 8.0)
     return Estimate(value=float(m * mu), target_error=epsilon,

@@ -262,14 +262,14 @@ def estimate_partition(m: GibbsModel, s: CoolingSchedule, epsilon: float,
         raise ValueError(f"unknown mode {mode!r}")
     if not epsilon > 0.0:  # NaN fails too; before the set-up's eigensolves
         raise ValueError("epsilon must be positive")
-    plan, anchor = _rung_plan(m, s)
     ell = s.ell
     eps_i = epsilon / (2.0 * ell)
     delta_i = delta / ell
-    reps = powering_reps(0.25, delta_i)
+    reps = powering_reps(0.25, delta_i)  # checks delta before the set-up
     if reps > REPS_CAP:
         raise ValueError(f"delta={delta!r} needs {reps} estimates per ratio, "
                          f"over the cap {REPS_CAP}")
+    plan, anchor = _rung_plan(m, s)
     if mode != "ideal_sampling":
         taus, thetas = _rung_spectra(m, s)
 
@@ -277,7 +277,7 @@ def estimate_partition(m: GibbsModel, s: CoolingSchedule, epsilon: float,
     for r in plan:
         spent = QueryLedger()
         alpha = power_median(
-            lambda: estimate_mean_relative(r.law, s.B, eps_i, rng, spent),
+            lambda: estimate_mean_relative(r.law, s.B, eps_i, rng, spent).value,
             gamma=0.25, delta=delta_i)
         if mode != "ideal_sampling":
             # reflection accuracy gamma/R: the total coherent error R*eps_r

@@ -221,6 +221,8 @@ def warm_start_prepare(m: GibbsModel, betas, target_index: int,
         raise ValueError("target index outside schedule")
     if not 0.0 < epsilon_s < 1.0:  # NaN fails too
         raise ValueError("epsilon_s must be in (0, 1)")
+    if mode not in ("idealized", "exact_sim"):
+        raise ValueError("mode must be 'idealized' or 'exact_sim'")
     overlaps = [overlap_squared(m, betas[j], betas[j + 1]) for j in range(r)]
     if B is None:
         B = 1.0 / min(overlaps) if overlaps else 1.0
@@ -232,9 +234,6 @@ def warm_start_prepare(m: GibbsModel, betas, target_index: int,
         tau = max(taus) if taus else 1.0
         ledger.walk_steps += warm_start_cost(r, tau, epsilon_s, B)
         return QuantumSample(np.sqrt(gibbs_distribution(m, betas[r])))
-
-    if mode != "exact_sim":
-        raise ValueError("mode must be 'idealized' or 'exact_sim'")
     eps_r = epsilon_s / (4.0 * max(r, 1))
     state = np.sqrt(gibbs_distribution(m, betas[0]))
     for j in range(r):

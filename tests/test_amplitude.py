@@ -65,6 +65,49 @@ def test_sampler_matches_exact_law():
             assert freq == pytest.approx(p, abs=4 * math.sqrt(p / n) + 1e-3)
 
 
+def test_sample_takes_one_uniform_per_draw():
+    for n in (1, 2, 7):
+        rng, ref = np.random.default_rng(n), np.random.default_rng(n)
+        ae_sample(0.3, 25, rng, QueryLedger(), size=n)
+        ref.random(n)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def _scan_interval_lengths(omega, t):
+    """Length of the u-interval that _draw_outcomes maps to each y, found by
+    bisecting every change point of u -> y to within 1e-15 (all in batches)."""
+    lengths = np.zeros(t)
+    pending = [(0.0, 1.0, *_draw_outcomes(omega, t, [0.0, 1.0]))]
+    edges = [(0.0, pending[0][2]), (1.0, None)]
+    while pending:
+        mids = [0.5 * (lo + hi) for lo, hi, _, _ in pending]
+        nxt = []
+        for (lo, hi, ylo, yhi), mid, y in zip(pending, mids,
+                                             _draw_outcomes(omega, t, mids)):
+            for a, b, ya, yb in ((lo, mid, ylo, y), (mid, hi, y, yhi)):
+                if ya != yb:
+                    if b - a > 1e-15:
+                        nxt.append((a, b, ya, yb))
+                    else:
+                        edges.append((b, yb))
+        pending = nxt
+    edges.sort()
+    for (u0, y), (u1, _) in zip(edges, edges[1:]):
+        lengths[y] += u1 - u0
+    return lengths
+
+
+@pytest.mark.parametrize("a, t", [(0.3, 25), (0.77, 32), (0.05, 64), (0.5, 7),
+                                  (0.0, 9), (1.0, 5), (1.0, 6)])
+def test_folded_scan_intervals_equal_exact_law(a, t):
+    # the sampler's one +omega scan, folded y -> min(y, t - y), is the exact
+    # law: off-grid phases, omega = 0, and t*omega = 5/2 at a = 1, t = 5
+    lengths = _scan_interval_lengths(amplitude_phase(a), t)
+    folded = np.zeros(t // 2 + 1)
+    np.add.at(folded, np.minimum(np.arange(t), t - np.arange(t)), lengths)
+    assert np.abs(folded - ae_outcome_distribution(a, t).probs).max() <= 1e-12
+
+
 def test_sample_charges_ledger():
     ledger = QueryLedger()
     rng = np.random.default_rng(0)

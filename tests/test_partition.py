@@ -300,6 +300,17 @@ def test_estimate_partition_checks_epsilon_before_setup(mode):
         assert m._memo == {} and ledger == QueryLedger()
 
 
+def test_estimate_partition_checks_delta_before_setup():
+    # delta = 0 used to fail only after the plan was verified and memoized
+    m = ising_model(K2)
+    s = build_schedule(m, 1.5, "forward")
+    ledger = QueryLedger()
+    with pytest.raises(ValueError, match=r"delta must be in \(0, 1\)"):
+        estimate_partition(m, s, 0.2, 0.0, "ideal_sampling",
+                           np.random.default_rng(0), ledger)
+    assert m._memo == {} and ledger == QueryLedger()
+
+
 def test_failed_setup_raises_every_call_and_is_not_memoized():
     # 8,192 states, over the dense chain cap: each rung's chain is refused
     m = ising_model(Graph(13, tuple((i, (i + 1) % 13) for i in range(13))))

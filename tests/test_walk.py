@@ -227,19 +227,24 @@ def test_warm_start_exact_sim_beyond_dense_walk_size():
     assert float(qs.amplitudes @ target) ** 2 >= 1.0 - eps
 
 
-@pytest.mark.parametrize("mode", ["idealized", "exact_sim"])
+@pytest.mark.parametrize("mode", ["idealized", "exact_sim", "exact"])
 @pytest.mark.parametrize("r", [0, 1])
 def test_warm_start_rejects_epsilon_outside_unit_interval(monkeypatch, mode, r):
     # at r >= 1, 0 raised ZeroDivisionError (idealized), -0.1 "math domain
     # error" and NaN "cannot convert float NaN to integer"; at r = 0 every
-    # value passed.  The check precedes every overlap and every charge.
+    # value passed.  An unknown mode ("exact") was rejected only after every
+    # overlap.  Both checks precede every overlap and every charge.
     def no_overlap(*args):
-        raise AssertionError("overlap computed before the epsilon check")
+        raise AssertionError("overlap computed before the settings check")
 
     monkeypatch.setattr("qmcs.walk.overlap_squared", no_overlap)
-    for eps in (0.0, -0.1, math.nan, 1.0, 1.5):
+    bad = [(eps, r"epsilon_s must be in \(0, 1\)")
+           for eps in (0.0, -0.1, math.nan, 1.0, 1.5)]
+    if mode == "exact":
+        bad.append((0.5, "mode must be 'idealized' or 'exact_sim'"))
+    for eps, message in bad:
         ledger = QueryLedger()
-        with pytest.raises(ValueError, match=r"epsilon_s must be in \(0, 1\)"):
+        with pytest.raises(ValueError, match=message):
             warm_start_prepare(ising_model(K2), [0.0, 0.5, 1.0], r, eps, mode,
                                ledger, B=2.0)
         assert ledger == QueryLedger()
