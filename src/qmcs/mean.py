@@ -13,6 +13,12 @@ Four estimators, layered:
   * estimate_mean_relative -- relative second moment E[Y^2]/E[Y]^2 <= B;
     normalize by a ceil(32B)-sample proxy mean, then the l2 routine.
 
+An l2 estimate is a plan, checked from epsilon alone (k, t0 and the median
+sizes: _l2_plan), the band amplitudes of its law (_band_amplitudes), and a
+run of k+1 medians (_l2_run).  The variance and relative estimators check
+the plan before their proxy draw, read each law's bands once, and hand
+power_median runs of it: no Estimate per repetition.
+
 Plus the generic median-amplification wrapper (power_median / powering_reps)
 with the exact binomial tail (outcome.binom_upper_tail) rather than an
 asymptotic constant.  The constant C is a committed literal, which the test
@@ -25,7 +31,7 @@ import bisect
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -33,6 +39,7 @@ from .amplitude import AE_FAIL_PROB, _check_t, ae_median
 from .outcome import (
     QueryLedger,
     ValueDistribution,
+    _sample_count,
     binom_upper_tail,
     classical_sample_block,
     transform,
@@ -146,31 +153,54 @@ def estimate_mean_bounded(d: ValueDistribution, t: int, delta: float,
                     confidence=1.0 - delta, ledger=ledger.snapshot())
 
 
-def estimate_mean_l2(d: ValueDistribution, epsilon: float,
-                     rng: np.random.Generator, ledger: QueryLedger) -> Estimate:
-    """Mean of a nonnegative distribution, error eps*(||v||_2 + 1)^2 w.p. >= 4/5."""
-    if d.values.min() < 0.0:
-        raise ValueError("support must be nonnegative")
+class _L2Plan(NamedTuple):
+    """The epsilon-only part of an l2 estimate."""
+
+    k: int       # bands 1..k above band 0
+    t0: int      # amplitude-estimation iterations per median
+    reps_0: int  # draws in band 0's median
+    reps_l: int  # draws in each other band's median
+
+
+def _l2_plan(epsilon: float) -> _L2Plan:
+    """The l2 plan at epsilon, checked."""
     if not 0.0 < epsilon < 0.5:
         raise ValueError("epsilon must be in (0, 1/2)")
     t0 = l2_constant() * math.sqrt(math.log2(1.0 / epsilon)) / epsilon
     _check_t(t0)  # before ceil: a tiny epsilon makes t0 (and k) infinite
     k = math.ceil(math.log2(1.0 / epsilon))
-    t0 = math.ceil(t0)
+    return _L2Plan(k, math.ceil(t0), powering_reps(AE_FAIL_PROB, 1.0 / 10.0),
+                   powering_reps(AE_FAIL_PROB, 1.0 / (10.0 * k)))
 
+
+def _band_amplitudes(values: np.ndarray, probs: np.ndarray,
+                     k: int) -> np.ndarray:
     # band l (1 <= l <= k) holds 2^(l-1) <= v < 2^l, band 0 holds v < 1;
     # amplitude E[v/2^l; v in band l], clipped to 1 against rounding
-    band = np.searchsorted(2.0 ** np.arange(k + 1), d.values, side="right")
-    amps = np.minimum(1.0, np.bincount(band, weights=d.values / 2.0**band
-                                       * d.probs, minlength=k + 1))
-    total = ae_median(amps[0], t0, powering_reps(AE_FAIL_PROB, 1.0 / 10.0),
-                      rng, ledger)
-    reps_l = powering_reps(AE_FAIL_PROB, 1.0 / (10.0 * k))
+    band = np.searchsorted(2.0 ** np.arange(k + 1), values, side="right")
+    return np.minimum(1.0, np.bincount(band, weights=values / 2.0**band * probs,
+                                       minlength=k + 1)[: k + 1])
+
+
+def _l2_run(plan: _L2Plan, amps: np.ndarray, rng: np.random.Generator,
+            ledger: QueryLedger) -> float:
+    """One l2 estimate mu0 + sum_l 2^l mu_l: a median per band, band 0 first."""
+    k, t0, reps_0, reps_l = plan
+    total = ae_median(amps[0], t0, reps_0, rng, ledger)
     for ell in range(1, k + 1):
         total += 2.0**ell * ae_median(amps[ell], t0, reps_l, rng, ledger)
+    return float(total)
 
+
+def estimate_mean_l2(d: ValueDistribution, epsilon: float,
+                     rng: np.random.Generator, ledger: QueryLedger) -> Estimate:
+    """Mean of a nonnegative distribution, error eps*(||v||_2 + 1)^2 w.p. >= 4/5."""
+    if d.values.min() < 0.0:
+        raise ValueError("support must be nonnegative")
+    plan = _l2_plan(epsilon)
+    value = _l2_run(plan, _band_amplitudes(d.values, d.probs, plan.k), rng, ledger)
     err = epsilon * (d.l2norm() + 1.0) ** 2
-    return Estimate(value=float(total), target_error=err, error_kind="additive",
+    return Estimate(value=value, target_error=err, error_kind="additive",
                     confidence=0.8, ledger=ledger.snapshot())
 
 
@@ -179,21 +209,24 @@ def estimate_mean_variance(d: ValueDistribution, sigma: float, epsilon: float,
                            ledger: QueryLedger) -> Estimate:
     """Mean with additive error epsilon when Var <= sigma^2; success >= 2/3."""
     _check_positive(sigma=sigma, epsilon=epsilon)
+    if not math.isfinite(sigma):
+        raise ValueError("sigma must be finite")
     if not epsilon < 4.0 * sigma:
         raise ValueError("epsilon must be < 4*sigma")
+    plan = _l2_plan(epsilon / (32.0 * sigma))  # checked before any draw
     scaled = transform(d, lambda v: v / sigma)
     m = float(classical_sample_block(scaled, 1, rng, ledger)[0])
     ledger.a_uses += 1
     centered = transform(scaled, lambda v: v - m)
     neg_part = transform(truncate(centered, "below", 0.0), lambda v: -v / 4.0)
     pos_part = transform(truncate(centered, "atleast", None, 0.0), lambda v: v / 4.0)
-    eps_sub = epsilon / (32.0 * sigma)
 
-    def run(part):
-        return estimate_mean_l2(part, eps_sub, rng, ledger).value
+    def median_of(part):  # its bands read once, for all its l2 estimates
+        amps = _band_amplitudes(part.values, part.probs, plan.k)
+        return power_median(lambda: _l2_run(plan, amps, rng, ledger),
+                            gamma=1.0 / 5.0, delta=1.0 / 9.0)
 
-    mu_neg = power_median(lambda: run(neg_part), gamma=1.0 / 5.0, delta=1.0 / 9.0)
-    mu_pos = power_median(lambda: run(pos_part), gamma=1.0 / 5.0, delta=1.0 / 9.0)
+    mu_neg, mu_pos = median_of(neg_part), median_of(pos_part)
     value = sigma * (m - 4.0 * mu_neg + 4.0 * mu_pos)
     return Estimate(value=float(value), target_error=epsilon,
                     error_kind="additive", confidence=2.0 / 3.0,
@@ -211,17 +244,22 @@ def estimate_mean_relative(d: ValueDistribution, B: float, epsilon: float,
         raise ValueError("epsilon must be < 27B/4")
     if d.values.min() < 0.0:
         raise ValueError("support must be nonnegative")
-    samples = classical_sample_block(d, 32.0 * B, rng, ledger)
+    n = _sample_count(32.0 * B)  # both caps are checked before any draw
+    plan = _l2_plan(2.0 * epsilon / (3.0 * (2.0 * math.sqrt(B) + 1.0) ** 2))
+    samples = classical_sample_block(d, n, rng, ledger)
     m = float(np.mean(samples))
     if m == 0.0:
         raise ArithmeticError("proxy mean is zero; relative estimation undefined")
-    normalized = transform(d, lambda v: v / m)
-    eps_sub = 2.0 * epsilon / (3.0 * (2.0 * math.sqrt(B) + 1.0) ** 2)
-
-    def run():
-        return estimate_mean_l2(normalized, eps_sub, rng, ledger).value
-
-    mu = power_median(run, gamma=1.0 / 5.0, delta=1.0 / 8.0)
+    # a positive scale keeps the support sorted: while it stays distinct and
+    # finite, these are transform's arrays, without its merge
+    with np.errstate(over="ignore"):  # an infinite image raises in transform
+        values, probs = d.values / m, d.probs / d.probs.sum()
+    if not (np.all(values[1:] > values[:-1]) and math.isfinite(values[-1])):
+        normalized = transform(d, lambda v: v / m)  # merges, or raises
+        values, probs = normalized.values, normalized.probs
+    amps = _band_amplitudes(values, probs, plan.k)
+    mu = power_median(lambda: _l2_run(plan, amps, rng, ledger),
+                      gamma=1.0 / 5.0, delta=1.0 / 8.0)
     return Estimate(value=float(m * mu), target_error=epsilon,
                     error_kind="relative", confidence=0.75,
                     ledger=ledger.snapshot())

@@ -134,8 +134,8 @@ def estimate_tvd(p, q, epsilon: float, delta: float,
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must be in (0, 1)")
     inst = TvdInstance(np.asarray(p, float), np.asarray(q, float), epsilon / 8.0)
+    budget = tvd_query_budget(inst.n, epsilon, delta)  # checks delta before the law
     law = tvd_subroutine_distribution(inst)
-    budget = tvd_query_budget(inst.n, epsilon, delta)
     scratch = QueryLedger()
     value = ae_median(law.mean(), budget["t_outer"], budget["reps_outer"], rng,
                       scratch)

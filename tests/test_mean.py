@@ -16,8 +16,9 @@ from qmcs.mean import (bounded_mean_constant,
                        estimate_mean_relative, estimate_mean_variance,
                        l2_constant, power_median, powering_reps,
                        t_for_additive_error)
-from qmcs.outcome import (QueryLedger, binom_upper_tail, make_distribution,
-                          transform, truncate)
+from qmcs.outcome import (DistributionError, QueryLedger, binom_upper_tail,
+                          classical_sample_block, make_distribution, transform,
+                          truncate)
 
 
 def _rng(seed):
@@ -279,6 +280,139 @@ def test_variance_precondition_checks():
         estimate_mean_variance(d, -1.0, 0.1, _rng(0), QueryLedger())
     with pytest.raises(ValueError):
         estimate_mean_variance(d, 0.01, 0.1, _rng(0), QueryLedger())
+
+
+@pytest.mark.parametrize("estimator, setting, eps, message", [
+    (estimate_mean_variance, math.inf, 0.1, "sigma must be finite"),
+    (estimate_mean_variance, 1.0, 1e-300, "exceeds the amplitude-estimation cap"),
+    (estimate_mean_relative, 1.5, 1e-300, "exceeds the amplitude-estimation cap"),
+])
+def test_failed_estimate_charges_and_draws_nothing(estimator, setting, eps, message):
+    # the l2 plan is checked before the proxy draw
+    d = make_distribution([(1.0, 0.5), (3.0, 0.5)])
+    rng = _rng(0)
+    state = rng.bit_generator.state
+    ledger = QueryLedger()
+    with pytest.raises(ValueError, match=message):
+        estimator(d, setting, eps, rng, ledger)
+    assert ledger == QueryLedger()
+    assert rng.bit_generator.state == state
+
+
+def _variance_oracle(d, sigma, epsilon, rng, ledger):
+    """estimate_mean_variance with one full estimate_mean_l2 per repetition."""
+    scaled = transform(d, lambda v: v / sigma)
+    m = float(classical_sample_block(scaled, 1, rng, ledger)[0])
+    ledger.a_uses += 1
+    centered = transform(scaled, lambda v: v - m)
+    neg = transform(truncate(centered, "below", 0.0), lambda v: -v / 4.0)
+    pos = transform(truncate(centered, "atleast", None, 0.0), lambda v: v / 4.0)
+    eps_sub = epsilon / (32.0 * sigma)
+    mu_neg = power_median(lambda: estimate_mean_l2(neg, eps_sub, rng, ledger).value,
+                          1.0 / 5.0, 1.0 / 9.0)
+    mu_pos = power_median(lambda: estimate_mean_l2(pos, eps_sub, rng, ledger).value,
+                          1.0 / 5.0, 1.0 / 9.0)
+    return float(sigma * (m - 4.0 * mu_neg + 4.0 * mu_pos))
+
+
+def _relative_oracle(d, B, epsilon, rng, ledger):
+    """estimate_mean_relative with the normalized law built by transform and
+    one full estimate_mean_l2 per repetition."""
+    m = float(np.mean(classical_sample_block(d, 32.0 * B, rng, ledger)))
+    normalized = transform(d, lambda v: v / m)
+    eps_sub = 2.0 * epsilon / (3.0 * (2.0 * math.sqrt(B) + 1.0) ** 2)
+    mu = power_median(lambda: estimate_mean_l2(normalized, eps_sub, rng, ledger).value,
+                      1.0 / 5.0, 1.0 / 8.0)
+    return float(m * mu)
+
+
+def _traced(fn, seed, *args):
+    """fn(*args, rng, ledger) from a fresh seeded rng and ledger: (value or
+    error, the (a, t, reps) of each ae_median call in order, ledger,
+    generator state)."""
+    calls, rng, ledger = [], _rng(seed), QueryLedger()
+    real = mean.ae_median
+
+    def record(a, t, reps, rng, ledger):
+        calls.append((float(a), t, reps))
+        return real(a, t, reps, rng, ledger)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mean, "ae_median", record)
+        try:
+            out = fn(*args, rng, ledger)
+        except DistributionError as exc:
+            out = repr(exc)
+    value = out if isinstance(out, str) else float(getattr(out, "value", out))
+    return value, calls, ledger, rng.bit_generator.state
+
+
+_A = 2.0 - 2.0**-52  # one ulp below 2.0: its image under v/m often meets 2/m
+_PLAN_LAWS = [
+    [(4.0, 0.25), (5.0, 0.5), (6.0, 0.25)],
+    [(0.0, 0.6), (1.0, 0.3), (40.0, 0.1)],
+    [(_A, 0.25), (2.0, 0.25), (5.0, 0.5)],
+]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("pairs", _PLAN_LAWS)
+def test_variance_plan_matches_l2_per_repetition(pairs, seed):
+    d = make_distribution(pairs)
+    sigma = math.sqrt(d.variance())
+    got = _traced(estimate_mean_variance, seed, d, sigma, 0.1)
+    assert got == _traced(_variance_oracle, seed, d, sigma, 0.1)
+    assert len(got[1]) > 0
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("pairs, B", [
+    (_PLAN_LAWS[0], 1.05), (_PLAN_LAWS[1], 20.0), (_PLAN_LAWS[2], 1.5),
+    ([(5e-324, 1.0 - 1e-9), (1.0, 1e-9)], 1.0),  # v/m overflows: raises
+])
+def test_relative_plan_matches_l2_per_repetition(pairs, B, seed):
+    d = make_distribution(pairs)
+    got = _traced(estimate_mean_relative, seed, d, B, 0.1)
+    assert got == _traced(_relative_oracle, seed, d, B, 0.1)
+
+
+def test_relative_transforms_only_a_merging_support():
+    # v/m of a distinct law is read without transform; at seed 0 the proxy
+    # mean maps _A and 2.0 to one float, and transform merges them
+    merged = []
+
+    def spy(law, f):
+        out = transform(law, f)
+        merged.append(out.support_size)
+        return out
+
+    d = make_distribution(_PLAN_LAWS[2])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mean, "transform", spy)
+        _traced(estimate_mean_relative, 0, make_distribution(_PLAN_LAWS[0]),
+                1.05, 0.1)
+        assert merged == []
+        got = _traced(estimate_mean_relative, 0, d, 1.5, 0.1)
+    assert merged == [2]
+    assert got == _traced(_relative_oracle, 0, d, 1.5, 0.1)
+
+
+def test_band_amplitudes_read_once_per_law_per_estimate():
+    calls = []
+    real = mean._band_amplitudes
+
+    def count(*args):
+        calls.append(args)
+        return real(*args)
+
+    d = make_distribution([(4.0, 0.25), (5.0, 0.5), (6.0, 0.25)])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mean, "_band_amplitudes", count)
+        estimate_mean_variance(d, math.sqrt(d.variance()), 0.1, _rng(0), QueryLedger())
+        assert len(calls) == 2  # the negative and the positive part
+        estimate_mean_relative(d, 1.05, 0.1, _rng(0), QueryLedger())
+        assert len(calls) == 3
+    assert powering_reps(1.0 / 5.0, 1.0 / 9.0) > 1  # so a per-repetition read shows
 
 
 def test_relative_point_mass():

@@ -165,6 +165,21 @@ def test_estimate_tvd_accuracy_and_ledger():
     assert ledger.classical_samples == budget["subroutine_invocations"]
 
 
+@pytest.mark.parametrize("delta, seed", [(0.0, 400), (1.0, 401), (math.nan, 402)])
+def test_estimate_tvd_checks_delta_before_building_the_law(delta, seed):
+    # a fresh pair for each delta, so a law built before the check would
+    # be a cache miss
+    rng = np.random.default_rng(seed)
+    p, q = rng.dirichlet(np.ones(20)), rng.dirichlet(np.ones(20))
+    before = tvd._subroutine_law.cache_info()
+    ledger = QueryLedger()
+    with pytest.raises(ValueError, match="delta must be in"):
+        estimate_tvd(p, q, 0.1, delta, np.random.default_rng(0), ledger)
+    after = tvd._subroutine_law.cache_info()
+    assert (after.misses, after.currsize) == (before.misses, before.currsize)
+    assert ledger == QueryLedger()
+
+
 def test_ratio_stability_bound():
     assert ratio_stability_check(0.3, 0.1, 0.32, 0.12, 0.05)
     with pytest.raises(ValueError):
