@@ -12,8 +12,12 @@ is the +omega law folded onto the strictly increasing half grid
 sin^2(pi i / t), i = 0..t//2.  The exact law and the sampler both follow this
 one construction: the sampler draws a whole median at once, one uniform per
 draw, through a single outward inverse-CDF scan of the +omega law in offset
-form, and folds each y to min(y, t - y).  A dense circuit simulation of phase
-estimation on the two-dimensional rotation cross-validates the closed form.
+form, and folds each y to min(y, t - y).  As the half grid rises with i, a
+median of estimates is the estimate of the median folded index:
+_median_from_uniforms takes it from given uniforms with one sine, for a
+caller that draws and charges many medians at once.  A dense circuit
+simulation of phase estimation on the two-dimensional rotation
+cross-validates the closed form.
 """
 
 from __future__ import annotations
@@ -174,6 +178,21 @@ def ae_median(a: float, t: int, reps: int, rng: np.random.Generator,
     if reps < 1 or reps % 2 == 0:
         raise ValueError("reps must be a positive odd integer")
     return sorted(ae_sample(a, t, rng, ledger, size=reps))[reps // 2]
+
+
+def _median_from_uniforms(a: float, t: int, us: list) -> float:
+    """ae_median's value on the uniforms us (an odd count, t checked), uncharged.
+
+    sin^2(pi i / t) does not fall over the folded indices i = min(y, t - y)
+    <= t//2, so the median estimate is that of the median index: one sine
+    per median, not one per draw.  On the grid every u gets the one outcome."""
+    omega = amplitude_phase(a)
+    c, delta = _grid_offset(omega, t)
+    if delta == 0.0:
+        i = min(c % t, t - c % t)
+    else:
+        i = sorted([min(y, t - y) for y in _draw_outcomes(omega, t, us)])[len(us) // 2]
+    return math.sin(math.pi * i / t) ** 2
 
 
 def ae_circuit_distribution(a: float, t: int) -> ValueDistribution:

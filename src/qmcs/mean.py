@@ -15,9 +15,15 @@ Four estimators, layered:
 
 An l2 estimate is a plan, checked from epsilon alone (k, t0 and the median
 sizes: _l2_plan), the band amplitudes of its law (_band_amplitudes), and a
-run of k+1 medians (_l2_run).  The variance and relative estimators check
-the plan before their proxy draw, read each law's bands once, and hand
-power_median runs of it: no Estimate per repetition.
+run of k+1 medians (_l2_run).  The variance estimator checks the plan before
+its proxy draw, reads each part's bands once, and hands power_median runs
+of it: no Estimate per repetition.  A relative estimate is likewise a plan
+(_relative_plan: every check, the proxy size, the l2 plan and the median
+size) and a run (_relative_run): the proxy draw, then every band median of
+all its l2 runs from one block of uniforms, each taken from the median
+folded outcome index (amplitude._median_from_uniforms), with the same
+draws, values and charges as one ae_median per band.  estimate_partition
+checks a ratio's plan once and runs it per repetition.
 
 Plus the generic median-amplification wrapper (power_median / powering_reps)
 with the exact binomial tail (outcome.binom_upper_tail) rather than an
@@ -31,11 +37,12 @@ import bisect
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import islice
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .amplitude import AE_FAIL_PROB, _check_t, ae_median
+from .amplitude import AE_FAIL_PROB, _check_t, _median_from_uniforms, ae_median
 from .outcome import (
     QueryLedger,
     ValueDistribution,
@@ -233,10 +240,18 @@ def estimate_mean_variance(d: ValueDistribution, sigma: float, epsilon: float,
                     ledger=ledger.snapshot())
 
 
-def estimate_mean_relative(d: ValueDistribution, B: float, epsilon: float,
-                           rng: np.random.Generator,
-                           ledger: QueryLedger) -> Estimate:
-    """Mean with relative error epsilon when E[Y^2]/E[Y]^2 <= B; success >= 3/4."""
+class _RelativePlan(NamedTuple):
+    """The draw-free part of a relative estimate, checked."""
+
+    d: ValueDistribution
+    n: int        # proxy samples, ceil(32B)
+    l2: _L2Plan   # of the normalized law
+    reps: int     # l2 runs in the median
+
+
+def _relative_plan(d: ValueDistribution, B: float,
+                   epsilon: float) -> _RelativePlan:
+    """The relative plan of d at (B, epsilon): every check, before any draw."""
     if not B >= 1.0:
         raise ValueError("B must be >= 1 (Cauchy-Schwarz lower bound)")
     _check_positive(epsilon=epsilon)
@@ -245,9 +260,21 @@ def estimate_mean_relative(d: ValueDistribution, B: float, epsilon: float,
     if d.values.min() < 0.0:
         raise ValueError("support must be nonnegative")
     n = _sample_count(32.0 * B)  # both caps are checked before any draw
-    plan = _l2_plan(2.0 * epsilon / (3.0 * (2.0 * math.sqrt(B) + 1.0) ** 2))
-    samples = classical_sample_block(d, n, rng, ledger)
-    m = float(np.mean(samples))
+    scale = 3.0 * (2.0 * math.sqrt(B) + 1.0) ** 2
+    eps_l2 = 2.0 * epsilon / scale
+    if not eps_l2 < 0.5:  # the l2 plan's own bound
+        raise ValueError(f"epsilon must be < 3(2 sqrt(B) + 1)^2/4 = "
+                         f"{scale / 4.0:g} at B = {B:g}")
+    return _RelativePlan(d, n, _l2_plan(eps_l2),
+                         powering_reps(1.0 / 5.0, 1.0 / 8.0))
+
+
+def _relative_run(plan: _RelativePlan, rng: np.random.Generator,
+                  ledger: QueryLedger) -> float:
+    """One relative estimate m * mu: the proxy draw, then every median of its
+    plan.reps l2 runs from one block of uniforms, charged at once."""
+    d, n, (k, t0, reps_0, reps_l), reps = plan
+    m = float(np.mean(classical_sample_block(d, n, rng, ledger)))
     if m == 0.0:
         raise ArithmeticError("proxy mean is zero; relative estimation undefined")
     # a positive scale keeps the support sorted: while it stays distinct and
@@ -257,12 +284,34 @@ def estimate_mean_relative(d: ValueDistribution, B: float, epsilon: float,
     if not (np.all(values[1:] > values[:-1]) and math.isfinite(values[-1])):
         normalized = transform(d, lambda v: v / m)  # merges, or raises
         values, probs = normalized.values, normalized.probs
-    amps = _band_amplitudes(values, probs, plan.k)
-    mu = power_median(lambda: _l2_run(plan, amps, rng, ledger),
-                      gamma=1.0 / 5.0, delta=1.0 / 8.0)
-    return Estimate(value=float(m * mu), target_error=epsilon,
-                    error_kind="relative", confidence=0.75,
-                    ledger=ledger.snapshot())
+    amps = _band_amplitudes(values, probs, k).tolist()
+    draws = reps * (reps_0 + k * reps_l)
+    us = iter(rng.random(draws).tolist())  # ae_median's draws, in its order
+    ledger.a_uses += draws
+    ledger.a_inv_uses += draws
+    ledger.reflection_uses += draws * t0
+
+    def l2_run():  # _l2_run's sum, band 0 first
+        total = _median_from_uniforms(amps[0], t0, list(islice(us, reps_0)))
+        for ell in range(1, k + 1):
+            total += 2.0**ell * _median_from_uniforms(
+                amps[ell], t0, list(islice(us, reps_l)))
+        return total
+
+    return m * power_median(l2_run, gamma=1.0 / 5.0, delta=1.0 / 8.0)
+
+
+def estimate_mean_relative(d: ValueDistribution, B: float, epsilon: float,
+                           rng: np.random.Generator,
+                           ledger: QueryLedger) -> Estimate:
+    """Mean with relative error epsilon when E[Y^2]/E[Y]^2 <= B; success >= 3/4.
+
+    Accepts B >= 1 and 0 < epsilon < 3(2 sqrt(B) + 1)^2/4, which is 27B/4 at
+    B = 1 and below it for B > 1: the inner l2 accuracy
+    2 epsilon/(3(2 sqrt(B) + 1)^2) must stay under 1/2."""
+    value = _relative_run(_relative_plan(d, B, epsilon), rng, ledger)
+    return Estimate(value=value, target_error=epsilon, error_kind="relative",
+                    confidence=0.75, ledger=ledger.snapshot())
 
 
 def classical_mean_chebyshev(d: ValueDistribution, sigma: float, epsilon: float,

@@ -255,8 +255,12 @@ def _sample_count(n) -> int:
 
 def classical_sample_block(d: ValueDistribution, n: float, rng: np.random.Generator,
                            ledger: QueryLedger) -> np.ndarray:
-    """Draw ceil(n) iid values at once; charges that many classical samples."""
+    """Draw ceil(n) iid values at once; charges that many classical samples.
+
+    Generator.choice(size, n, p=probs)'s inverse CDF, its draws and its
+    indices, without its per-call check of probs (a distribution's are)."""
     n = _sample_count(n)
     ledger.classical_samples += n
-    idx = rng.choice(d.support_size, size=n, p=d.probs)
-    return d.values[idx]
+    cdf = d.probs.cumsum()
+    cdf /= cdf[-1]
+    return d.values[cdf.searchsorted(rng.random(n), side="right")]

@@ -38,7 +38,7 @@ import numpy as np
 from .chains import chain_for, relaxation_time
 from .gibbs import (GibbsModel, _level_law, chebyshev_ratio, exact_partition,
                     overlap_squared)
-from .mean import estimate_mean_relative, power_median, powering_reps
+from .mean import _relative_plan, _relative_run, power_median, powering_reps
 from .outcome import (QueryLedger, ValueDistribution, _sample_count,
                       classical_sample_block, from_arrays)
 from .walk import phase_bits, reflection_cost, walk_phases, warm_start_cost
@@ -253,10 +253,10 @@ def estimate_partition(m: GibbsModel, s: CoolingSchedule, epsilon: float,
 
     Each ratio is estimated by the relative-error mean estimator at accuracy
     epsilon/(2*ell), median-amplified from per-run success 3/4 to delta/ell,
-    on its own ledger.  Walk modes convert that ledger's oracle charges into
-    walk steps: every state preparation becomes a warm start along the
-    schedule prefix and every reflection an approximate reflection on that
-    rung's chain.  Each ratio's ledger is then merged into the caller's.
+    on its own ledger; its relative plan is checked once, before any draw.
+    Walk modes convert that ledger's oracle charges into walk steps: every
+    state preparation becomes a warm start along the schedule prefix and
+    every reflection an approximate reflection on that rung's chain.  Each ratio's ledger is then merged into the caller's.
     """
     if mode not in ("ideal_sampling", "walk_idealized", "walk_exact_sim"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -276,9 +276,9 @@ def estimate_partition(m: GibbsModel, s: CoolingSchedule, epsilon: float,
     ratios = []
     for r in plan:
         spent = QueryLedger()
-        alpha = power_median(
-            lambda: estimate_mean_relative(r.law, s.B, eps_i, rng, spent).value,
-            gamma=0.25, delta=delta_i)
+        rp = _relative_plan(r.law, s.B, eps_i)
+        alpha = power_median(lambda: _relative_run(rp, rng, spent),
+                             gamma=0.25, delta=delta_i)
         if mode != "ideal_sampling":
             # reflection accuracy gamma/R: the total coherent error R*eps_r
             # stays a constant slice of the failure budget

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmcs.amplitude import (AE_LAW_T_CAP, AE_SUCCESS_PROB, AE_T_CAP, _draw_outcomes,
+                            _median_from_uniforms,
                             ae_circuit_distribution,
                             ae_measurement_probs, ae_median,
                             ae_outcome_distribution, ae_sample,
@@ -310,6 +311,37 @@ def test_sized_sample_equals_scalar_calls(a, t, n, seed):
     assert ae_sample(a, t, rng_n, ledger_n, size=n) == want
     assert ledger_n == ledger_one
     assert rng_n.bit_generator.state == rng_one.bit_generator.state
+
+
+# small t's, and the l2 plans' t0 of the relative estimates in the benchmark:
+# B = 1.25 at epsilon 0.05, and B = 2 at epsilon 0.1 over 2-4 ratios
+MEDIAN_TS = [1, 2, 3, 4, 5, 103, 18387, 55885, 86298, 117345]
+
+
+@st.composite
+def _amplitude_and_t(draw):
+    t = draw(st.sampled_from(MEDIAN_TS))
+    a = draw(st.sampled_from([0.0, 1.0])  # omega = 1/2: t/2 is a half-integer at odd t
+             | st.integers(0, t // 2).map(lambda i: math.sin(math.pi * i / t) ** 2)
+             | st.floats(0.0, 1.0))
+    return a, t
+
+
+@settings(max_examples=300, deadline=None)
+@given(at=_amplitude_and_t(), reps=st.sampled_from([1, 3, 11, 13]),
+       seed=st.integers(0, 2**32 - 1))
+def test_median_from_uniforms_equals_ae_median(at, reps, seed):
+    (a, t), rng = at, np.random.default_rng(seed)
+    want = ae_median(a, t, reps, np.random.default_rng(seed), QueryLedger())
+    got = _median_from_uniforms(a, t, rng.random(reps).tolist())
+    assert type(got) is float and got == want
+
+
+@pytest.mark.parametrize("t", MEDIAN_TS)
+def test_estimate_does_not_fall_over_folded_indices(t):
+    # what lets _median_from_uniforms take the sine of the median index
+    grid = [math.sin(math.pi * i / t) ** 2 for i in range(t // 2 + 1)]
+    assert all(x <= y for x, y in zip(grid, grid[1:]))
 
 
 @pytest.mark.parametrize("size", [0, -2])

@@ -51,6 +51,7 @@ DELETED_PARAMETERS = {
 ONE_HOME = {"median_law": ("outcome", "tvd"),
             "median_laws": ("outcome", "tvd"),
             "binom_upper_tail": ("outcome", "mean"),
+            "_median_from_uniforms": ("amplitude", "mean"),
             "discriminant_matrix": ("chains", "walk"),
             "chebyshev_ratio": ("gibbs", "partition")}
 

@@ -39,6 +39,11 @@ def _k2():
     return m, build_schedule(m, 1.5, "forward")
 
 
+def _c4_ising():
+    m = ising_model(C4)
+    return m, build_schedule(m, 2.0, "forward")
+
+
 def _c4_matching():
     m = matching_model(C4)
     return m, build_schedule(m, 2.0, "reversed")
@@ -71,6 +76,8 @@ CASES = {
     "partition_k2_ideal_sampling": _partition(_k2, "ideal_sampling"),
     "partition_k2_walk_idealized": _partition(_k2, "walk_idealized"),
     "partition_k2_walk_exact_sim": _partition(_k2, "walk_exact_sim"),
+    # forward ratio laws on C4's three Ising energy levels
+    "partition_c4_ising_walk_exact_sim": _partition(_c4_ising, "walk_exact_sim"),
     "partition_c4m_ideal_sampling": _partition(_c4_matching, "ideal_sampling"),
     "partition_c4m_walk_idealized": _partition(_c4_matching, "walk_idealized"),
     "partition_c4m_walk_exact_sim": _partition(_c4_matching, "walk_exact_sim"),
@@ -188,6 +195,15 @@ EXPECTED = {
                    'a_inv_uses': 7119,
                    'reflection_uses': 291985785,
                    'walk_steps': 598043640348,
+                   'classical_samples': 1344},
+    },
+    'partition_c4_ising_walk_exact_sim': {
+        'z_value': 1.9999241107441221,
+        'ratios': [0.27782873856048124, 0.4749154008425584, 0.9473274312144919],
+        'ledger': {'a_uses': 7119,
+                   'a_inv_uses': 7119,
+                   'reflection_uses': 291985785,
+                   'walk_steps': 1993328576022,
                    'classical_samples': 1344},
     },
     'baseline_k2_ideal': {

@@ -299,6 +299,23 @@ def test_failed_estimate_charges_and_draws_nothing(estimator, setting, eps, mess
     assert rng.bit_generator.state == state
 
 
+@pytest.mark.parametrize("B", [1.0, 4.0, 100.0])
+def test_relative_epsilon_range_is_checked_before_any_draw(B):
+    # the inner l2 accuracy 2 eps/(3(2 sqrt(B) + 1)^2) reaches 1/2 at
+    # eps = 3(2 sqrt(B) + 1)^2/4, which is 27B/4 at B = 1 and below it after
+    d = make_distribution([(1.0, 0.5), (3.0, 0.5)])
+    bound = 0.75 * (2.0 * math.sqrt(B) + 1.0) ** 2
+    for eps in (bound, 27.0 * B / 4.0):
+        rng, ledger = _rng(0), QueryLedger()
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="epsilon must be <") as info:
+            estimate_mean_relative(d, B, eps, rng, ledger)
+        assert "B" in str(info.value) and "1/2" not in str(info.value)
+        assert ledger == QueryLedger() and rng.bit_generator.state == state
+    est = estimate_mean_relative(d, B, 0.99 * bound, _rng(0), QueryLedger())
+    assert est.ledger.a_uses > 0
+
+
 def _variance_oracle(d, sigma, epsilon, rng, ledger):
     """estimate_mean_variance with one full estimate_mean_l2 per repetition."""
     scaled = transform(d, lambda v: v / sigma)
@@ -328,17 +345,23 @@ def _relative_oracle(d, B, epsilon, rng, ledger):
 
 def _traced(fn, seed, *args):
     """fn(*args, rng, ledger) from a fresh seeded rng and ledger: (value or
-    error, the (a, t, reps) of each ae_median call in order, ledger,
+    error, the (a, t, reps) of each median in call order, whether taken by
+    ae_median or by _median_from_uniforms from reps uniforms, ledger,
     generator state)."""
     calls, rng, ledger = [], _rng(seed), QueryLedger()
-    real = mean.ae_median
+    real, real_from_uniforms = mean.ae_median, mean._median_from_uniforms
 
     def record(a, t, reps, rng, ledger):
         calls.append((float(a), t, reps))
         return real(a, t, reps, rng, ledger)
 
+    def record_from_uniforms(a, t, us):
+        calls.append((float(a), t, len(us)))
+        return real_from_uniforms(a, t, us)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mean, "ae_median", record)
+        mp.setattr(mean, "_median_from_uniforms", record_from_uniforms)
         try:
             out = fn(*args, rng, ledger)
         except DistributionError as exc:

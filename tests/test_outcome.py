@@ -111,6 +111,43 @@ def test_classical_sampling_ledger_and_law():
     assert one.shape == (1,) and ledger.classical_samples == 20001
 
 
+@settings(max_examples=300, deadline=None)
+@given(weights=st.lists(st.floats(1e-6, 1.0) | st.just(0.0), min_size=1,
+                        max_size=17).filter(lambda w: sum(w) > 0.0),
+       n=st.integers(1, 70), seed=st.integers(0, 2**32 - 1))
+def test_classical_sampling_is_generator_choice(weights, n, seed):
+    total = sum(weights)
+    d = from_arrays(np.arange(len(weights)), np.array(weights) / total)
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = classical_sample_block(d, n, ours, QueryLedger())
+    # the support is 0..len-1: values are the indices choice draws
+    want = d.values[theirs.choice(d.support_size, size=n, p=d.probs)]
+    assert np.array_equal(got, want)
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+class _Uniforms(np.random.Generator):
+    """A generator whose random(n) returns the given uniforms."""
+
+    def __init__(self, us):
+        super().__init__(np.random.PCG64(0))
+        self.us = us
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        return np.array(self.us[:size])
+
+
+@pytest.mark.parametrize("probs", [[0.25] * 4, [0.1] * 10])  # CDF ends at 1, below 1
+def test_classical_sampling_at_cdf_points_is_generator_choice(probs):
+    # uniforms on the CDF's points, and the largest one below 1: where the
+    # side of the search and the CDF's normalization decide the index
+    cdf = np.cumsum(probs)
+    us = [0.0, *cdf[:-1], np.nextafter(cdf[-1], 0.0), float(np.nextafter(1.0, 0.0))]
+    d = from_arrays(np.arange(len(probs)), probs)
+    got = classical_sample_block(d, len(us), _Uniforms(us), QueryLedger())
+    assert np.array_equal(got, _Uniforms(us).choice(len(probs), len(us), p=d.probs))
+
+
 def test_ledger_merge_and_snapshot():
     a = QueryLedger(a_uses=1, reflection_uses=10)
     b = QueryLedger(a_uses=2, walk_steps=5)

@@ -124,6 +124,32 @@ def test_exact_sim_charges_exceed_idealized():
     assert l_sim.walk_steps > l_ideal.walk_steps
 
 
+class _CountingRng:
+    """A generator that offers only random(), and counts its calls."""
+
+    def __init__(self, seed):
+        self._rng, self.calls = np.random.default_rng(seed), 0
+
+    def random(self, size):
+        self.calls += 1
+        return self._rng.random(size)
+
+
+def test_relative_estimates_take_one_proxy_and_one_uniform_block(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a ratio took an amplitude-estimation sampler call")
+
+    monkeypatch.setattr(qmcs.mean, "ae_median", forbidden)
+    monkeypatch.setattr(qmcs.amplitude, "ae_sample", forbidden)
+    for m, direction in ((ising_model(C4), "forward"),
+                         (matching_model(C4), "reversed")):
+        s = build_schedule(m, 2.0, direction)
+        rng = _CountingRng(0)
+        estimate_partition(m, s, 0.2, 0.25, "ideal_sampling", rng, QueryLedger())
+        runs = s.ell * qmcs.mean.powering_reps(0.25, 0.25 / s.ell)
+        assert rng.calls == 2 * runs
+
+
 def test_classical_baseline_sample_count_and_value():
     eps = 0.1
     for m, direction, z in ((ising_model(K2), "forward", 2.0),
