@@ -220,7 +220,11 @@ def estimate_mean_variance(d: ValueDistribution, sigma: float, epsilon: float,
         raise ValueError("sigma must be finite")
     if not epsilon < 4.0 * sigma:
         raise ValueError("epsilon must be < 4*sigma")
-    plan = _l2_plan(epsilon / (32.0 * sigma))  # checked before any draw
+    eps_l2 = epsilon / (32.0 * sigma)
+    if eps_l2 == 0.0:  # a subnormal epsilon, or a huge sigma
+        raise ValueError(f"epsilon/(32 sigma) underflows to 0 at epsilon = "
+                         f"{epsilon:g}, sigma = {sigma:g}")
+    plan = _l2_plan(eps_l2)  # checked before any draw
     scaled = transform(d, lambda v: v / sigma)
     m = float(classical_sample_block(scaled, 1, rng, ledger)[0])
     ledger.a_uses += 1
@@ -265,6 +269,9 @@ def _relative_plan(d: ValueDistribution, B: float,
     if not eps_l2 < 0.5:  # the l2 plan's own bound
         raise ValueError(f"epsilon must be < 3(2 sqrt(B) + 1)^2/4 = "
                          f"{scale / 4.0:g} at B = {B:g}")
+    if eps_l2 == 0.0:  # a subnormal epsilon
+        raise ValueError(f"2 epsilon/(3(2 sqrt(B) + 1)^2) underflows to 0 at "
+                         f"epsilon = {epsilon:g}, B = {B:g}")
     return _RelativePlan(d, n, _l2_plan(eps_l2),
                          powering_reps(1.0 / 5.0, 1.0 / 8.0))
 
@@ -308,7 +315,8 @@ def estimate_mean_relative(d: ValueDistribution, B: float, epsilon: float,
 
     Accepts B >= 1 and 0 < epsilon < 3(2 sqrt(B) + 1)^2/4, which is 27B/4 at
     B = 1 and below it for B > 1: the inner l2 accuracy
-    2 epsilon/(3(2 sqrt(B) + 1)^2) must stay under 1/2."""
+    2 epsilon/(3(2 sqrt(B) + 1)^2) must stay under 1/2, and above 0 (a
+    subnormal epsilon underflows it)."""
     value = _relative_run(_relative_plan(d, B, epsilon), rng, ledger)
     return Estimate(value=value, target_error=epsilon, error_kind="relative",
                     confidence=0.75, ledger=ledger.snapshot())

@@ -17,9 +17,9 @@ Two contracts are built on W:
     exposes its realized action and error.  An idealized reflection is only
     a charge, ceil(sqrt(tau) * ln(1/eps_r)) walk steps (reflection_cost).
   * warm_start_prepare -- walks a cooling schedule 0 = beta_0 < ... < beta_r,
-    producing |pi_r> by iterated projection |pi_j> -> |pi_{j+1}>; `idealized`
-    returns the exact state and charges the stated
-    r * sqrt(tau) * log^2(r/eps) * B log B cost.
+    producing |pi_r> by iterated projection |pi_j> -> |pi_{j+1}>.  An
+    idealized warm start, like an idealized reflection, is only a charge,
+    r * sqrt(tau) * log^2(r/eps) * B log B walk steps (warm_start_cost).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .chains import MarkovChain, chain_for, relaxation_time
-from .gibbs import GibbsModel, gibbs_distribution, overlap_squared
+from .gibbs import GibbsModel, gibbs_distribution
 from .outcome import QueryLedger
 
 __all__ = [
@@ -206,34 +206,23 @@ def approx_reflection(c: MarkovChain, epsilon_r: float,
 
 
 def warm_start_prepare(m: GibbsModel, betas, target_index: int,
-                       epsilon_s: float, mode: str, ledger: QueryLedger,
-                       B: float = None) -> QuantumSample:
+                       epsilon_s: float, mode: str,
+                       ledger: QueryLedger) -> QuantumSample:
     """Prepare |pi_{beta_r}> along the schedule prefix betas[0..r], r = target_index.
 
-    Requires consecutive overlaps |<pi_j|pi_{j+1}>|^2 >= 1/B along the prefix.
-    idealized: exact amplitudes, with the nominal cost charged to walk_steps.
-    exact_sim: iterated ancilla-0 projection (I + R~)/2 through the walks of
-    the successive Gibbs chains; the realized state must land within
-    epsilon_s of the target (checked by the caller via the returned state).
+    Iterated ancilla-0 projection (I + R~)/2 through the walks of the
+    successive Gibbs chains, charging each reflection's walk steps; the
+    realized state must land within epsilon_s of the target (checked by the
+    caller via the returned state).  mode must be "exact_sim", the one
+    realization; an idealized warm start is charged by warm_start_cost alone.
     """
     r = target_index
     if not 0 <= r < len(betas):
         raise ValueError("target index outside schedule")
     if not 0.0 < epsilon_s < 1.0:  # NaN fails too
         raise ValueError("epsilon_s must be in (0, 1)")
-    if mode not in ("idealized", "exact_sim"):
-        raise ValueError("mode must be 'idealized' or 'exact_sim'")
-    overlaps = [overlap_squared(m, betas[j], betas[j + 1]) for j in range(r)]
-    if B is None:
-        B = 1.0 / min(overlaps) if overlaps else 1.0
-    if overlaps and min(overlaps) < 1.0 / B - 1e-12:
-        raise ValueError("overlap condition violated along schedule prefix")
-
-    if mode == "idealized":
-        taus = [relaxation_time(chain_for(m, b)) for b in betas[1: r + 1]]
-        tau = max(taus) if taus else 1.0
-        ledger.walk_steps += warm_start_cost(r, tau, epsilon_s, B)
-        return QuantumSample(np.sqrt(gibbs_distribution(m, betas[r])))
+    if mode != "exact_sim":
+        raise ValueError("mode must be 'exact_sim'")
     eps_r = epsilon_s / (4.0 * max(r, 1))
     state = np.sqrt(gibbs_distribution(m, betas[0]))
     for j in range(r):

@@ -37,7 +37,7 @@ DELETED_PARAMETERS = {
     "walk.approx_reflection": ("spec",),
     "walk.reflection_cost": ("c_r",),
     "walk.warm_start_cost": ("c_s",),
-    "walk.warm_start_prepare": ("c_s",),
+    "walk.warm_start_prepare": ("c_s", "B"),
     "mean.estimate_mean_l2": ("D",),
     "mean.t_for_additive_error": ("C",),
     "amplitude.interval_coverage": ("halfwidth",),

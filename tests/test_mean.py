@@ -286,6 +286,12 @@ def test_variance_precondition_checks():
     (estimate_mean_variance, math.inf, 0.1, "sigma must be finite"),
     (estimate_mean_variance, 1.0, 1e-300, "exceeds the amplitude-estimation cap"),
     (estimate_mean_relative, 1.5, 1e-300, "exceeds the amplitude-estimation cap"),
+    # a subnormal epsilon underflows the inner l2 accuracy to 0, which the l2
+    # plan used to reject as "epsilon must be in (0, 1/2)"
+    (estimate_mean_variance, 1.0, 1e-323,
+     "underflows to 0 at epsilon = 9.88131e-324, sigma = 1$"),
+    (estimate_mean_relative, 1.0, 1e-323,
+     "underflows to 0 at epsilon = 9.88131e-324, B = 1$"),
 ])
 def test_failed_estimate_charges_and_draws_nothing(estimator, setting, eps, message):
     # the l2 plan is checked before the proxy draw

@@ -12,9 +12,10 @@ from qmcs.gibbs import (MEMO_CAP, Graph, _boltzmann, chebyshev_ratio,
                         chi_squared, colouring_model, exact_partition,
                         gibbs_distribution, ising_model, matching_model,
                         overlap_squared)
+from qmcs.mean import estimate_mean_relative
 from qmcs.outcome import QueryLedger, ValueDistribution, from_arrays
-from qmcs.partition import (CoolingSchedule, ScheduleError, _rung_spectra,
-                            build_schedule, classical_baseline,
+from qmcs.partition import (CoolingSchedule, ScheduleError, _rung_plan,
+                            _rung_spectra, build_schedule, classical_baseline,
                             estimate_partition, ratio_variable,
                             reversed_ratio_variable, verify_schedule)
 from qmcs.walk import approx_reflection, phase_bits
@@ -148,6 +149,43 @@ def test_relative_estimates_take_one_proxy_and_one_uniform_block(monkeypatch):
         estimate_partition(m, s, 0.2, 0.25, "ideal_sampling", rng, QueryLedger())
         runs = s.ell * qmcs.mean.powering_reps(0.25, 0.25 / s.ell)
         assert rng.calls == 2 * runs
+
+
+def _relative_counts(rp, reps):
+    """(a_uses, a_inv_uses, reflection_uses, classical_samples) of reps
+    relative estimates run from the plan rp, in closed form."""
+    k, t0, reps_0, reps_l = rp.l2
+    draws = reps * rp.reps * (reps_0 + k * reps_l)
+    return np.array([draws, draws, draws * t0, reps * rp.n])
+
+
+def _counts(ledger):
+    return np.array([ledger.a_uses, ledger.a_inv_uses, ledger.reflection_uses,
+                     ledger.classical_samples])
+
+
+def test_relative_estimate_ledgers_have_closed_forms():
+    # the counts that the walk modes convert into walk steps
+    eps, delta = 0.2, 0.25
+    for m, direction in ((ising_model(C4), "forward"),
+                         (matching_model(C4), "reversed")):
+        s = build_schedule(m, 2.0, direction)
+        reps = qmcs.mean.powering_reps(0.25, delta / s.ell)
+        plan, _ = _rung_plan(m, s)
+        expected = sum(_relative_counts(
+            qmcs.mean._relative_plan(r.law, s.B, eps / (2.0 * s.ell)), reps)
+            for r in plan)
+        ledger = QueryLedger()
+        estimate_partition(m, s, eps, delta, "ideal_sampling",
+                           np.random.default_rng(0), ledger)
+        assert _counts(ledger).tolist() == expected.tolist()
+        assert ledger.walk_steps == 0
+    d = from_arrays([0.5, 1.0, 4.0], [0.25, 0.5, 0.25])
+    for B, eps in ((1.5, 0.3), (4.0, 0.05)):
+        ledger = QueryLedger()
+        estimate_mean_relative(d, B, eps, np.random.default_rng(1), ledger)
+        expected = _relative_counts(qmcs.mean._relative_plan(d, B, eps), 1)
+        assert _counts(ledger).tolist() == expected.tolist()
 
 
 def test_classical_baseline_sample_count_and_value():

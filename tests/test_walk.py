@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from qmcs.chains import (MarkovChain, chain_for, discriminant_matrix,
-                         glauber_chain, relaxation_time)
+                         glauber_chain)
 from qmcs.gibbs import (Graph, colouring_model, gibbs_distribution,
                         ising_model, matching_model)
 from qmcs.outcome import QueryLedger
 from qmcs.partition import build_schedule
 from qmcs.walk import (ApproxReflection, approx_reflection,
                        spectral_correspondence_residual, szegedy_walk,
-                       warm_start_cost, warm_start_prepare)
+                       warm_start_prepare)
 
 K2 = Graph(2, ((0, 1),))
 
@@ -196,21 +196,11 @@ def test_approx_reflection_checks_epsilon():
         assert ledger == QueryLedger()
 
 
-def test_warm_start_idealized_charges_and_state():
-    m = ising_model(K2)
-    betas = [0.0, 0.5, 1.0]
-    ledger = QueryLedger()
-    s = warm_start_prepare(m, betas, 2, 0.05, "idealized", ledger, B=2.0)
-    assert np.allclose(s.amplitudes**2, gibbs_distribution(m, 1.0))
-    taus = [relaxation_time(glauber_chain(m, b)) for b in betas[1:]]
-    assert ledger.walk_steps == warm_start_cost(2, max(taus), 0.05, 2.0)
-
-
 def test_warm_start_exact_sim_fidelity():
     m = ising_model(K2)
     betas = [0.0, 0.5, 1.0]
     eps = 0.05
-    s = warm_start_prepare(m, betas, 2, eps, "exact_sim", QueryLedger(), B=2.0)
+    s = warm_start_prepare(m, betas, 2, eps, "exact_sim", QueryLedger())
     target = np.sqrt(gibbs_distribution(m, 1.0))
     assert np.linalg.norm(s.amplitudes - target) <= eps
 
@@ -230,32 +220,23 @@ def test_warm_start_exact_sim_beyond_dense_walk_size():
 @pytest.mark.parametrize("mode", ["idealized", "exact_sim", "exact"])
 @pytest.mark.parametrize("r", [0, 1])
 def test_warm_start_rejects_epsilon_outside_unit_interval(monkeypatch, mode, r):
-    # at r >= 1, 0 raised ZeroDivisionError (idealized), -0.1 "math domain
-    # error" and NaN "cannot convert float NaN to integer"; at r = 0 every
-    # value passed.  An unknown mode ("exact") was rejected only after every
-    # overlap.  Both checks precede every overlap and every charge.
-    def no_overlap(*args):
-        raise AssertionError("overlap computed before the settings check")
+    # both checks precede every chain build and every charge, at r = 0 too;
+    # "idealized" is an unknown mode, since an idealized warm start is only
+    # its charge (warm_start_cost)
+    def no_chain(*args):
+        raise AssertionError("chain built before the settings check")
 
-    monkeypatch.setattr("qmcs.walk.overlap_squared", no_overlap)
+    monkeypatch.setattr("qmcs.walk.chain_for", no_chain)
     bad = [(eps, r"epsilon_s must be in \(0, 1\)")
            for eps in (0.0, -0.1, math.nan, 1.0, 1.5)]
-    if mode == "exact":
-        bad.append((0.5, "mode must be 'idealized' or 'exact_sim'"))
+    if mode != "exact_sim":
+        bad.append((0.5, "mode must be 'exact_sim'"))
     for eps, message in bad:
         ledger = QueryLedger()
         with pytest.raises(ValueError, match=message):
             warm_start_prepare(ising_model(K2), [0.0, 0.5, 1.0], r, eps, mode,
-                               ledger, B=2.0)
+                               ledger)
         assert ledger == QueryLedger()
-
-
-def test_warm_start_rejects_bad_overlap_promise():
-    m = matching_model(Graph(4, ((0, 1), (1, 2), (2, 3), (3, 0))))
-    # huge jump with a B that the actual overlaps violate
-    with pytest.raises(ValueError):
-        warm_start_prepare(m, [0.0, 6.0], 1, 0.05, "idealized",
-                           QueryLedger(), B=1.0001)
 
 
 def test_discriminant_is_symmetric():
