@@ -283,7 +283,6 @@ def cmd_bench(args):
         sweep = []
     if not sweep:
         return _fail(EXIT_CONFIG, f"bad --sweep {args.sweep!r}: want eps=v1,v2,...")
-    d = make_distribution(d.to_pairs())  # rebuilt from pairs: renormalized twice
     seeds = iter(np.random.SeedSequence(args.seed).spawn(len(sweep) * args.trials))
     lines = ["eps,reflections,classical_samples,error"]
     for eps in sweep:

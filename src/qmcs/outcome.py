@@ -2,11 +2,12 @@
 
 A randomized (or quantum) subroutine is modelled by the distribution of its
 real-valued output.  Distributions are finite, explicit and immutable;
-truncation and value-transformation operators mirror the derived algorithms
-built on top of them, and median_law gives the exact law of a median of
-iid draws (the powering lemma's amplification), from the exact binomial
-tail binom_upper_tail, evaluated only on the window of the CDF where a
-median mass can pass the pruning level (median_laws: for a stream of laws).
+truncation to a window lo <= v < hi (the rest moved to 0) and value
+transformation mirror the derived algorithms built on top of them, and
+median_law gives the exact law of a median of iid draws (the powering
+lemma's amplification), from the exact binomial tail binom_upper_tail,
+evaluated only on the window of the CDF where a median mass can pass the
+pruning level (median_laws: for a stream of laws).
 """
 
 from __future__ import annotations
@@ -68,9 +69,6 @@ class ValueDistribution:
         with np.errstate(over="ignore"):  # a norm beyond float range is inf
             return float(np.sqrt(np.dot(self.values**2, self.probs)))
 
-    def to_pairs(self) -> list:
-        return [(float(v), float(p)) for v, p in zip(self.values, self.probs)]
-
 
 @dataclass(slots=True)  # callers keep one per estimate: no per-instance dict
 class QueryLedger:
@@ -126,21 +124,10 @@ def make_distribution(pairs: Iterable[Tuple[float, float]]) -> ValueDistribution
     return from_arrays([v for v, _ in pairs], [p for _, p in pairs])
 
 
-def truncate(d: ValueDistribution, mode: str, x: float = None, y: float = None) -> ValueDistribution:
-    """Move probability mass outside a half-open window to the value 0.
-
-    mode "below":   keep v < x, else output 0.
-    mode "range":   keep x <= v < y, else output 0.
-    mode "atleast": keep v >= y, else output 0.
-    """
-    windows = {"below": (-np.inf, x), "range": (x, y), "atleast": (y, np.inf)}
-    if mode not in windows:
-        raise DistributionError(f"unknown truncation mode {mode!r}")
-    lo, hi = windows[mode]
-    if lo is None or hi is None:
-        raise DistributionError(f"mode {mode!r} is missing a window bound")
-    if mode == "range" and not x < y:
-        raise DistributionError("invalid window: need x < y")
+def truncate(d: ValueDistribution, lo: float, hi: float) -> ValueDistribution:
+    """Keep lo <= v < hi and move every other value to 0; +-inf leave a side open."""
+    if not lo < hi:  # NaN fails too
+        raise DistributionError(f"empty window [{lo}, {hi})")
     keep = (d.values >= lo) & (d.values < hi)
     return from_arrays(np.where(keep, d.values, 0.0), d.probs)
 

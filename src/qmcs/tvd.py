@@ -4,11 +4,13 @@ The subroutine draws x from r = (p+q)/2, produces median-amplified
 amplitude estimates p~(x), q~(x) with t = ceil(20*pi*sqrt(n/eps)) iterations,
 and outputs |p~ - q~| / (p~ + q~).  Its exact output law is a finite mixture
 (over x, and over the two median laws), so the subroutine mean E~ is
-computable in closed form; the top-level estimator then runs bounded-mean
-estimation on that amplitude.  Internal accuracy is eps/8, making the
-subroutine bias |E~ - ||p-q||| at most eps/2; the outer estimation
-contributes the other eps/2.  A fresh law streams its outcome laws through
-median_laws and takes each ratio only where its weight passes the pruning.
+computable in closed form; the top-level estimator then takes one
+bounded-mean median on that amplitude (amplitude._median_from_uniforms on
+reps_outer uniforms) and charges every count from tvd_query_budget.
+Internal accuracy is eps/8, making the subroutine bias |E~ - ||p-q||| at
+most eps/2; the outer estimation contributes the other eps/2.  A fresh law
+streams its outcome laws through median_laws and takes each ratio only where
+its weight passes the pruning.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .amplitude import AE_FAIL_PROB, ae_median, ae_outcome_distribution
+from .amplitude import AE_FAIL_PROB, _median_from_uniforms, ae_outcome_distribution
 from .mean import Estimate, powering_reps, t_for_additive_error
 from .outcome import (_PRUNE, QueryLedger, ValueDistribution, from_arrays,  # noqa: F401
                       median_law, median_laws)  # median_law: perfbench/tracer.py wraps it here
@@ -136,13 +138,12 @@ def estimate_tvd(p, q, epsilon: float, delta: float,
     inst = TvdInstance(np.asarray(p, float), np.asarray(q, float), epsilon / 8.0)
     budget = tvd_query_budget(inst.n, epsilon, delta)  # checks delta before the law
     law = tvd_subroutine_distribution(inst)
-    scratch = QueryLedger()
-    value = ae_median(law.mean(), budget["t_outer"], budget["reps_outer"], rng,
-                      scratch)
+    value = _median_from_uniforms(law.mean(), budget["t_outer"],
+                                  rng.random(budget["reps_outer"]).tolist())
+    ledger.a_uses += budget["reps_outer"]
+    ledger.a_inv_uses += budget["reps_outer"]
     ledger.reflection_uses += budget["ae_iterations"]
     ledger.classical_samples += budget["subroutine_invocations"]
-    ledger.a_uses += scratch.a_uses
-    ledger.a_inv_uses += scratch.a_inv_uses
     return Estimate(value=float(value), target_error=epsilon,
                     error_kind="additive", confidence=1.0 - delta,
                     ledger=ledger.snapshot())

@@ -42,6 +42,7 @@ DELETED_PARAMETERS = {
     "mean.t_for_additive_error": ("C",),
     "amplitude.interval_coverage": ("halfwidth",),
     "outcome.QueryLedger": ("state_copies",),
+    "outcome.truncate": ("mode", "x", "y"),
     "chains.MarkovChain": ("lazy",),
     "partition.classical_baseline": ("sampling",),
     **{f"validate.criterion_{cid}": ("trials",)
@@ -51,7 +52,7 @@ DELETED_PARAMETERS = {
 ONE_HOME = {"median_law": ("outcome", "tvd"),
             "median_laws": ("outcome", "tvd"),
             "binom_upper_tail": ("outcome", "mean"),
-            "_median_from_uniforms": ("amplitude", "mean"),
+            "_median_from_uniforms": ("amplitude", "mean", "tvd"),
             "discriminant_matrix": ("chains", "walk"),
             "chebyshev_ratio": ("gibbs", "partition")}
 

@@ -196,10 +196,10 @@ def test_l2_heavy_tail_band_decomposition():
 
 def _band_laws_reference(d, k):
     """Band amplitudes by building each truncated, rescaled band law."""
-    amps = [truncate(d, "range", 0.0, 1.0).mean()]
+    amps = [truncate(d, 0.0, 1.0).mean()]
     for ell in range(1, k + 1):
         lo, hi = 2.0 ** (ell - 1), 2.0**ell
-        band = transform(truncate(d, "range", lo, hi), lambda v: v / hi)
+        band = transform(truncate(d, lo, hi), lambda v: v / hi)
         amps.append(band.mean())
     return amps
 
@@ -328,8 +328,8 @@ def _variance_oracle(d, sigma, epsilon, rng, ledger):
     m = float(classical_sample_block(scaled, 1, rng, ledger)[0])
     ledger.a_uses += 1
     centered = transform(scaled, lambda v: v - m)
-    neg = transform(truncate(centered, "below", 0.0), lambda v: -v / 4.0)
-    pos = transform(truncate(centered, "atleast", None, 0.0), lambda v: v / 4.0)
+    neg = transform(truncate(centered, -np.inf, 0.0), lambda v: -v / 4.0)
+    pos = transform(truncate(centered, 0.0, np.inf), lambda v: v / 4.0)
     eps_sub = epsilon / (32.0 * sigma)
     mu_neg = power_median(lambda: estimate_mean_l2(neg, eps_sub, rng, ledger).value,
                           1.0 / 5.0, 1.0 / 9.0)

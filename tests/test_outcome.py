@@ -74,7 +74,7 @@ def test_moments_against_direct_sums():
 
 def test_truncate_range_moves_mass_to_zero():
     d = make_distribution([(0.5, 0.25), (1.5, 0.25), (3.0, 0.5)])
-    cut = truncate(d, "range", 1.0, 2.0)
+    cut = truncate(d, 1.0, 2.0)
     assert cut.mean() == pytest.approx(1.5 * 0.25)
     # all discarded mass sits at zero
     assert cut.probs[cut.values == 0.0][0] == pytest.approx(0.75)
@@ -82,10 +82,23 @@ def test_truncate_range_moves_mass_to_zero():
 
 def test_truncate_below_and_atleast():
     d = make_distribution([(-2.0, 0.5), (3.0, 0.5)])
-    neg = truncate(d, "below", 0.0)
+    neg = truncate(d, -np.inf, 0.0)
     assert neg.mean() == pytest.approx(-1.0)
-    pos = truncate(d, "atleast", None, 0.0)
+    pos = truncate(d, 0.0, np.inf)
     assert pos.mean() == pytest.approx(1.5)
+
+
+def test_truncate_window_is_checked():
+    # an empty, reversed or NaN window raises: at a NaN bound lo < hi fails
+    # too, so there is no silent point mass at 0; (-inf, inf) keeps all
+    d = make_distribution([(-2.0, 0.25), (0.0, 0.25), (3.0, 0.5)])
+    for lo, hi in [(1.0, 1.0), (2.0, 1.0), (np.inf, -np.inf), (0.0, math.nan),
+                   (-np.inf, math.nan), (math.nan, np.inf), (math.nan, math.nan)]:
+        with pytest.raises(DistributionError, match="empty window"):
+            truncate(d, lo, hi)
+    kept = truncate(d, -np.inf, np.inf)
+    assert np.array_equal(kept.values, d.values)
+    assert np.array_equal(kept.probs, d.probs)
 
 
 def test_transform_rejects_nonfinite():

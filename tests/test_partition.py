@@ -188,6 +188,44 @@ def test_relative_estimate_ledgers_have_closed_forms():
         assert _counts(ledger).tolist() == expected.tolist()
 
 
+def test_mean_and_tvd_ledgers_have_closed_forms():
+    # (a_uses, a_inv_uses, reflection_uses, classical_samples) of one
+    # bounded, l2, variance and TVD estimate, from their parameters alone
+    mean = qmcs.mean
+    d = from_arrays([0.0, 0.25, 1.0], [0.5, 0.25, 0.25])
+    for t, delta in ((7, 0.1), (40, 0.01)):
+        ledger = QueryLedger()
+        mean.estimate_mean_bounded(d, t, delta, np.random.default_rng(2), ledger)
+        reps = mean.powering_reps(qmcs.amplitude.AE_FAIL_PROB, delta)
+        assert _counts(ledger).tolist() == [reps, reps, reps * t, 0]
+    d = from_arrays([0.5, 1.0, 4.0], [0.25, 0.5, 0.25])
+    for eps in (0.3, 0.02):
+        ledger = QueryLedger()
+        mean.estimate_mean_l2(d, eps, np.random.default_rng(3), ledger)
+        k, t0, reps_0, reps_l = mean._l2_plan(eps)
+        draws = reps_0 + k * reps_l
+        assert _counts(ledger).tolist() == [draws, draws, draws * t0, 0]
+    d = from_arrays([4.0, 5.0, 6.0], [0.25, 0.5, 0.25])
+    for sigma, eps in ((1.0, 0.1), (2.0, 0.5)):
+        ledger = QueryLedger()
+        mean.estimate_mean_variance(d, sigma, eps, np.random.default_rng(4), ledger)
+        k, t0, reps_0, reps_l = mean._l2_plan(eps / (32.0 * sigma))
+        draws = 2 * mean.powering_reps(1.0 / 5.0, 1.0 / 9.0) * (reps_0 + k * reps_l)
+        # the proxy draw is charged as one classical sample and one A use
+        assert _counts(ledger).tolist() == [draws + 1, draws, draws * t0, 1]
+        if (sigma, eps) == (1.0, 0.1):
+            assert _counts(ledger).tolist() == [613, 612, 11_480_508, 1]
+    p, q = np.array([0.7, 0.2, 0.1]), np.array([0.4, 0.3, 0.3])
+    for eps, delta in ((0.2, 0.1), (0.1, 0.3)):
+        ledger = QueryLedger()
+        qmcs.tvd.estimate_tvd(p, q, eps, delta, np.random.default_rng(5), ledger)
+        b = qmcs.tvd.tvd_query_budget(3, eps, delta)
+        assert _counts(ledger).tolist() == [
+            b["reps_outer"], b["reps_outer"], b["ae_iterations"],
+            b["subroutine_invocations"]]
+        assert ledger.walk_steps == 0
+
+
 def test_classical_baseline_sample_count_and_value():
     eps = 0.1
     for m, direction, z in ((ising_model(K2), "forward", 2.0),
