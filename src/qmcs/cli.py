@@ -197,9 +197,8 @@ def cmd_walk_check(args):
         w = szegedy_walk(chain_for(m, args.beta))
     except (ChainError, ValueError) as exc:
         return _fail(EXIT_CONTRACT, str(exc))
-    phases, _ = w.eigensystem
     _emit({"schema": SCHEMA, "model": args.model, "beta": _finite(args.beta),
-           "phases": sorted(round(p, 12) for p in phases),
+           "phases": sorted(round(p, 12) for p in w.phases),
            "phase_gap": w.phase_gap, "unitarity_residual": w.unitarity_residual,
            "spectral_residual": spectral_correspondence_residual(w)}, args.out)
     return 0

@@ -80,7 +80,7 @@ class CoolingSchedule:
         if (self.betas[0], self.betas[-1]) != (0.0, math.inf):
             raise ScheduleError("schedule must start at beta = 0 and end at "
                                 "beta = inf")
-        if self.B <= 1.0:
+        if not self.B > 1.0:  # NaN fails too
             raise ScheduleError("B must exceed 1")
         if self.direction not in ("forward", "reversed"):
             raise ScheduleError("direction must be 'forward' or 'reversed'")
@@ -130,7 +130,7 @@ def reversed_ratio_variable(m: GibbsModel, beta_i, beta_j) -> ValueDistribution:
 
 
 def build_schedule(m: GibbsModel, B: float, direction="forward") -> CoolingSchedule:
-    if B <= 1.0:
+    if not B > 1.0:  # NaN fails too
         raise ScheduleError("B must exceed 1")
     if exact_partition(m, math.inf) < 1.0:
         raise ScheduleError("model has no ground states to anchor the schedule")
@@ -306,9 +306,11 @@ def estimate_partition(m: GibbsModel, s: CoolingSchedule, epsilon: float,
 def classical_baseline(m: GibbsModel, s: CoolingSchedule, epsilon: float,
                        rng: np.random.Generator,
                        ledger: QueryLedger) -> PartitionEstimate:
-    """Product of per-ratio sample means, 16*B*ell/eps^2 samples per ratio."""
+    """Product of per-ratio sample means, max(1, 16*B*ell/eps^2) samples each."""
+    if not epsilon > 0.0:  # NaN fails too; before the set-up
+        raise ValueError("epsilon must be positive")
     plan, anchor = _rung_plan(m, s)
-    n = _sample_count(16.0 * s.B * s.ell / epsilon**2)
+    n = _sample_count(max(1.0, 16.0 * s.B * s.ell / epsilon**2))
     ratios = []
     for r in plan:
         draws = classical_sample_block(r.law, n, rng, ledger)

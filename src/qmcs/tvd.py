@@ -156,7 +156,7 @@ def ratio_stability_check(p: float, q: float, p_t: float, q_t: float,
     Preconditions |p - p_t| <= eta*(p+q), |q - q_t| <= eta*(p+q), eta <= 1/5
     are enforced, not silently assumed.
     """
-    if eta > 0.2 + 1e-15 or eta < 0.0:
+    if not 0.0 <= eta <= 0.2 + 1e-15:  # NaN fails too
         raise ValueError("eta must lie in [0, 1/5]")
     s = p + q
     if abs(p - p_t) > eta * s + 1e-15 or abs(q - q_t) > eta * s + 1e-15:

@@ -30,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .chains import MarkovChain, chain_for, relaxation_time
+from .chains import ChainError, MarkovChain, chain_for, relaxation_time
 from .gibbs import GibbsModel, gibbs_distribution
 from .outcome import QueryLedger
 
@@ -53,6 +53,9 @@ WALK_NODE_CAP = 64
 
 @dataclass(frozen=True)
 class WalkOperator:
+    """The dense n^2 x n^2 walk, an oracle only: its unitarity residual and
+    its eigenphases, +-arccos(lam) over D's eigenvalues lam."""
+
     W: np.ndarray
     chain: MarkovChain
     node_embedding: np.ndarray  # n^2 x n isometry, columns |x>|p_x>
@@ -68,25 +71,15 @@ class WalkOperator:
         object.__setattr__(self, "unitarity_residual", resid)
 
     @cached_property
-    def eigensystem(self):
-        """Unitary eigendecomposition (phases in (-pi, pi], orthonormal vectors)."""
-        import scipy.linalg  # the dense oracle alone needs scipy
-
-        # one complex Schur factorisation per operator, shared by every caller
-        T, Z = scipy.linalg.schur(self.W, output="complex")
-        eigs = np.diag(T)
-        offdiag = np.abs(T - np.diag(eigs)).max()
-        if offdiag > 1e-8:
-            raise ValueError("walk operator failed to diagonalize unitarily")
-        phases = np.angle(eigs)
+    def phases(self) -> np.ndarray:
+        """Read-only eigenphases of W in [-pi, pi], from one eigvals."""
+        phases = np.angle(np.linalg.eigvals(self.W))
         phases.setflags(write=False)
-        Z.setflags(write=False)
-        return phases, Z
+        return phases
 
     @property
     def phase_gap(self) -> float:
-        phases, _ = self.eigensystem
-        nz = np.abs(phases)[np.abs(phases) > 1e-9]
+        nz = np.abs(self.phases)[np.abs(self.phases) > 1e-9]
         return float(nz.min())
 
 
@@ -107,6 +100,7 @@ def szegedy_walk(c: MarkovChain) -> WalkOperator:
     if n > WALK_NODE_CAP:
         raise ValueError(f"chain of size {n} exceeds walk cap {WALK_NODE_CAP}")
     relaxation_time(c)  # rejects non-ergodic chains
+    walk_phases(c)  # and a one-state chain
     sqrtP = np.sqrt(c.P)
     # columns phi_x = e_x (x) sqrt(P(x,:)); W = SWAP * (2 sum |phi_x><phi_x| - I)
     A = np.zeros((n * n, n))
@@ -125,8 +119,7 @@ def spectral_correspondence_residual(w: WalkOperator) -> float:
     cos(theta) for a pair of walk eigenphases +-theta; comparing cosines
     avoids the arccos conditioning blowup near |lam| = 1.
     """
-    phases, _ = w.eigensystem
-    cosines = np.cos(phases)
+    cosines = np.cos(w.phases)
     lams = w.chain.spectrum[0]
     return float(max(np.abs(cosines - lam).min() for lam in lams))
 
@@ -155,6 +148,8 @@ def phase_bits(theta_min: float, epsilon_r: float) -> int:
 def walk_phases(c: MarkovChain) -> np.ndarray:
     """Walk phases arccos(lam) over every eigenvalue lam of D but the top one
     (lam = 1, phase 0, unique for an ergodic chain), in eigh's order."""
+    if c.n < 2:  # its empty phase list has no minimum to set b from
+        raise ChainError("a one-state chain has no walk phase")
     # no threshold on theta: arccos(1 - 2^-52) ~ 2e-8 would read as a gap
     return np.arccos(np.clip(c.spectrum[0][:-1], -1.0, 1.0))
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -125,15 +126,38 @@ def test_median_charges_scale_with_reps():
     assert ledger.a_uses == 5
 
 
+def _circuit_tv(a, t):
+    """TV between the simulated circuit's outcome law and the closed form."""
+    want = ae_outcome_distribution(a, t)
+    got = ae_circuit_distribution(a, t)
+    lookup = dict(zip(np.round(want.values, 12), want.probs))
+    return 0.5 * sum(abs(p - lookup.get(round(v, 12), 0.0))
+                     for v, p in zip(got.values, got.probs))
+
+
 def test_circuit_reproduces_closed_form():
     # explicit phase-estimation circuit vs the analytic outcome law
     for a, t in ((0.2, 17), (0.77, 32), (0.0, 9)):
-        want = ae_outcome_distribution(a, t)
-        got = ae_circuit_distribution(a, t)
-        lookup = dict(zip(np.round(want.values, 12), want.probs))
-        tv = 0.5 * sum(abs(p - lookup.get(round(v, 12), 0.0))
-                       for v, p in zip(got.values, got.probs))
-        assert tv < 1e-10
+        assert _circuit_tv(a, t) < 1e-10
+
+
+def test_circuit_builds_no_t_by_t_transform():
+    # the inverse QFT is one FFT; the dense t x t matrix it replaced took a
+    # traced 512 MB at t = 4096
+    tracemalloc.start()
+    try:
+        ae_circuit_distribution(0.3, 4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+def test_circuit_runs_up_to_its_cap():
+    t = 2**14
+    assert _circuit_tv(0.3, t) <= 1e-8
+    with pytest.raises(ValueError, match="exceeds dense simulation cap"):
+        ae_circuit_distribution(0.3, t + 1)
 
 
 def test_arcsin_gap_bound_holds_on_grid():

@@ -8,6 +8,7 @@ longer declares public.
 import ast
 import importlib
 import inspect
+import json
 import os
 import pkgutil
 import subprocess
@@ -130,18 +131,49 @@ def test_ae_sample_has_one_return_shape():
     assert type(draws) is list and [type(v) for v in draws] == [float]
 
 
-def test_import_loads_no_scipy():
-    # scipy serves only the dense oracle and the tests, and scipy.stats alone
-    # takes over a second to import, most of a CLI call.  A fresh
-    # interpreter shows every module the import pulls in.
-    code = ("import sys, qmcs, qmcs.cli; "
-            "print(' '.join(m for m in sys.modules if m.startswith('scipy')))")
+def _fresh_python(code):
+    """Run code in a fresh interpreter on this source tree; its stdout."""
     src = str(Path(qmcs.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout.split()
-    assert out == []  # so no scipy.stats, scipy.special or scipy.linalg
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_import_loads_no_scipy():
+    # scipy serves only the tests, and scipy.stats alone takes over a second
+    # to import, most of a CLI call.  A fresh interpreter shows every module
+    # the import pulls in.
+    out = _fresh_python(
+        "import sys, qmcs, qmcs.cli; "
+        "print(' '.join(m for m in sys.modules if m.startswith('scipy')))")
+    assert out.split() == []  # so no scipy.stats, scipy.special or scipy.linalg
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # the dense walk and circuit oracles need numpy alone: with scipy
+    # unimportable, walk-check and criteria 1 and 9 used to end in an
+    # ImportError
+    graph = tmp_path / "k2.txt"
+    graph.write_text("2 1\n0 1\n")
+    out = _fresh_python(f"""
+import sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{{name}} is blocked")
+
+sys.meta_path.insert(0, NoScipy())
+from qmcs.cli import main
+from qmcs.validate import validate_suite
+
+code = main(["walk-check", "--model", "ising", "--graph", {str(graph)!r},
+             "--out", {str(tmp_path / "walk.json")!r}])
+print(code, validate_suite("1,9")["ok"])
+""")
+    assert out.split() == ["0", "True"]
+    assert json.loads((tmp_path / "walk.json").read_text())["phase_gap"] > 0
 
 
 def test_readme_quick_example_runs(capsys):

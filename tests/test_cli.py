@@ -452,6 +452,21 @@ def test_glauber_chain_without_sites_is_contract_error(capsys, tmp_path, cmd):
     assert code == 0 and out == "beta,Z,Z_unshifted\n0.0,1.0,1.0\ninf,1.0,1.0\n"
 
 
+@pytest.mark.parametrize("cmd", [["walk-check"],
+                                 ["partition", "--mode", "walk_idealized"],
+                                 ["partition", "--mode", "walk_exact_sim"]])
+def test_one_state_chain_is_contract_error(capsys, tmp_path, cmd):
+    # one colour on two free vertices leaves one state; walk-check used to
+    # exit 1, and the walk modes 3, with numpy's "zero-size array to
+    # reduction operation minimum which has no identity"
+    path = tmp_path / "edgeless.txt"
+    path.write_text("2 0\n")
+    code = main(cmd + ["--model", "colouring", "--k", "1", "--graph", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == "error: a one-state chain has no walk phase\n"
+
+
 @pytest.fixture(scope="module")
 def fuzz_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")

@@ -252,6 +252,51 @@ def test_estimate_rejects_bad_mode_and_schedule():
                            np.random.default_rng(0), QueryLedger())
 
 
+def test_nan_b_is_rejected():
+    # CoolingSchedule accepted it, and build_schedule ended in "schedule
+    # stalled: no admissible next beta"
+    with pytest.raises(ScheduleError, match="B must exceed 1"):
+        CoolingSchedule((0.0, math.inf), math.nan)
+    with pytest.raises(ScheduleError, match="B must exceed 1"):
+        build_schedule(ising_model(K2), math.nan)
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.1, math.nan])
+def test_classical_baseline_checks_epsilon_before_setup(eps):
+    # -0.1 used to return an estimate of 3,200 samples per ratio, 0 to raise
+    # ZeroDivisionError and NaN the sample-cap error, both after the set-up
+    m = ising_model(K2)
+    s = build_schedule(m, 2.0)
+    ledger = QueryLedger()
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        classical_baseline(m, s, eps, np.random.default_rng(0), ledger)
+    assert m._memo == {} and ledger == QueryLedger()
+
+
+def test_classical_baseline_draws_at_least_one_sample():
+    # an infinite epsilon used to draw no sample and return a NaN estimate
+    m = ising_model(C4)
+    s = build_schedule(m, 2.0)
+    ledger = QueryLedger()
+    est = classical_baseline(m, s, math.inf, np.random.default_rng(0), ledger)
+    assert math.isfinite(est.z_value) and est.meta["samples_per_ratio"] == 1
+    assert ledger.classical_samples == s.ell
+
+
+def test_one_state_chain_fails_walk_modes_only():
+    # one colour on two free vertices: one state, so no walk phase to charge
+    # a reflection from; ideal sampling needs none
+    m = colouring_model(Graph(2, ()), 1)
+    s = build_schedule(m, 2.0)
+    for mode in ("walk_idealized", "walk_exact_sim"):
+        with pytest.raises(ChainError, match="one-state chain has no walk phase"):
+            estimate_partition(m, s, 0.1, 0.25, mode,
+                               np.random.default_rng(0), QueryLedger())
+    est = estimate_partition(m, s, 0.1, 0.25, "ideal_sampling",
+                             np.random.default_rng(0), QueryLedger())
+    assert est.z_value == pytest.approx(1.0)
+
+
 def _state_gibbs(m, beta):
     """Oracle: the Gibbs vector weighed state by state."""
     if beta == math.inf:

@@ -186,6 +186,8 @@ def test_ratio_stability_bound():
         ratio_stability_check(0.3, 0.1, 0.32, 0.12, 0.3)  # eta > 1/5
     with pytest.raises(ValueError):
         ratio_stability_check(0.3, 0.1, 0.8, 0.1, 0.05)  # perturbation too big
+    with pytest.raises(ValueError, match="eta must lie"):
+        ratio_stability_check(0.3, 0.1, 0.3, 0.1, math.nan)  # was False
 
 
 def test_ratio_stability_randomized_sweep():

@@ -2,16 +2,17 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from qmcs.chains import (MarkovChain, chain_for, discriminant_matrix,
-                         glauber_chain)
+from qmcs.chains import (ChainError, MarkovChain, chain_for,
+                         discriminant_matrix, glauber_chain)
 from qmcs.gibbs import (Graph, colouring_model, gibbs_distribution,
                         ising_model, matching_model)
 from qmcs.outcome import QueryLedger
 from qmcs.partition import build_schedule
 from qmcs.walk import (ApproxReflection, approx_reflection,
                        spectral_correspondence_residual, szegedy_walk,
-                       warm_start_prepare)
+                       walk_phases, warm_start_prepare)
 
 K2 = Graph(2, ((0, 1),))
 
@@ -42,6 +43,14 @@ def _overlap_by_doubling(phases, b):
     return np.abs(total / 2**b) ** 2
 
 
+def _schur_eigensystem(walk):
+    """W's phases and orthonormal eigenvectors from one complex Schur form."""
+    T, Z = scipy.linalg.schur(walk.W, output="complex")
+    eigs = np.diag(T)
+    assert np.abs(T - np.diag(eigs)).max() <= 1e-8  # W is normal
+    return np.angle(eigs), Z
+
+
 class _EdgeReflection:
     """Reference: the exact_sim reflection on the dense walk's edge space.
 
@@ -50,7 +59,7 @@ class _EdgeReflection:
     """
 
     def __init__(self, walk, epsilon_r):
-        phases, self.vecs = walk.eigensystem
+        phases, self.vecs = _schur_eigensystem(walk)
         self.b = (math.ceil(math.log2(2.0 * math.pi / walk.phase_gap))
                   + math.ceil(math.log2(1.0 / epsilon_r)) + 2)
         self.charge = 2**self.b
@@ -78,10 +87,48 @@ def test_walk_is_unitary_and_real():
 def test_symmetric_two_state_phases():
     # discriminant eigenvalues 1 and 1/2 -> phases {0, +-pi/3, pi}
     w = szegedy_walk(_two_state(0.25, 0.25))
-    phases, _ = w.eigensystem
     want = np.sort([0.0, math.pi / 3.0, -math.pi / 3.0, math.pi])
-    assert np.allclose(np.sort(phases), want, atol=1e-9)
+    assert np.allclose(np.sort(w.phases), want, atol=1e-9)
+    assert not w.phases.flags.writeable
     assert w.phase_gap == pytest.approx(math.pi / 3.0)
+
+
+def _criterion_9_chains():
+    """The 20 random reversible chains of validate's criterion 9."""
+    rng = np.random.default_rng(90)
+    for _ in range(20):
+        n = int(rng.integers(2, 9))
+        pi = rng.random(n) + 0.1
+        pi /= pi.sum()
+        m = rng.random((n, n)) + 0.05
+        P = (m + m.T) / 2.0 / pi[:, None]
+        np.fill_diagonal(P, 0.0)
+        P *= 0.9 / P.sum(axis=1).max()
+        np.fill_diagonal(P, 1.0 - P.sum(axis=1))
+        yield MarkovChain(P, pi)
+
+
+def test_phases_match_schur_phases():
+    # one eigvals gives the phases the Schur form gave, the sign of +-pi
+    # included: qmcs walk-check prints them sorted
+    m = ising_model(_cycle(4))
+    rungs = [chain_for(m, b) for b in build_schedule(m, 2.0).betas[:-1]]
+    for c in [*_criterion_9_chains(), *rungs]:
+        w = szegedy_walk(c)
+        want = np.sort(_schur_eigensystem(w)[0])
+        assert np.abs(np.sort(w.phases) - want).max() <= 1e-12
+
+
+def test_one_state_chain_has_no_walk_phase():
+    # one colour on two free vertices: walk_phases used to return no phase,
+    # and its callers failed in numpy's "zero-size array to reduction
+    # operation minimum"
+    c = chain_for(colouring_model(Graph(2, ()), 1), 0.5)
+    assert c.n == 1
+    for build in (walk_phases, szegedy_walk):
+        with pytest.raises(ChainError,
+                           match="^a one-state chain has no walk phase$"):
+            build(c)
 
 
 def test_stationary_edge_state_is_fixed():
