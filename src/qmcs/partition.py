@@ -310,7 +310,11 @@ def classical_baseline(m: GibbsModel, s: CoolingSchedule, epsilon: float,
     if not epsilon > 0.0:  # NaN fails too; before the set-up
         raise ValueError("epsilon must be positive")
     plan, anchor = _rung_plan(m, s)
-    n = _sample_count(max(1.0, 16.0 * s.B * s.ell / epsilon**2))
+    try:
+        n = 16.0 * s.B * s.ell / epsilon**2
+    except ArithmeticError:  # epsilon^2 underflowed to 0
+        n = 16.0 * s.B * s.ell / epsilon / epsilon  # inf past float range
+    n = _sample_count(max(1.0, n))
     ratios = []
     for r in plan:
         draws = classical_sample_block(r.law, n, rng, ledger)

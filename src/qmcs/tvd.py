@@ -8,9 +8,9 @@ computable in closed form; the top-level estimator then takes one
 bounded-mean median on that amplitude (amplitude._median_from_uniforms on
 reps_outer uniforms) and charges every count from tvd_query_budget.
 Internal accuracy is eps/8, making the subroutine bias |E~ - ||p-q||| at
-most eps/2; the outer estimation contributes the other eps/2.  A fresh law
-streams its outcome laws through median_laws and takes each ratio only where
-its weight passes the pruning.
+most eps/2; the outer estimation contributes the other eps/2.  A law streams
+its outcome laws through median_laws and takes each ratio only where its
+weight passes the pruning; only its mean E~ is cached, never the law.
 """
 
 from __future__ import annotations
@@ -87,13 +87,7 @@ def exact_tvd(p, q) -> float:
 
 
 def tvd_subroutine_distribution(inst: TvdInstance) -> ValueDistribution:
-    """Exact output law of one subroutine call (memoized per instance)."""
-    return _subroutine_law(inst.p.tobytes(), inst.q.tobytes(), inst.epsilon)
-
-
-@lru_cache(maxsize=64)  # exact laws kept; the least recently used goes first
-def _subroutine_law(p: bytes, q: bytes, epsilon: float) -> ValueDistribution:
-    inst = TvdInstance(np.frombuffer(p), np.frombuffer(q), epsilon)
+    """Exact output law of one subroutine call, built afresh on each call."""
     r = inst.r
     rows = [x for x in range(inst.n) if r[x] > 0.0]
     amps = list(dict.fromkeys(a for x in rows for a in (inst.p[x], inst.q[x])))
@@ -111,6 +105,12 @@ def _subroutine_law(p: bytes, q: bytes, epsilon: float) -> ValueDistribution:
         probs.append(w[i, j])
     probs = np.concatenate(probs)
     return from_arrays(np.concatenate(values), probs / probs.sum())
+
+
+@lru_cache(maxsize=64)  # E~ alone, one float per (p, q, eps); least recently used first
+def _subroutine_mean(p: bytes, q: bytes, epsilon: float) -> float:
+    inst = TvdInstance(np.frombuffer(p), np.frombuffer(q), epsilon)
+    return tvd_subroutine_distribution(inst).mean()
 
 
 def tvd_query_budget(n: int, epsilon: float, delta: float) -> dict:
@@ -137,8 +137,8 @@ def estimate_tvd(p, q, epsilon: float, delta: float,
         raise ValueError("epsilon must be in (0, 1)")
     inst = TvdInstance(np.asarray(p, float), np.asarray(q, float), epsilon / 8.0)
     budget = tvd_query_budget(inst.n, epsilon, delta)  # checks delta before the law
-    law = tvd_subroutine_distribution(inst)
-    value = _median_from_uniforms(law.mean(), budget["t_outer"],
+    mean = _subroutine_mean(inst.p.tobytes(), inst.q.tobytes(), inst.epsilon)
+    value = _median_from_uniforms(mean, budget["t_outer"],
                                   rng.random(budget["reps_outer"]).tolist())
     ledger.a_uses += budget["reps_outer"]
     ledger.a_inv_uses += budget["reps_outer"]

@@ -264,6 +264,18 @@ def test_partition_bad_setting_is_config_error(capsys, k2_graph, flag, value):
     assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("eps, count", [("1e-100", "3.2e+201"), ("1e-200", "inf")])
+def test_partition_classical_over_sample_cap_names_the_cap(capsys, k2_graph,
+                                                           eps, count):
+    # eps^2 underflows to 0 at 1e-200, which used to print "error: float
+    # division by zero"
+    code = main(["partition", "--model", "ising", "--graph", k2_graph,
+                 "--mode", "classical", f"--eps={eps}"])
+    assert code == 3
+    assert capsys.readouterr().err == \
+        f"error: {count} classical samples exceed the cap 1e+07\n"
+
+
 @pytest.mark.parametrize("value", ["1", "0.5", "nan"])
 def test_schedule_bad_B_is_config_error(capsys, k2_graph, value):
     code = main(["schedule", "--model", "ising", "--graph", k2_graph,

@@ -242,12 +242,12 @@ def test_circuit_law_matches_oracle(t):
 
 @pytest.mark.parametrize("n", [4, 16, 64])
 def test_subroutine_law_matches_oracle(n):
-    build = tvd._subroutine_law.__wrapped__  # past the LRU
+    build = tvd.tvd_subroutine_distribution
     rng = np.random.default_rng(n)
     for eps in (0.1, 0.05):
         p, q = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))
-        args = p.tobytes(), q.tobytes(), eps / 8
-        _assert_same_law(build(*args), _oracle(build, *args))
+        inst = tvd.TvdInstance(p, q, eps / 8)
+        _assert_same_law(build(inst), _oracle(build, inst))
 
 
 def _sweep_instances():
@@ -272,12 +272,12 @@ def _sweep_instances():
 
 
 def test_subroutine_law_matches_matrix_construction():
-    build = tvd._subroutine_law.__wrapped__  # past the LRU
+    build = tvd.tvd_subroutine_distribution
     cases = list(_sweep_instances())
     assert len(cases) == 60
     assert sum(np.any((p + q) == 0.0) for p, q, _ in cases) >= 15
     for p, q, eps in cases:
-        _assert_same_law(build(p.tobytes(), q.tobytes(), eps),
+        _assert_same_law(build(tvd.TvdInstance(p, q, eps)),
                          _matrix_subroutine_law(p, q, eps))
 
 

@@ -171,11 +171,11 @@ def test_estimate_tvd_checks_delta_before_building_the_law(delta, seed):
     # be a cache miss
     rng = np.random.default_rng(seed)
     p, q = rng.dirichlet(np.ones(20)), rng.dirichlet(np.ones(20))
-    before = tvd._subroutine_law.cache_info()
+    before = tvd._subroutine_mean.cache_info()
     ledger = QueryLedger()
     with pytest.raises(ValueError, match="delta must be in"):
         estimate_tvd(p, q, 0.1, delta, np.random.default_rng(0), ledger)
-    after = tvd._subroutine_law.cache_info()
+    after = tvd._subroutine_mean.cache_info()
     assert (after.misses, after.currsize) == (before.misses, before.currsize)
     assert ledger == QueryLedger()
 
@@ -201,26 +201,77 @@ def test_ratio_stability_randomized_sweep():
         assert ratio_stability_check(p, q, p_t, q_t, eta)
 
 
+def _cached_mean(inst):
+    return tvd._subroutine_mean(inst.p.tobytes(), inst.q.tobytes(), inst.epsilon)
+
+
 def test_law_cache_stays_at_its_cap():
-    cache = tvd._subroutine_law
+    cache = tvd._subroutine_mean
     cap = cache.cache_info().maxsize
     assert cap == 64
     cache.cache_clear()
     insts = [TvdInstance([a, 1.0 - a], [0.5, 0.5], 0.9)
              for a in np.linspace(0.01, 0.49, cap + 1)]
-    laws = [tvd_subroutine_distribution(inst) for inst in insts]
+    means = [_cached_mean(inst) for inst in insts]
     info = cache.cache_info()
     assert (info.misses, info.currsize) == (cap + 1, cap)
-    # the newest cap laws are all held, as the very objects first built
-    assert all(tvd_subroutine_distribution(inst) is law
-               for inst, law in zip(insts[1:], laws[1:]))
+    # the newest cap means are all held, as the very objects first computed
+    assert all(_cached_mean(inst) is mean
+               for inst, mean in zip(insts[1:], means[1:]))
     assert cache.cache_info().hits == cap
-    # the oldest went first (a miss now, which drops insts[1]); a law read
+    # the oldest went first (a miss now, which drops insts[1]); a mean read
     # again (insts[2]) outlives the ones read before it (insts[3])
     for i in (0, 2, 1, 2, 3):
-        tvd_subroutine_distribution(insts[i])
+        _cached_mean(insts[i])
     info = cache.cache_info()
     assert (info.hits, info.misses, info.currsize) == (cap + 2, cap + 4, cap)
+    cache.cache_clear()
+
+
+def test_mean_cache_holds_scalars_not_laws():
+    # one instance past the cap: what the cache still holds afterwards is
+    # less than a single one of the laws it was computed from
+    rng = np.random.default_rng(65)
+    pairs = [(rng.dirichlet(np.ones(64)), rng.dirichlet(np.ones(64)))
+             for _ in range(65)]
+    eps, delta = 0.1, 0.1
+    # the law's build also warms the per-t caches
+    law = tvd_subroutine_distribution(TvdInstance(*pairs[0], eps / 8))
+    law_bytes = law.values.nbytes + law.probs.nbytes
+    del law
+    tvd._subroutine_mean.cache_clear()
+    tracemalloc.start()
+    try:
+        for p, q in pairs:
+            estimate_tvd(p, q, eps, delta, np.random.default_rng(0), QueryLedger())
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert tvd._subroutine_mean.cache_info().currsize == 64
+    tvd._subroutine_mean.cache_clear()
+    assert held < law_bytes
+
+
+def test_mean_cache_hit_matches_a_fresh_build():
+    rng = np.random.default_rng(27)
+    p, q = rng.dirichlet(np.ones(16)), rng.dirichlet(np.ones(16))
+    cache = tvd._subroutine_mean
+
+    def run(p, q, eps):
+        gen, ledger = np.random.default_rng(5), QueryLedger()
+        est = estimate_tvd(p, q, eps, 0.1, gen, ledger)
+        return est, ledger, gen.bit_generator.state
+
+    cache.cache_clear()
+    run(p, q, 0.1)
+    hit = run(p, q, 0.1)
+    assert cache.cache_info()[:2] == (1, 1)  # (hits, misses)
+    cache.cache_clear()
+    assert run(p, q, 0.1) == hit  # a fresh build
+    # the same pair at another epsilon, and the pair swapped, are misses
+    run(p, q, 0.05)
+    run(q, p, 0.1)
+    assert cache.cache_info()[:2] == (0, 3)
     cache.cache_clear()
 
 
@@ -230,11 +281,10 @@ def test_fresh_law_does_not_hold_its_outcome_laws_at_once():
     rng = np.random.default_rng(64)
     p, q = rng.dirichlet(np.ones(64)), rng.dirichlet(np.ones(64))
     inst = TvdInstance(p, q, 0.05 / 8)
-    build = tvd._subroutine_law.__wrapped__  # past the LRU
-    build(p.tobytes(), q.tobytes(), inst.epsilon)  # warm the per-t caches
+    tvd_subroutine_distribution(inst)  # warm the per-t caches
     tracemalloc.start()
     try:
-        build(p.tobytes(), q.tobytes(), inst.epsilon)
+        tvd_subroutine_distribution(inst)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
