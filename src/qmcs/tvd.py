@@ -11,6 +11,10 @@ Internal accuracy is eps/8, making the subroutine bias |E~ - ||p-q||| at
 most eps/2; the outer estimation contributes the other eps/2.  A law streams
 its outcome laws through median_laws and takes each ratio only where its
 weight passes the pruning; only its mean E~ is cached, never the law.
+estimate_tvd checks epsilon, the pair's shape and delta on every call, and
+p and q as distributions only on a cache miss, where E~ is computed: a hit
+has the bytes of a pair that passed.  The budget's counts are memoized per
+(n, eps, delta).
 """
 
 from __future__ import annotations
@@ -41,6 +45,14 @@ def _inner_t(n: int, epsilon: float) -> int:
     return math.ceil(20.0 * math.pi * math.sqrt(n / epsilon))
 
 
+def _pair(p, q) -> tuple:
+    """p and q as float arrays, 1-d over the same index set."""
+    p, q = np.asarray(p, float), np.asarray(q, float)
+    if p.shape != q.shape or p.ndim != 1:
+        raise ValueError("p and q must be 1-d over the same index set")
+    return p, q
+
+
 @dataclass(frozen=True)
 class TvdInstance:
     p: np.ndarray
@@ -48,13 +60,11 @@ class TvdInstance:
     epsilon: float  # internal accuracy parameter of the subroutine
 
     def __post_init__(self):
-        p, q = np.asarray(self.p, float), np.asarray(self.q, float)
+        p, q = _pair(self.p, self.q)
         p.setflags(write=False)
         q.setflags(write=False)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
-        if p.shape != q.shape or p.ndim != 1:
-            raise ValueError("p and q must be 1-d over the same index set")
         for arr in (p, q):
             if not (arr.min() >= 0 and abs(arr.sum() - 1.0) <= 1e-9):
                 raise ValueError("inputs must be probability distributions")
@@ -96,9 +106,14 @@ def tvd_subroutine_distribution(inst: TvdInstance) -> ValueDistribution:
     values, probs = [], []
     for x in rows:
         lp, lq = laws[inst.p[x]], laws[inst.q[x]]
-        w = r[x] * np.outer(lp.probs, lq.probs)
+        # r*(p_i*q_j) rises with p_i and with q_j, rounding included: a row
+        # or column that fails against the other law's largest mass has no
+        # survivor, and what is left is still r*(p_i*q_j), float for float
+        kp = r[x] * (lp.probs * lq.probs.max()) > _PRUNE
+        kq = r[x] * (lp.probs.max() * lq.probs) > _PRUNE
+        w = r[x] * np.outer(lp.probs[kp], lq.probs[kq])
         i, j = np.nonzero(w > _PRUNE)  # the ratio only where weight survives
-        vp, vq = lp.values[i], lq.values[j]
+        vp, vq = lp.values[kp][i], lq.values[kq][j]
         den = vp + vq
         with np.errstate(invalid="ignore", divide="ignore"):
             values.append(np.where(den > 0, np.abs(vp - vq) / np.maximum(den, 1e-300), 0.0))
@@ -115,6 +130,11 @@ def _subroutine_mean(p: bytes, q: bytes, epsilon: float) -> float:
 
 def tvd_query_budget(n: int, epsilon: float, delta: float) -> dict:
     """Deterministic query counts of estimate_tvd without running it."""
+    return _budget(n, epsilon, delta).copy()  # a fresh dict: callers keep it
+
+
+@lru_cache(maxsize=64)  # a counts dict per (n, eps, delta), never handed out
+def _budget(n: int, epsilon: float, delta: float) -> dict:
     eps_int = epsilon / 8.0
     inst_t = _inner_t(n, eps_int)
     reps_in = powering_reps(AE_FAIL_PROB, eps_int)
@@ -135,9 +155,11 @@ def estimate_tvd(p, q, epsilon: float, delta: float,
     """||p - q|| to additive error epsilon with probability >= 1 - delta."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must be in (0, 1)")
-    inst = TvdInstance(np.asarray(p, float), np.asarray(q, float), epsilon / 8.0)
-    budget = tvd_query_budget(inst.n, epsilon, delta)  # checks delta before the law
-    mean = _subroutine_mean(inst.p.tobytes(), inst.q.tobytes(), inst.epsilon)
+    p, q = _pair(p, q)
+    budget = _budget(len(p), epsilon, delta)  # checks delta before the law
+    # TvdInstance checks the pair as distributions on a miss; an exception
+    # is never cached, so a bad pair raises on every call
+    mean = _subroutine_mean(p.tobytes(), q.tobytes(), epsilon / 8.0)
     value = _median_from_uniforms(mean, budget["t_outer"],
                                   rng.random(budget["reps_outer"]).tolist())
     ledger.a_uses += budget["reps_outer"]

@@ -162,9 +162,12 @@ def test_classical_sampling_at_cdf_points_is_generator_choice(probs):
 
 
 def test_ledger_merge_and_snapshot():
-    a = QueryLedger(a_uses=1, reflection_uses=10)
+    # five distinct non-zero counts: a field the snapshot drops or swaps fails
+    a = QueryLedger(a_uses=1, a_inv_uses=2, reflection_uses=10, walk_steps=7,
+                    classical_samples=3)
     b = QueryLedger(a_uses=2, walk_steps=5)
     snap = a.snapshot()
+    assert snap == a and snap is not a
     a.merge(b)
-    assert a.a_uses == 3 and a.walk_steps == 5 and a.reflection_uses == 10
-    assert snap.a_uses == 1  # snapshot unaffected
+    assert a.a_uses == 3 and a.walk_steps == 12 and a.reflection_uses == 10
+    assert snap == QueryLedger(1, 2, 10, 7, 3)  # snapshot unaffected

@@ -151,6 +151,11 @@ def test_query_budget_is_deterministic_and_decreasing_in_eps():
     assert b1 == b2
     b_coarse = tvd_query_budget(4, 0.08, 0.1)
     assert b_coarse["ae_iterations"] < b1["ae_iterations"]
+    # the counts are memoized, but each call hands out its own dict
+    kept = dict(b1)
+    b1["ae_iterations"] = 0
+    del b1["t_outer"]
+    assert tvd_query_budget(4, 0.02, 0.1) == kept
 
 
 def test_estimate_tvd_accuracy_and_ledger():
@@ -178,6 +183,39 @@ def test_estimate_tvd_checks_delta_before_building_the_law(delta, seed):
     after = tvd._subroutine_mean.cache_info()
     assert (after.misses, after.currsize) == (before.misses, before.currsize)
     assert ledger == QueryLedger()
+
+
+@pytest.mark.parametrize("p, q", [
+    ([-0.1, 1.1], [0.5, 0.5]),  # negative
+    ([0.5, 0.5], [math.nan, 1.0]),  # non-finite
+    ([math.inf, 0.0], [0.5, 0.5]),
+    ([0.5, 0.5], [0.6, 0.6]),  # unnormalised
+])
+def test_bad_pair_raises_on_every_call_and_is_never_cached(p, q):
+    # the pair is checked as distributions only on a miss; the error is not
+    # cached, so the second call misses and raises again
+    cache = tvd._subroutine_mean
+    cache.cache_clear()
+    ledger = QueryLedger()
+    for misses in (1, 2):
+        with pytest.raises(ValueError, match="probability distributions"):
+            estimate_tvd(np.array(p), np.array(q), 0.1, 0.1,
+                         np.random.default_rng(0), ledger)
+        info = cache.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, misses, 0)
+    assert ledger == QueryLedger()
+
+
+def test_estimate_tvd_error_precedence():
+    # epsilon, then the pair's shape, then delta, then the pair's values:
+    # a pair that is not a distribution with a bad delta reports delta
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="delta must be in"):
+        estimate_tvd([0.6, 0.6], [0.5, 0.5], 0.1, 0.0, rng, QueryLedger())
+    with pytest.raises(ValueError, match="1-d over the same index set"):
+        estimate_tvd([0.6, 0.6], [1.0], 0.1, 0.0, rng, QueryLedger())
+    with pytest.raises(ValueError, match="epsilon must be in"):
+        estimate_tvd([0.6, 0.6], [1.0], 1.0, 0.0, rng, QueryLedger())
 
 
 def test_ratio_stability_bound():
