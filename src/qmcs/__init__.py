@@ -31,5 +31,5 @@ from .partition import (CoolingSchedule, PartitionEstimate, ratio_variable,
                         reversed_ratio_variable, build_schedule,
                         verify_schedule, estimate_partition,
                         classical_baseline)
-from .tvd import (TvdInstance, exact_tvd, tvd_subroutine_distribution,
+from .tvd import (exact_tvd, tvd_subroutine_distribution,
                   estimate_tvd, ratio_stability_check, tvd_query_budget)

@@ -15,15 +15,16 @@ Four estimators, layered:
 
 An l2 estimate is a plan, checked from epsilon alone (k, t0 and the median
 sizes: _l2_plan), the band amplitudes of its law (_band_amplitudes), and a
-run of k+1 medians (_l2_run).  The variance estimator checks the plan before
-its proxy draw, reads each part's bands once, and hands power_median runs
-of it: no Estimate per repetition.  A relative estimate is likewise a plan
+run of k+1 medians (_l2_run, the one band sum, over a median source: ae_median
+with rng and ledger).  The variance estimator checks the plan before its
+proxy draw, reads each part's bands once, and hands power_median runs of it:
+no Estimate per repetition.  A relative estimate is likewise a plan
 (_relative_plan: every check, the proxy size, the l2 plan and the median
-size) and a run (_relative_run): the proxy draw, then every band median of
-all its l2 runs from one block of uniforms, each taken from the median
-folded outcome index (amplitude._median_from_uniforms), with the same
-draws, values and charges as one ae_median per band.  estimate_partition
-checks a ratio's plan once and runs it per repetition.
+size) and a run (_relative_run): the proxy draw, then _l2_runs whose medians
+come from one block of uniforms (_next_median: the median folded outcome
+index of amplitude._median_from_uniforms on the block's next reps), with the
+same draws, values and charges as one ae_median per band.
+estimate_partition checks a ratio's plan once and runs it per repetition.
 
 Plus the generic median-amplification wrapper (power_median / powering_reps)
 with the exact binomial tail (outcome.binom_upper_tail) rather than an
@@ -189,14 +190,23 @@ def _band_amplitudes(values: np.ndarray, probs: np.ndarray,
                                        minlength=k + 1)[: k + 1])
 
 
-def _l2_run(plan: _L2Plan, amps: np.ndarray, rng: np.random.Generator,
-            ledger: QueryLedger) -> float:
-    """One l2 estimate mu0 + sum_l 2^l mu_l: a median per band, band 0 first."""
+def _l2_run(plan: _L2Plan, amps, median: Callable, source, ledger) -> float:
+    """One l2 estimate mu0 + sum_l 2^l mu_l: median(a, t0, reps, source, ledger)
+    per band, band 0 first; ae_median with a generator for source, or
+    _next_median with an iterator of uniforms.  Fixed arity, not *args:
+    CPython 3.11 does not inline a starred call, and its per-band cost
+    showed in the mean benchmark."""
     k, t0, reps_0, reps_l = plan
-    total = ae_median(amps[0], t0, reps_0, rng, ledger)
+    total = median(amps[0], t0, reps_0, source, ledger)
     for ell in range(1, k + 1):
-        total += 2.0**ell * ae_median(amps[ell], t0, reps_l, rng, ledger)
+        total += 2.0**ell * median(amps[ell], t0, reps_l, source, ledger)
     return float(total)
+
+
+def _next_median(a: float, t: int, reps: int, us, ledger) -> float:
+    """ae_median's value on the next reps uniforms of the iterator us,
+    uncharged: the relative run charges ledger once for the whole block."""
+    return _median_from_uniforms(a, t, list(islice(us, reps)))
 
 
 def estimate_mean_l2(d: ValueDistribution, epsilon: float,
@@ -205,7 +215,8 @@ def estimate_mean_l2(d: ValueDistribution, epsilon: float,
     if d.values.min() < 0.0:
         raise ValueError("support must be nonnegative")
     plan = _l2_plan(epsilon)
-    value = _l2_run(plan, _band_amplitudes(d.values, d.probs, plan.k), rng, ledger)
+    amps = _band_amplitudes(d.values, d.probs, plan.k)
+    value = _l2_run(plan, amps, ae_median, rng, ledger)
     err = epsilon * (d.l2norm() + 1.0) ** 2
     return Estimate(value=value, target_error=err, error_kind="additive",
                     confidence=0.8, ledger=ledger.snapshot())
@@ -234,7 +245,7 @@ def estimate_mean_variance(d: ValueDistribution, sigma: float, epsilon: float,
 
     def median_of(part):  # its bands read once, for all its l2 estimates
         amps = _band_amplitudes(part.values, part.probs, plan.k)
-        return power_median(lambda: _l2_run(plan, amps, rng, ledger),
+        return power_median(lambda: _l2_run(plan, amps, ae_median, rng, ledger),
                             gamma=1.0 / 5.0, delta=1.0 / 9.0)
 
     mu_neg, mu_pos = median_of(neg_part), median_of(pos_part)
@@ -295,15 +306,8 @@ def _relative_run(plan: _RelativePlan, rng: np.random.Generator,
     ledger.a_uses += draws
     ledger.a_inv_uses += draws
     ledger.reflection_uses += draws * t0
-
-    def l2_run():  # _l2_run's sum, band 0 first
-        total = _median_from_uniforms(amps[0], t0, list(islice(us, reps_0)))
-        for ell in range(1, k + 1):
-            total += 2.0**ell * _median_from_uniforms(
-                amps[ell], t0, list(islice(us, reps_l)))
-        return total
-
-    return m * power_median(l2_run, gamma=1.0 / 5.0, delta=1.0 / 8.0)
+    return m * power_median(lambda: _l2_run(plan.l2, amps, _next_median, us, ledger),
+                            gamma=1.0 / 5.0, delta=1.0 / 8.0)
 
 
 def estimate_mean_relative(d: ValueDistribution, B: float, epsilon: float,

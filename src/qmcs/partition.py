@@ -183,10 +183,7 @@ def verify_schedule(m: GibbsModel, s: CoolingSchedule) -> dict:
 class _Ratio(NamedTuple):
     """One schedule pair as it is estimated."""
 
-    beta_i: float
-    beta_j: float
     rung: int        # schedule index of the Gibbs law the variable samples
-    reverse: bool    # reversed variable, E[Y] = Z(beta_i)/Z(beta_j)
     inverted: bool   # E[Y] = Z(inf)/Z(beta_i): the factor is its inverse
     law: ValueDistribution  # the ratio variable, on the occupied levels
 
@@ -219,8 +216,7 @@ def _rung_plan(m: GibbsModel, s: CoolingSchedule):
             terminal = bj == math.inf
             rev = reverse and not terminal
             law = (reversed_ratio_variable if rev else ratio_variable)(m, bi, bj)
-            plan.append(_Ratio(bi, bj, i + 1 if rev else i, rev,
-                               reverse and terminal, law))
+            plan.append(_Ratio(i + 1 if rev else i, reverse and terminal, law))
         return tuple(plan), exact_partition(m, math.inf if reverse else 0.0)
 
     return m._memoized(("plan", s), build)

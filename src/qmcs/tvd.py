@@ -1,26 +1,25 @@
 """Total variation distance estimation with amplitude-estimated probabilities.
 
-The subroutine draws x from r = (p+q)/2, produces median-amplified
-amplitude estimates p~(x), q~(x) with t = ceil(20*pi*sqrt(n/eps)) iterations,
-and outputs |p~ - q~| / (p~ + q~).  Its exact output law is a finite mixture
-(over x, and over the two median laws), so the subroutine mean E~ is
-computable in closed form; the top-level estimator then takes one
-bounded-mean median on that amplitude (amplitude._median_from_uniforms on
-reps_outer uniforms) and charges every count from tvd_query_budget.
-Internal accuracy is eps/8, making the subroutine bias |E~ - ||p-q||| at
-most eps/2; the outer estimation contributes the other eps/2.  A law streams
-its outcome laws through median_laws and takes each ratio only where its
-weight passes the pruning; only its mean E~ is cached, never the law.
-estimate_tvd checks epsilon, the pair's shape and delta on every call, and
-p and q as distributions only on a cache miss, where E~ is computed: a hit
-has the bytes of a pair that passed.  The budget's counts are memoized per
-(n, eps, delta).
+The subroutine draws x from r = (p+q)/2, produces amplitude estimates p~(x),
+q~(x), each a median of reps runs of t = ceil(20*pi*sqrt(n/eps)) iterations,
+and outputs |p~ - q~| / (p~ + q~).  Its exact output law (a finite mixture
+over x and the two median laws) is tvd_subroutine_distribution(p, q, eps),
+which checks the pair itself; its mean E~ is the amplitude of one
+bounded-mean median (amplitude._median_from_uniforms on reps_outer uniforms),
+with every count charged from tvd_query_budget.  The law and the budget read
+t and reps from _inner, and every pair's shape is checked by _pair.  Internal
+accuracy is eps/8, making the subroutine bias |E~ - ||p-q||| at most eps/2;
+the outer estimation contributes the other eps/2.  A law streams its outcome
+laws through median_laws and takes each ratio only where its weight passes
+the pruning; only its mean E~ is cached, never the law.  estimate_tvd checks
+epsilon, the pair's shape and delta on every call, and p and q as
+distributions only on a cache miss, where E~ is computed: a hit has the bytes
+of a pair that passed.  The budget's counts are memoized per (n, eps, delta).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -31,7 +30,6 @@ from .outcome import (_PRUNE, QueryLedger, ValueDistribution, from_arrays,  # no
                       median_law, median_laws)  # median_law: perfbench/tracer.py wraps it here
 
 __all__ = [
-    "TvdInstance",
     "exact_tvd",
     "tvd_subroutine_distribution",
     "tvd_query_budget",
@@ -40,9 +38,11 @@ __all__ = [
 ]
 
 
-def _inner_t(n: int, epsilon: float) -> int:
-    """Iterations t = ceil(20 pi sqrt(n/eps)) of each inner estimation."""
-    return math.ceil(20.0 * math.pi * math.sqrt(n / epsilon))
+def _inner(n: int, epsilon: float) -> tuple:
+    """Iterations t = ceil(20 pi sqrt(n/eps)) of each inner estimation, and
+    its median size reps (failure eps each)."""
+    return (math.ceil(20.0 * math.pi * math.sqrt(n / epsilon)),
+            powering_reps(AE_FAIL_PROB, epsilon))
 
 
 def _pair(p, q) -> tuple:
@@ -53,59 +53,29 @@ def _pair(p, q) -> tuple:
     return p, q
 
 
-@dataclass(frozen=True)
-class TvdInstance:
-    p: np.ndarray
-    q: np.ndarray
-    epsilon: float  # internal accuracy parameter of the subroutine
-
-    def __post_init__(self):
-        p, q = _pair(self.p, self.q)
-        p.setflags(write=False)
-        q.setflags(write=False)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        for arr in (p, q):
-            if not (arr.min() >= 0 and abs(arr.sum() - 1.0) <= 1e-9):
-                raise ValueError("inputs must be probability distributions")
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError("epsilon must be in (0, 1)")
-
-    @property
-    def n(self) -> int:
-        return len(self.p)
-
-    @property
-    def r(self) -> np.ndarray:
-        return (self.p + self.q) / 2.0
-
-    @property
-    def t(self) -> int:
-        return _inner_t(self.n, self.epsilon)
-
-    @property
-    def reps(self) -> int:
-        """Median amplification per probability estimate (failure eps each)."""
-        return powering_reps(AE_FAIL_PROB, self.epsilon)
-
-
 def exact_tvd(p, q) -> float:
-    p, q = np.asarray(p, float), np.asarray(q, float)
-    if p.shape != q.shape:
-        raise ValueError("mismatched index sets")
+    p, q = _pair(p, q)
     return float(0.5 * np.abs(p - q).sum())
 
 
-def tvd_subroutine_distribution(inst: TvdInstance) -> ValueDistribution:
-    """Exact output law of one subroutine call, built afresh on each call."""
-    r = inst.r
-    rows = [x for x in range(inst.n) if r[x] > 0.0]
-    amps = list(dict.fromkeys(a for x in rows for a in (inst.p[x], inst.q[x])))
-    outcome_laws = (ae_outcome_distribution(a, inst.t) for a in amps)  # one at a time
-    laws = dict(zip(amps, median_laws(outcome_laws, inst.reps)))
+def tvd_subroutine_distribution(p, q, epsilon: float) -> ValueDistribution:
+    """Exact output law of one subroutine call at internal accuracy epsilon,
+    built afresh on each call; p and q are checked, and left as they are."""
+    p, q = _pair(p, q)
+    for arr in (p, q):
+        if not (arr.min() >= 0 and abs(arr.sum() - 1.0) <= 1e-9):
+            raise ValueError("inputs must be probability distributions")
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError("epsilon must be in (0, 1)")
+    r = (p + q) / 2.0
+    t, reps = _inner(len(p), epsilon)
+    rows = [x for x in range(len(p)) if r[x] > 0.0]
+    amps = list(dict.fromkeys(a for x in rows for a in (p[x], q[x])))
+    outcome_laws = (ae_outcome_distribution(a, t) for a in amps)  # one at a time
+    laws = dict(zip(amps, median_laws(outcome_laws, reps)))
     values, probs = [], []
     for x in rows:
-        lp, lq = laws[inst.p[x]], laws[inst.q[x]]
+        lp, lq = laws[p[x]], laws[q[x]]
         # r*(p_i*q_j) rises with p_i and with q_j, rounding included: a row
         # or column that fails against the other law's largest mass has no
         # survivor, and what is left is still r*(p_i*q_j), float for float
@@ -124,8 +94,8 @@ def tvd_subroutine_distribution(inst: TvdInstance) -> ValueDistribution:
 
 @lru_cache(maxsize=64)  # E~ alone, one float per (p, q, eps); least recently used first
 def _subroutine_mean(p: bytes, q: bytes, epsilon: float) -> float:
-    inst = TvdInstance(np.frombuffer(p), np.frombuffer(q), epsilon)
-    return tvd_subroutine_distribution(inst).mean()
+    return tvd_subroutine_distribution(np.frombuffer(p), np.frombuffer(q),
+                                       epsilon).mean()
 
 
 def tvd_query_budget(n: int, epsilon: float, delta: float) -> dict:
@@ -136,17 +106,16 @@ def tvd_query_budget(n: int, epsilon: float, delta: float) -> dict:
 @lru_cache(maxsize=64)  # a counts dict per (n, eps, delta), never handed out
 def _budget(n: int, epsilon: float, delta: float) -> dict:
     eps_int = epsilon / 8.0
-    inst_t = _inner_t(n, eps_int)
-    reps_in = powering_reps(AE_FAIL_PROB, eps_int)
+    t_in, reps_in = _inner(n, eps_int)
     t_out = t_for_additive_error(epsilon / 2.0)
     reps_out = powering_reps(AE_FAIL_PROB, delta)
     # each outer iteration invokes the subroutine (and its inverse); each
     # invocation draws one x and runs two median-amplified inner estimations
     invocations = reps_out * (2 * t_out + 1)
     return {
-        "t_inner": inst_t, "reps_inner": reps_in, "t_outer": t_out,
+        "t_inner": t_in, "reps_inner": reps_in, "t_outer": t_out,
         "reps_outer": reps_out, "subroutine_invocations": invocations,
-        "ae_iterations": invocations * 2 * reps_in * inst_t,
+        "ae_iterations": invocations * 2 * reps_in * t_in,
     }
 
 
@@ -157,8 +126,8 @@ def estimate_tvd(p, q, epsilon: float, delta: float,
         raise ValueError("epsilon must be in (0, 1)")
     p, q = _pair(p, q)
     budget = _budget(len(p), epsilon, delta)  # checks delta before the law
-    # TvdInstance checks the pair as distributions on a miss; an exception
-    # is never cached, so a bad pair raises on every call
+    # the law checks the pair as distributions on a miss; an exception is
+    # never cached, so a bad pair raises on every call
     mean = _subroutine_mean(p.tobytes(), q.tobytes(), epsilon / 8.0)
     value = _median_from_uniforms(mean, budget["t_outer"],
                                   rng.random(budget["reps_outer"]).tolist())

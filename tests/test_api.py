@@ -32,7 +32,7 @@ DELETED_NAMES = ("EstimatorConfig", "PhasePoint", "StabilityBound",
                  "moments", "_lambda1", "_LAW_CACHE", "_LAW_CACHE_SIZE",
                  "mix_sample", "mixing_steps", "_mix_sampled_mean",
                  "_kernel", "_circle_dist", "_ratio_values",
-                 "ReflectionSpec")
+                 "ReflectionSpec", "TvdInstance")
 DELETED_PARAMETERS = {
     "walk.ApproxReflection": ("walk", "spec"),
     "walk.approx_reflection": ("spec",),

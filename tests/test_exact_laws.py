@@ -142,16 +142,18 @@ def _oracle(f, *args):
 def _matrix_subroutine_law(p, q, epsilon):
     """The subroutine law as built before the batched median laws: one
     median_law per distinct probability, the ratio over the whole |lp| x |lq|
-    matrix, then the weights pruned."""
-    inst = tvd.TvdInstance(p, q, epsilon)
-    r, laws, values, probs = inst.r, {}, [], []
-    for x in range(inst.n):
+    matrix, then the weights pruned.  t and reps are the ledger's: the
+    budget at 8*epsilon books its inner estimations at epsilon, exactly."""
+    budget = tvd.tvd_query_budget(len(p), 8.0 * epsilon, 0.1)
+    t, reps = budget["t_inner"], budget["reps_inner"]
+    r, laws, values, probs = (p + q) / 2.0, {}, [], []
+    for x in range(len(p)):
         if r[x] <= 0.0:
             continue
-        for a in (inst.p[x], inst.q[x]):
+        for a in (p[x], q[x]):
             if a not in laws:
-                laws[a] = median_law(ae_outcome_distribution(a, inst.t), inst.reps)
-        lp, lq = laws[inst.p[x]], laws[inst.q[x]]
+                laws[a] = median_law(ae_outcome_distribution(a, t), reps)
+        lp, lq = laws[p[x]], laws[q[x]]
         num = np.abs(lp.values[:, None] - lq.values[None, :])
         den = lp.values[:, None] + lq.values[None, :]
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -246,8 +248,7 @@ def test_subroutine_law_matches_oracle(n):
     rng = np.random.default_rng(n)
     for eps in (0.1, 0.05):
         p, q = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))
-        inst = tvd.TvdInstance(p, q, eps / 8)
-        _assert_same_law(build(inst), _oracle(build, inst))
+        _assert_same_law(build(p, q, eps / 8), _oracle(build, p, q, eps / 8))
 
 
 def _sweep_instances():
@@ -277,7 +278,7 @@ def test_subroutine_law_matches_matrix_construction():
     assert len(cases) == 60
     assert sum(np.any((p + q) == 0.0) for p, q, _ in cases) >= 15
     for p, q, eps in cases:
-        _assert_same_law(build(tvd.TvdInstance(p, q, eps)),
+        _assert_same_law(build(p, q, eps),
                          _matrix_subroutine_law(p, q, eps))
 
 

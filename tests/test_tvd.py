@@ -11,9 +11,8 @@ from scipy.stats import binom
 from qmcs import tvd
 from qmcs.amplitude import ae_outcome_distribution
 from qmcs.outcome import QueryLedger, from_arrays, make_distribution, median_law
-from qmcs.tvd import (TvdInstance, estimate_tvd, exact_tvd,
-                      ratio_stability_check, tvd_query_budget,
-                      tvd_subroutine_distribution)
+from qmcs.tvd import (estimate_tvd, exact_tvd, ratio_stability_check,
+                      tvd_query_budget, tvd_subroutine_distribution)
 
 
 def test_exact_tvd_values():
@@ -22,6 +21,8 @@ def test_exact_tvd_values():
     assert exact_tvd([0.7, 0.3], [0.4, 0.6]) == pytest.approx(0.3)
     with pytest.raises(ValueError):
         exact_tvd([1.0], [0.5, 0.5])
+    with pytest.raises(ValueError, match="1-d over the same index set"):
+        exact_tvd([[0.5, 0.5]], [[0.5, 0.5]])  # one shape, but not 1-d
 
 
 def test_median_law_three_point():
@@ -110,30 +111,51 @@ def test_median_law_matches_scipy_law(seed):
 ])
 def test_instance_rejects_nonfinite_probabilities(p, q):
     with pytest.raises(ValueError, match="probability distributions"):
-        TvdInstance(np.array(p), np.array(q), 0.1)
+        tvd_subroutine_distribution(np.array(p), np.array(q), 0.1)
 
 
 def test_instance_validation_and_budget_growth():
     with pytest.raises(ValueError):
-        TvdInstance(np.array([0.6, 0.3]), np.array([0.5, 0.5]), 0.1)
-    small = TvdInstance(np.array([0.5, 0.5]), np.array([0.5, 0.5]), 0.1)
-    big = TvdInstance(np.full(8, 0.125), np.full(8, 0.125), 0.1)
-    assert big.t > small.t  # iterations scale with sqrt(n)
+        tvd_subroutine_distribution(np.array([0.6, 0.3]), np.array([0.5, 0.5]), 0.1)
+    # iterations scale with sqrt(n)
+    assert tvd._inner(8, 0.1)[0] > tvd._inner(2, 0.1)[0]
+
+
+@pytest.mark.parametrize("p, q, eps, match", [
+    ([0.6, 0.6], [1.0], 2.0, "1-d over the same index set"),
+    ([[0.5, 0.5]], [[0.5, 0.5]], 2.0, "1-d over the same index set"),
+    ([0.6, 0.6], [0.5, 0.5], 2.0, "probability distributions"),
+    ([0.5, 0.5], [0.5, 0.5], 1.0, "epsilon must be in"),
+    ([0.5, 0.5], [0.5, 0.5], math.nan, "epsilon must be in"),
+])
+def test_subroutine_law_checks_shape_then_values_then_epsilon(p, q, eps, match):
+    with pytest.raises(ValueError, match=match):
+        tvd_subroutine_distribution(p, q, eps)
+
+
+def test_caller_arrays_stay_writeable_and_unchanged():
+    p, q = np.array([0.7, 0.3]), np.array([0.4, 0.6])
+    kept = p.copy(), q.copy()
+    tvd_subroutine_distribution(p, q, 0.1)
+    estimate_tvd(p, q, 0.1, 0.1, np.random.default_rng(0), QueryLedger())
+    for arr, before in zip((p, q), kept):
+        assert arr.flags.writeable
+        assert np.array_equal(arr, before)
+    p[0] = 0.5  # still the caller's to change
 
 
 def test_subroutine_law_equal_point_distributions():
     # p = q supported on one point: a = 1 sits within O(1/t^2) of the
     # estimation grid, so the output concentrates near 0
     p = np.array([1.0, 0.0])
-    inst = TvdInstance(p, p.copy(), 0.1)
-    law = tvd_subroutine_distribution(inst)
+    law = tvd_subroutine_distribution(p, p.copy(), 0.1)
     assert law.mean() == pytest.approx(0.0, abs=0.01)
 
 
 def test_subroutine_law_disjoint_supports():
     p = np.array([1.0, 0.0])
     q = np.array([0.0, 1.0])
-    law = tvd_subroutine_distribution(TvdInstance(p, q, 0.1))
+    law = tvd_subroutine_distribution(p, q, 0.1)
     assert law.mean() == pytest.approx(1.0, abs=0.01)
 
 
@@ -141,7 +163,7 @@ def test_subroutine_bias_within_half_epsilon():
     p = np.array([0.7, 0.3])
     q = np.array([0.4, 0.6])
     eps = 0.05
-    law = tvd_subroutine_distribution(TvdInstance(p, q, eps / 8.0))
+    law = tvd_subroutine_distribution(p, q, eps / 8.0)
     assert abs(law.mean() - exact_tvd(p, q)) <= eps / 2.0
 
 
@@ -240,7 +262,8 @@ def test_ratio_stability_randomized_sweep():
 
 
 def _cached_mean(inst):
-    return tvd._subroutine_mean(inst.p.tobytes(), inst.q.tobytes(), inst.epsilon)
+    p, q, epsilon = inst
+    return tvd._subroutine_mean(p.tobytes(), q.tobytes(), epsilon)
 
 
 def test_law_cache_stays_at_its_cap():
@@ -248,7 +271,7 @@ def test_law_cache_stays_at_its_cap():
     cap = cache.cache_info().maxsize
     assert cap == 64
     cache.cache_clear()
-    insts = [TvdInstance([a, 1.0 - a], [0.5, 0.5], 0.9)
+    insts = [(np.array([a, 1.0 - a]), np.array([0.5, 0.5]), 0.9)
              for a in np.linspace(0.01, 0.49, cap + 1)]
     means = [_cached_mean(inst) for inst in insts]
     info = cache.cache_info()
@@ -274,7 +297,7 @@ def test_mean_cache_holds_scalars_not_laws():
              for _ in range(65)]
     eps, delta = 0.1, 0.1
     # the law's build also warms the per-t caches
-    law = tvd_subroutine_distribution(TvdInstance(*pairs[0], eps / 8))
+    law = tvd_subroutine_distribution(*pairs[0], eps / 8)
     law_bytes = law.values.nbytes + law.probs.nbytes
     del law
     tvd._subroutine_mean.cache_clear()
@@ -318,13 +341,13 @@ def test_fresh_law_does_not_hold_its_outcome_laws_at_once():
     # peaks well below what holding all their masses together would take
     rng = np.random.default_rng(64)
     p, q = rng.dirichlet(np.ones(64)), rng.dirichlet(np.ones(64))
-    inst = TvdInstance(p, q, 0.05 / 8)
-    tvd_subroutine_distribution(inst)  # warm the per-t caches
+    tvd_subroutine_distribution(p, q, 0.05 / 8)  # warm the per-t caches
     tracemalloc.start()
     try:
-        tvd_subroutine_distribution(inst)
+        tvd_subroutine_distribution(p, q, 0.05 / 8)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     count = len(set(p) | set(q))
-    assert peak < count * (inst.t // 2 + 1) * 8 / 2
+    t = tvd_query_budget(64, 0.05, 0.1)["t_inner"]
+    assert peak < count * (t // 2 + 1) * 8 / 2
