@@ -6,18 +6,16 @@ Dirichlet kernel sin^2(pi t D) / (t^2 sin^2(pi D)), D = y/t - omega, mixed
 equally over the conjugate phases +-omega, with estimate a~ = sin^2(pi y/t).
 With c = round(t omega) and delta = t omega - c, outcome y = c + k,
 k in (-t/2, t/2], has t D = k - delta, so its mass is
-sin^2(pi delta) / (t sin(pi (k - delta) / t))^2: one sine per outcome.  The
--omega phase puts y's mass on t - y, whose estimate is y's, so the law of a~
-is the +omega law folded onto the strictly increasing half grid
-sin^2(pi i / t), i = 0..t//2.  The exact law and the sampler both follow this
-one construction: the sampler draws a whole median at once, one uniform per
-draw, through a single outward inverse-CDF scan of the +omega law in offset
-form, and folds each y to min(y, t - y).  As the half grid rises with i, a
-median of estimates is the estimate of the median folded index:
-_median_from_uniforms takes it from given uniforms with one sine, for a
-caller that draws and charges many medians at once.  A dense circuit
-simulation of phase estimation on the two-dimensional rotation
-cross-validates the closed form.
+sin^2(pi delta) / (t sin(pi (k - delta) / t))^2: one sine per outcome, built
+in one buffer.  The -omega phase puts y's mass on t - y, whose estimate is
+y's, so the law of a~ is the +omega law folded in place onto the strictly
+increasing half grid sin^2(pi i / t), i = 0..t//2 (_fold: the masses and
+their sum, for a caller that divides only a prefix).  The sampler draws a
+whole median at once, one uniform per draw, by one outward inverse-CDF scan
+of the +omega law in offset form, folding each y to min(y, t - y); as the
+half grid rises with i, _median_from_uniforms takes a median's estimate from
+its median folded index, with one sine.  A dense circuit simulation of phase
+estimation on the two-dimensional rotation cross-validates the closed form.
 """
 
 from __future__ import annotations
@@ -90,14 +88,18 @@ def _outcome_kernel(a: float, t: int) -> np.ndarray:
     if delta == 0.0:  # on the grid: all mass on y = c
         probs = np.zeros(t)
         probs[-k0] = 1.0
-    else:
-        k = np.arange(k0, t // 2 + 1) - delta
-        probs = (math.sin(math.pi * delta) / (t * np.sin(np.pi / t * k))) ** 2
+    else:  # (sin(pi delta) / (t sin(pi (k - delta) / t)))^2, in one buffer
+        probs = np.arange(k0, t // 2 + 1, dtype=float) - delta
+        np.multiply(np.sin(np.multiply(probs, np.pi / t, out=probs), out=probs), t, out=probs)
+        np.square(np.divide(math.sin(math.pi * delta), probs, out=probs), out=probs)
     total = probs.sum()
     if abs(total - 1.0) > 1e-10:
         raise ArithmeticError(f"kernel normalization drifted: {total}")
-    cut = t - (c + k0) % t  # into y order: np.roll's two slices, at less cost
-    return np.concatenate((probs[cut:], probs[:cut])) / total
+    cut = t - (c + k0) % t  # into y order, normalized: np.roll's two slices
+    out = np.empty(t)
+    np.divide(probs[cut:], total, out=out[: t - cut])
+    np.divide(probs[:cut], total, out=out[t - cut:])
+    return out
 
 
 def ae_measurement_probs(a: float, t: int) -> np.ndarray:
@@ -106,21 +108,21 @@ def ae_measurement_probs(a: float, t: int) -> np.ndarray:
     return 0.5 * probs + 0.5 * np.roll(probs[::-1], 1)  # -omega puts y's mass on t - y
 
 
-def _fold(probs: np.ndarray) -> ValueDistribution:
-    """Law of a~ = sin^2(pi*y/t) from the length-t law of y.
-
-    Outcomes y and t-y give the same estimate, so y folds onto the half grid
-    sin^2(pi*i/t), i = 0..t//2, with mass probs[i] + probs[t-i]."""
+def _fold(probs: np.ndarray) -> tuple:
+    """Masses of a~ = sin^2(pi*i/t), i = 0..t//2, from the length-t law of y,
+    folded in place (a view of probs), and their sum: y and t-y give the same
+    estimate, so i gets probs[i] + probs[t-i]."""
     t = len(probs)
     pairs = (t - 1) // 2  # i = 1..pairs meet their conjugate t-i
-    merged = probs[: t // 2 + 1].copy()
-    merged[1 : pairs + 1] += probs[::-1][:pairs]
-    return ValueDistribution(_half_grid(t), merged / merged.sum())
+    merged = probs[: t // 2 + 1]
+    merged[1 : pairs + 1] += probs[::-1][:pairs]  # disjoint halves: no copy
+    return merged, merged.sum()
 
 
 def ae_outcome_distribution(a: float, t: int) -> ValueDistribution:
     """Closed-form distribution of the estimate a~ for amplitude a, t iterations."""
-    return _fold(_outcome_kernel(float(a), int(t)))  # checks t before allocating
+    masses, total = _fold(_outcome_kernel(float(a), int(t)))  # checks t before allocating
+    return ValueDistribution(_half_grid(int(t)), masses / total)
 
 
 def _check_t(t) -> None:
@@ -212,8 +214,8 @@ def ae_circuit_distribution(a: float, t: int) -> ValueDistribution:
     # the register's inverse QFT over Z_t, exp(-2 pi i y y'/t)/sqrt(t)
     state = np.fft.fft(state, axis=0) / math.sqrt(t)
     probs = (np.abs(state) ** 2).sum(axis=1)
-    probs = probs / probs.sum()
-    return _fold(probs)
+    masses, total = _fold(probs / probs.sum())
+    return ValueDistribution(_half_grid(t), masses / total)
 
 
 def arcsin_gap_bound(x: float, y: float):

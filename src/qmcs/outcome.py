@@ -7,7 +7,7 @@ transformation mirror the derived algorithms built on top of them, and
 median_law gives the exact law of a median of iid draws (the powering
 lemma's amplification), from the exact binomial tail binom_upper_tail,
 evaluated only on the window of the CDF where a median mass can pass the
-pruning level (median_laws: for a stream of laws).
+pruning level (median_laws: for a stream of laws, _median_laws: of CDFs).
 """
 
 from __future__ import annotations
@@ -204,6 +204,21 @@ def _window_laws(values: list, cdfs: list, m: int) -> list:
     return laws
 
 
+def _median_laws(pairs: Iterable[tuple], m: int) -> list:
+    """median_laws (m odd, > 1) of (values, clipped CDF) pairs: a CDF may stop past its window."""
+    c = _tail_floor(m)
+    laws, values, cdfs, pending = [], [], [], 0
+    for v, cdf in pairs:
+        lo = max(int(np.searchsorted(cdf, c, side="right")) - 1, 0)
+        hi = int(np.searchsorted(cdf, 1.0 - c)) + 1  # through the first tail of 1
+        values.append(v[lo:hi])  # a view: outcome laws of one t share theirs
+        cdfs.append(cdf[lo:hi].copy())
+        if (pending := pending + hi - lo) >= _TAIL_BLOCK:
+            laws += _window_laws(values, cdfs, m)
+            values, cdfs, pending = [], [], 0
+    return laws + _window_laws(values, cdfs, m) if cdfs else laws
+
+
 def median_laws(ds: Iterable[ValueDistribution], m: int) -> list:
     """Exact law of the median of m iid draws (m odd) from each d in ds.
 
@@ -217,18 +232,7 @@ def median_laws(ds: Iterable[ValueDistribution], m: int) -> list:
         raise ValueError("median of an even sample is ambiguous; m must be odd")
     if m == 1:
         return list(ds)
-    c = _tail_floor(m)
-    laws, values, cdfs, pending = [], [], [], 0
-    for d in ds:
-        cdf = np.clip(np.cumsum(d.probs), 0.0, 1.0)
-        lo = max(int(np.searchsorted(cdf, c, side="right")) - 1, 0)
-        hi = int(np.searchsorted(cdf, 1.0 - c)) + 1  # through the first tail of 1
-        values.append(d.values[lo:hi])  # a view: outcome laws of one t share theirs
-        cdfs.append(cdf[lo:hi].copy())
-        if (pending := pending + hi - lo) >= _TAIL_BLOCK:
-            laws += _window_laws(values, cdfs, m)
-            values, cdfs, pending = [], [], 0
-    return laws + _window_laws(values, cdfs, m) if cdfs else laws
+    return _median_laws(((d.values, np.clip(np.cumsum(d.probs), 0.0, 1.0)) for d in ds), m)
 
 
 def median_law(d: ValueDistribution, m: int) -> ValueDistribution:

@@ -1,20 +1,17 @@
 """Total variation distance estimation with amplitude-estimated probabilities.
 
 The subroutine draws x from r = (p+q)/2, produces amplitude estimates p~(x),
-q~(x), each a median of reps runs of t = ceil(20*pi*sqrt(n/eps)) iterations,
-and outputs |p~ - q~| / (p~ + q~).  Its exact output law (a finite mixture
-over x and the two median laws) is tvd_subroutine_distribution(p, q, eps),
-which checks the pair itself; its mean E~ is the amplitude of one
-bounded-mean median (amplitude._median_from_uniforms on reps_outer uniforms),
-with every count charged from tvd_query_budget.  The law and the budget read
-t and reps from _inner, and every pair's shape is checked by _pair.  Internal
-accuracy is eps/8, making the subroutine bias |E~ - ||p-q||| at most eps/2;
-the outer estimation contributes the other eps/2.  A law streams its outcome
-laws through median_laws and takes each ratio only where its weight passes
-the pruning; only its mean E~ is cached, never the law.  estimate_tvd checks
-epsilon, the pair's shape and delta on every call, and p and q as
-distributions only on a cache miss, where E~ is computed: a hit has the bytes
-of a pair that passed.  The budget's counts are memoized per (n, eps, delta).
+q~(x), each a median of reps runs of t = ceil(20*pi*sqrt(n/eps)) iterations
+(both from _inner), and outputs |p~ - q~| / (p~ + q~).  Its exact output law,
+a finite mixture over x and the two median laws, is
+tvd_subroutine_distribution(p, q, eps); it checks the pair, whose shape _pair
+checks at every entry point.  Each median law reads only the CDF prefix its
+median needs (_inner_laws); each ratio is taken only where its weight passes
+the pruning.  Internal accuracy is eps/8, so the law's mean E~ is within
+eps/2 of ||p-q||; the outer estimation, one bounded-mean median charged from
+the memoized tvd_query_budget, contributes the other eps/2.  Only E~ is
+cached: estimate_tvd checks epsilon, the pair's shape and delta on every
+call, and p and q as distributions only on a miss, where E~ is computed.
 """
 
 from __future__ import annotations
@@ -24,10 +21,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .amplitude import AE_FAIL_PROB, _median_from_uniforms, ae_outcome_distribution
+from .amplitude import (AE_FAIL_PROB, _fold, _grid_offset, _half_grid, _median_from_uniforms,
+                        _outcome_kernel, ae_outcome_distribution, amplitude_phase)
 from .mean import Estimate, powering_reps, t_for_additive_error
-from .outcome import (_PRUNE, QueryLedger, ValueDistribution, from_arrays,  # noqa: F401
-                      median_law, median_laws)  # median_law: perfbench/tracer.py wraps it here
+from .outcome import (_PRUNE, QueryLedger, ValueDistribution, _median_laws,  # noqa: F401
+                      _tail_floor, from_arrays, median_law)  # median_law: the tracer wraps it here
 
 __all__ = [
     "exact_tvd",
@@ -46,11 +44,35 @@ def _inner(n: int, epsilon: float) -> tuple:
 
 
 def _pair(p, q) -> tuple:
-    """p and q as float arrays, 1-d over the same index set."""
+    """p and q as float arrays, 1-d over the same non-empty index set."""
     p, q = np.asarray(p, float), np.asarray(q, float)
     if p.shape != q.shape or p.ndim != 1:
         raise ValueError("p and q must be 1-d over the same index set")
+    if p.size == 0:
+        raise ValueError("p and q must have at least one index")
     return p, q
+
+
+def _inner_laws(amps: list, t: int, reps: int) -> list:
+    """median_law(ae_outcome_distribution(a, t), reps) for each a in amps,
+    float for float, from a CDF prefix: a median reads it only through its
+    first point >= 1 - c, c = _tail_floor(reps), near a's grid point plus
+    the K where the kernel's tail past +-K, about 2/(pi^2 K), falls under c."""
+    if reps == 1:
+        return [ae_outcome_distribution(a, t) for a in amps]
+    c = _tail_floor(reps)
+    reach = math.ceil(2.0 / (math.pi**2 * c)) + 1
+
+    def cdfs():  # one outcome law at a time
+        for a in amps:
+            masses, total = _fold(_outcome_kernel(float(a), t))
+            n = _grid_offset(amplitude_phase(a), t)[0] + reach
+            cdf = np.clip(np.cumsum(masses[:n] / total), 0.0, 1.0)
+            if cdf[-1] < 1.0 - c:  # stopped short: the whole half grid
+                cdf = np.clip(np.cumsum(masses / total), 0.0, 1.0)
+            yield _half_grid(t), cdf
+
+    return _median_laws(cdfs(), reps)
 
 
 def exact_tvd(p, q) -> float:
@@ -71,8 +93,7 @@ def tvd_subroutine_distribution(p, q, epsilon: float) -> ValueDistribution:
     t, reps = _inner(len(p), epsilon)
     rows = [x for x in range(len(p)) if r[x] > 0.0]
     amps = list(dict.fromkeys(a for x in rows for a in (p[x], q[x])))
-    outcome_laws = (ae_outcome_distribution(a, t) for a in amps)  # one at a time
-    laws = dict(zip(amps, median_laws(outcome_laws, reps)))
+    laws = dict(zip(amps, _inner_laws(amps, t, reps)))
     values, probs = [], []
     for x in rows:
         lp, lq = laws[p[x]], laws[q[x]]
@@ -94,8 +115,7 @@ def tvd_subroutine_distribution(p, q, epsilon: float) -> ValueDistribution:
 
 @lru_cache(maxsize=64)  # E~ alone, one float per (p, q, eps); least recently used first
 def _subroutine_mean(p: bytes, q: bytes, epsilon: float) -> float:
-    return tvd_subroutine_distribution(np.frombuffer(p), np.frombuffer(q),
-                                       epsilon).mean()
+    return tvd_subroutine_distribution(np.frombuffer(p), np.frombuffer(q), epsilon).mean()
 
 
 def tvd_query_budget(n: int, epsilon: float, delta: float) -> dict:
@@ -105,8 +125,7 @@ def tvd_query_budget(n: int, epsilon: float, delta: float) -> dict:
 
 @lru_cache(maxsize=64)  # a counts dict per (n, eps, delta), never handed out
 def _budget(n: int, epsilon: float, delta: float) -> dict:
-    eps_int = epsilon / 8.0
-    t_in, reps_in = _inner(n, eps_int)
+    t_in, reps_in = _inner(n, epsilon / 8.0)  # the law's internal accuracy
     t_out = t_for_additive_error(epsilon / 2.0)
     reps_out = powering_reps(AE_FAIL_PROB, delta)
     # each outer iteration invokes the subroutine (and its inverse); each

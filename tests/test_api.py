@@ -52,6 +52,7 @@ DELETED_PARAMETERS = {
 # each defined once, in the first module; the others only import it
 ONE_HOME = {"median_law": ("outcome", "tvd"),
             "median_laws": ("outcome", "tvd"),
+            "_median_laws": ("outcome", "tvd"),
             "binom_upper_tail": ("outcome", "mean"),
             "_median_from_uniforms": ("amplitude", "mean", "tvd"),
             "discriminant_matrix": ("chains", "walk"),

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from test_amplitude import _circle_dist, _kernel  # the sampler scan's oracle
 
 from qmcs import amplitude, outcome, tvd
-from qmcs.amplitude import (AE_LAW_T_CAP, _fold, ae_circuit_distribution,
+from qmcs.amplitude import (AE_LAW_T_CAP, _fold, _half_grid, ae_circuit_distribution,
                             ae_measurement_probs, ae_outcome_distribution,
                             amplitude_phase)
 from qmcs.outcome import (_PRUNE, ValueDistribution, _tail_floor,
@@ -132,10 +132,13 @@ def _from_arrays_median_law(d, m):
 
 
 def _oracle(f, *args):
-    """f(*args) with the fold and the median laws swapped for their oracles."""
+    """f(*args) with every outcome law built by _unique_fold, and the TVD
+    law's median laws by _full_median_law on those, not from CDF prefixes."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(amplitude, "_fold", _unique_fold)
-        mp.setattr(tvd, "median_laws", lambda ds, m: [_full_median_law(d, m) for d in ds])
+        mp.setattr(amplitude, "_fold", lambda probs: (_unique_fold(probs).probs, 1.0))
+        mp.setattr(amplitude, "_half_grid", lambda t: np.unique(_estimate_values(t)))
+        mp.setattr(tvd, "_inner_laws", lambda amps, t, m: [
+            _full_median_law(ae_outcome_distribution(a, t), m) for a in amps])
         return f(*args)
 
 
@@ -199,6 +202,37 @@ def test_outcome_and_median_laws_match_oracle_property(a, t, m):
     _assert_close_law(law, _two_kernel_law(a, t), TWO_KERNEL_TOL)
     _assert_same_law(law, _oracle(ae_outcome_distribution, a, t))
     _assert_same_law(median_law(law, m), _full_median_law(law, m))
+    _assert_same_law(tvd._inner_laws([a], t, m)[0], median_law(law, m))
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4, 101, 1124, 6359])
+def test_median_laws_from_cdf_prefixes_equal_full_ones(t):
+    amps = [0.0, 1.0, 0.5, *_on_grid(t), 0.0123, 0.3]
+    for m in (1, 3, 11, 13):
+        for a, law in zip(amps, tvd._inner_laws(amps, t, m)):
+            _assert_same_law(law, median_law(ae_outcome_distribution(a, t), m))
+
+
+def test_cdf_prefix_that_stops_short_falls_back_to_the_half_grid():
+    # no probability was seen to stop short of 1 - c; a grid point
+    # understated as 0 cuts the closed-form prefix before the peak
+    t, m, amps = 6359, 13, [0.0123, 0.3]
+    want = [median_law(ae_outcome_distribution(a, t), m) for a in amps]
+    for offset, full in ((tvd._grid_offset, False), (lambda omega, t: (0, 0.0), True)):
+        lengths = []
+
+        def spy(pairs, m):
+            pairs = list(pairs)
+            lengths.extend(len(cdf) for _, cdf in pairs)
+            return outcome._median_laws(pairs, m)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tvd, "_median_laws", spy)
+            mp.setattr(tvd, "_grid_offset", offset)
+            got = tvd._inner_laws(amps, t, m)
+        assert all((n == t // 2 + 1) == full for n in lengths) and len(lengths) == 2
+        for g, w in zip(got, want):
+            _assert_same_law(g, w)
 
 
 def _reference_cases():
@@ -351,11 +385,11 @@ def test_kernel_matches_masked_kernel(t):
 
 
 def test_folded_grid_is_strictly_increasing_up_to_the_cap():
-    # _fold raises ArithmeticError on a grid that would merge two estimates
+    # _half_grid raises ArithmeticError on a grid that would merge two estimates
     for t in [*range(1, 4097), AE_LAW_T_CAP - 1, AE_LAW_T_CAP]:
-        law = _fold(np.full(t, 1.0 / t))
-        assert law.support_size == t // 2 + 1
-    _assert_same_law(_fold(np.full(AE_LAW_T_CAP, 2.0**-20)),
+        assert len(_half_grid(t)) == t // 2 + 1
+    masses, total = _fold(np.full(AE_LAW_T_CAP, 2.0**-20))
+    _assert_same_law(ValueDistribution(_half_grid(AE_LAW_T_CAP), masses / total),
                      _unique_fold(np.full(AE_LAW_T_CAP, 2.0**-20)))
 
 

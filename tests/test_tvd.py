@@ -23,6 +23,8 @@ def test_exact_tvd_values():
         exact_tvd([1.0], [0.5, 0.5])
     with pytest.raises(ValueError, match="1-d over the same index set"):
         exact_tvd([[0.5, 0.5]], [[0.5, 0.5]])  # one shape, but not 1-d
+    with pytest.raises(ValueError, match="at least one index"):
+        exact_tvd([], [])
 
 
 def test_median_law_three_point():
@@ -127,6 +129,7 @@ def test_instance_validation_and_budget_growth():
     ([0.6, 0.6], [0.5, 0.5], 2.0, "probability distributions"),
     ([0.5, 0.5], [0.5, 0.5], 1.0, "epsilon must be in"),
     ([0.5, 0.5], [0.5, 0.5], math.nan, "epsilon must be in"),
+    ([], [], 2.0, "at least one index"),  # an empty pair: a shape, before epsilon
 ])
 def test_subroutine_law_checks_shape_then_values_then_epsilon(p, q, eps, match):
     with pytest.raises(ValueError, match=match):
@@ -238,6 +241,11 @@ def test_estimate_tvd_error_precedence():
         estimate_tvd([0.6, 0.6], [1.0], 0.1, 0.0, rng, QueryLedger())
     with pytest.raises(ValueError, match="epsilon must be in"):
         estimate_tvd([0.6, 0.6], [1.0], 1.0, 0.0, rng, QueryLedger())
+    # an empty pair is a bad shape: after epsilon, before delta
+    with pytest.raises(ValueError, match="at least one index"):
+        estimate_tvd([], [], 0.1, 0.0, rng, QueryLedger())
+    with pytest.raises(ValueError, match="epsilon must be in"):
+        estimate_tvd([], [], 1.0, 0.0, rng, QueryLedger())
 
 
 def test_ratio_stability_bound():
@@ -337,7 +345,7 @@ def test_mean_cache_hit_matches_a_fresh_build():
 
 
 def test_fresh_law_does_not_hold_its_outcome_laws_at_once():
-    # the outcome laws stream through median_laws one at a time: a build
+    # the outcome laws stream through _inner_laws one at a time: a build
     # peaks well below what holding all their masses together would take
     rng = np.random.default_rng(64)
     p, q = rng.dirichlet(np.ones(64)), rng.dirichlet(np.ones(64))
