@@ -148,9 +148,9 @@ def cmd_mean(args):
     ledger = QueryLedger()
     est = ESTIMATORS[args.method](d, args, rng, ledger)
     _emit({"schema": SCHEMA, "version": __version__, "method": args.method,
-           "seed": args.seed, "value": est.value,
-           "target_error": est.target_error, "error_kind": est.error_kind,
-           "confidence": est.confidence, "ledger": est.ledger.as_dict(),
+           "seed": args.seed, "value": est.value, "confidence": est.confidence,
+           "target_error": _finite(est.target_error),
+           "error_kind": est.error_kind, "ledger": est.ledger.as_dict(),
            "constants": _constants()}, args.out)
     return 0
 

@@ -18,13 +18,13 @@ sizes: _l2_plan), the band amplitudes of its law (_band_amplitudes), and a
 run of k+1 medians (_l2_run, the one band sum, over a median source: ae_median
 with rng and ledger).  The variance estimator checks the plan before its
 proxy draw, reads each part's bands once, and hands power_median runs of it:
-no Estimate per repetition.  A relative estimate is likewise a plan
-(_relative_plan: every check, the proxy size, the l2 plan and the median
-size) and a run (_relative_run): the proxy draw, then _l2_runs whose medians
-come from one block of uniforms (_next_median: the median folded outcome
-index of amplitude._median_from_uniforms on the block's next reps), with the
-same draws, values and charges as one ae_median per band.
-estimate_partition checks a ratio's plan once and runs it per repetition.
+no Estimate per repetition.  A relative estimate is a plan of (B, epsilon)
+alone (_relative_plan: every check but the support's, the proxy size, the l2
+plan, the median size and the draws per run), which estimate_partition runs
+on every ratio, and a run on a law (_relative_run): the proxy draw, then
+_l2_runs whose medians come from one block of uniforms (_next_median:
+amplitude._median_from_uniforms on the block's next reps), with the same
+draws, values and charges as one ae_median per band.
 
 Plus the generic median-amplification wrapper (power_median / powering_reps)
 with the exact binomial tail (outcome.binom_upper_tail) rather than an
@@ -256,22 +256,19 @@ def estimate_mean_variance(d: ValueDistribution, sigma: float, epsilon: float,
 
 
 class _RelativePlan(NamedTuple):
-    """The draw-free part of a relative estimate, checked."""
+    """The law-free part of a relative estimate, checked."""
 
-    d: ValueDistribution
     n: int        # proxy samples, ceil(32B)
     l2: _L2Plan   # of the normalized law
     reps: int     # l2 runs in the median
+    draws: int    # uniforms per run, reps*(reps_0 + k*reps_l)
 
 
-def _relative_plan(d: ValueDistribution, B: float,
-                   epsilon: float) -> _RelativePlan:
-    """The relative plan of d at (B, epsilon): every check, before any draw."""
+def _relative_plan(B: float, epsilon: float) -> _RelativePlan:
+    """The relative plan at (B, epsilon): every check but the support's."""
     if not B >= 1.0:
         raise ValueError("B must be >= 1 (Cauchy-Schwarz lower bound)")
     _check_positive(epsilon=epsilon)
-    if d.values.min() < 0.0:
-        raise ValueError("support must be nonnegative")
     n = _sample_count(32.0 * B)  # both caps are checked before any draw
     scale = 3.0 * (2.0 * math.sqrt(B) + 1.0) ** 2
     eps_l2 = 2.0 * epsilon / scale
@@ -281,15 +278,15 @@ def _relative_plan(d: ValueDistribution, B: float,
     if eps_l2 == 0.0:  # a subnormal epsilon
         raise ValueError(f"2 epsilon/(3(2 sqrt(B) + 1)^2) underflows to 0 at "
                          f"epsilon = {epsilon:g}, B = {B:g}")
-    return _RelativePlan(d, n, _l2_plan(eps_l2),
-                         powering_reps(1.0 / 5.0, 1.0 / 8.0))
+    l2, reps = _l2_plan(eps_l2), powering_reps(1.0 / 5.0, 1.0 / 8.0)
+    return _RelativePlan(n, l2, reps, reps * (l2.reps_0 + l2.k * l2.reps_l))
 
 
-def _relative_run(plan: _RelativePlan, rng: np.random.Generator,
-                  ledger: QueryLedger) -> float:
-    """One relative estimate m * mu: the proxy draw, then every median of its
-    plan.reps l2 runs from one block of uniforms, charged at once."""
-    d, n, (k, t0, reps_0, reps_l), reps = plan
+def _relative_run(plan: _RelativePlan, d: ValueDistribution,
+                  rng: np.random.Generator, ledger: QueryLedger) -> float:
+    """One relative estimate m * mu of the law d: the proxy draw, then every
+    median of its l2 runs from one block of plan.draws uniforms, charged once."""
+    n, l2, _, draws = plan
     m = float(np.mean(classical_sample_block(d, n, rng, ledger)))
     if m == 0.0:
         raise ArithmeticError("proxy mean is zero; relative estimation undefined")
@@ -300,13 +297,12 @@ def _relative_run(plan: _RelativePlan, rng: np.random.Generator,
     if not (np.all(values[1:] > values[:-1]) and math.isfinite(values[-1])):
         normalized = transform(d, lambda v: v / m)  # merges, or raises
         values, probs = normalized.values, normalized.probs
-    amps = _band_amplitudes(values, probs, k).tolist()
-    draws = reps * (reps_0 + k * reps_l)
+    amps = _band_amplitudes(values, probs, l2.k).tolist()
     us = iter(rng.random(draws).tolist())  # ae_median's draws, in its order
     ledger.a_uses += draws
     ledger.a_inv_uses += draws
-    ledger.reflection_uses += draws * t0
-    return m * power_median(lambda: _l2_run(plan.l2, amps, _next_median, us, ledger),
+    ledger.reflection_uses += draws * l2.t0
+    return m * power_median(lambda: _l2_run(l2, amps, _next_median, us, ledger),
                             gamma=1.0 / 5.0, delta=1.0 / 8.0)
 
 
@@ -315,11 +311,13 @@ def estimate_mean_relative(d: ValueDistribution, B: float, epsilon: float,
                            ledger: QueryLedger) -> Estimate:
     """Mean with relative error epsilon when E[Y^2]/E[Y]^2 <= B; success >= 3/4.
 
-    Accepts B >= 1 and 0 < epsilon < 3(2 sqrt(B) + 1)^2/4, which is 27B/4 at
-    B = 1 and below it for B > 1: the inner l2 accuracy
+    Checks the support, then B >= 1 and 0 < epsilon < 3(2 sqrt(B) + 1)^2/4
+    (27B/4 at B = 1, below it for B > 1): the inner l2 accuracy
     2 epsilon/(3(2 sqrt(B) + 1)^2) must stay under 1/2, and above 0 (a
     subnormal epsilon underflows it)."""
-    value = _relative_run(_relative_plan(d, B, epsilon), rng, ledger)
+    if d.values.min() < 0.0:
+        raise ValueError("support must be nonnegative")
+    value = _relative_run(_relative_plan(B, epsilon), d, rng, ledger)
     return Estimate(value=value, target_error=epsilon, error_kind="relative",
                     confidence=0.75, ledger=ledger.snapshot())
 

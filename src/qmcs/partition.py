@@ -17,14 +17,14 @@ and inverted.  Every schedule runs from beta = 0 to inf.  A ratio variable
 sees a state only through H, so its law lives on the occupied energy levels
 (gibbs._level_law).
 
-Everything an estimate computes before its first draw depends only on the
-model and the schedule, so it is memoized on the model (at most
-gibbs.MEMO_CAP entries, the oldest evicted), under two keys that only this
-module knows: ("plan", s), the verified plan, its anchor and each pair's
-ratio law (at most |E|+1 points); and ("rungs", betas below inf), each rung
-chain's tau and smallest walk phase, the two scalars that the walk modes'
-reflection charges read at any epsilon.  No chain or eigenvector is kept,
-and a set-up that raises is not stored, so it raises on every call.
+An estimate runs one plan (_partition_plan): every check, one relative plan
+for all ratios, each ratio's walk steps in closed form.  What it reads of the
+model and schedule alone is memoized on the model (at most gibbs.MEMO_CAP
+entries, the oldest evicted) under two keys that only this module knows:
+("plan", s), the verified pairs, their anchor and each pair's ratio law (at
+most |E|+1 points); and ("rungs", betas below inf), each rung chain's tau
+and smallest walk phase, which price the walk modes' reflections at any
+epsilon.  No chain or eigenvector is kept, and a failed set-up is not stored.
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ import numpy as np
 from .chains import chain_for, relaxation_time
 from .gibbs import (GibbsModel, _level_law, chebyshev_ratio, exact_partition,
                     overlap_squared)
-from .mean import _relative_plan, _relative_run, power_median, powering_reps
+from .mean import (_check_positive, _relative_plan, _relative_run,
+                   _RelativePlan, power_median, powering_reps)
 from .outcome import (QueryLedger, ValueDistribution, _sample_count,
                       classical_sample_block, from_arrays)
 from .walk import phase_bits, reflection_cost, walk_phases, warm_start_cost
@@ -224,13 +225,9 @@ def _rung_plan(m: GibbsModel, s: CoolingSchedule):
 
 def _rung_spectra(m: GibbsModel, s: CoolingSchedule):
     """Per rung below beta = inf, the chain's tau and its smallest walk phase
-    (walk.walk_phases); memoized on the model per rung betas, on which alone
-    they depend.
-
-    Idealized reflections are charged from tau, exact_sim ones from the phase
-    (walk.phase_bits).  One chain is alive at a time, and only the two
-    scalars outlive it.
-    """
+    (walk.walk_phases), which price idealized and exact_sim reflections;
+    memoized on the model per rung betas, on which alone they depend.  One
+    chain is alive at a time, and only the two scalars outlive it."""
     def build():
         out = []
         for beta in s.betas[:-1]:
@@ -242,69 +239,73 @@ def _rung_spectra(m: GibbsModel, s: CoolingSchedule):
     return m._memoized(("rungs", s.betas[:-1]), build)
 
 
-def estimate_partition(m: GibbsModel, s: CoolingSchedule, epsilon: float,
-                       delta: float, mode: str, rng: np.random.Generator,
-                       ledger: QueryLedger) -> PartitionEstimate:
-    """Telescoping estimate of Z(inf) (forward) or Z(0) (reversed).
+class _PartitionPlan(NamedTuple):
+    """What a partition estimate fixes before its first draw, checked."""
 
-    Each ratio is estimated by the relative-error mean estimator at accuracy
-    epsilon/(2*ell), median-amplified from per-run success 3/4 to delta/ell,
-    on its own ledger; its relative plan is checked once, before any draw.
-    Walk modes convert that ledger's oracle charges into walk steps: every
-    state preparation becomes a warm start along the schedule prefix and
-    every reflection an approximate reflection on that rung's chain.  Each ratio's ledger is then merged into the caller's.
-    """
+    anchor: float            # Z(0) (forward) or Z(inf) (reversed)
+    runs: tuple              # (_Ratio, its walk steps; 0 in ideal_sampling)
+    relative: _RelativePlan  # every ratio's, at epsilon/(2*ell)
+    reps: int                # relative estimates per ratio
+
+
+def _partition_plan(m: GibbsModel, s: CoolingSchedule, epsilon: float,
+                    delta: float, mode: str) -> _PartitionPlan:
+    """Checks mode, epsilon, delta, REPS_CAP and the relative plan before any
+    set-up (_rung_plan, then _rung_spectra in the walk modes).  A ratio's
+    reps*draws uses of A and of A^-1 are priced as warm starts along the
+    schedule prefix, its uses = reps*draws*t0 reflections as approximate ones
+    on its rung chain at accuracy 0.1/uses (a constant slice of delta)."""
     if mode not in ("ideal_sampling", "walk_idealized", "walk_exact_sim"):
         raise ValueError(f"unknown mode {mode!r}")
-    if not epsilon > 0.0:  # NaN fails too; before the set-up's eigensolves
-        raise ValueError("epsilon must be positive")
-    ell = s.ell
-    eps_i = epsilon / (2.0 * ell)
-    delta_i = delta / ell
-    reps = powering_reps(0.25, delta_i)  # checks delta before the set-up
+    _check_positive(epsilon=epsilon)  # before the set-up's eigensolves
+    eps_i = epsilon / (2.0 * s.ell)
+    reps = powering_reps(0.25, delta / s.ell)  # checks delta
     if reps > REPS_CAP:
         raise ValueError(f"delta={delta!r} needs {reps} estimates per ratio, "
                          f"over the cap {REPS_CAP}")
-    plan, anchor = _rung_plan(m, s)
-    if mode != "ideal_sampling":
-        taus, thetas = _rung_spectra(m, s)
+    rp = _relative_plan(s.B, eps_i)
+    ratios, anchor = _rung_plan(m, s)
+    if mode == "ideal_sampling":
+        return _PartitionPlan(anchor, tuple((r, 0) for r in ratios), rp, reps)
+    taus, thetas = _rung_spectra(m, s)
+    uses = reps * rp.draws * rp.l2.t0
+    eps_r = 0.1 / uses
+    runs = []
+    for r in ratios:
+        per_reflection = (2**phase_bits(thetas[r.rung], min(0.25, eps_i))
+                          if mode == "walk_exact_sim"
+                          else reflection_cost(taus[r.rung], eps_r))
+        prep = warm_start_cost(r.rung, max(taus[: max(r.rung, 1)]), eps_r, s.B)
+        runs.append((r, 2 * reps * rp.draws * prep + uses * per_reflection))
+    return _PartitionPlan(anchor, tuple(runs), rp, reps)
 
+
+def estimate_partition(m: GibbsModel, s: CoolingSchedule, epsilon: float,
+                       delta: float, mode: str, rng: np.random.Generator,
+                       ledger: QueryLedger) -> PartitionEstimate:
+    """Telescoping estimate of Z(inf) (forward) or Z(0) (reversed): each
+    ratio by the relative-error mean estimator at accuracy epsilon/(2*ell),
+    median-amplified from per-run success 3/4 to delta/ell, on the caller's
+    ledger, to which walk modes add the walk steps the plan prices."""
+    p = _partition_plan(m, s, epsilon, delta, mode)
     ratios = []
-    for r in plan:
-        spent = QueryLedger()
-        rp = _relative_plan(r.law, s.B, eps_i)
-        alpha = power_median(lambda: _relative_run(rp, rng, spent),
-                             gamma=0.25, delta=delta_i)
-        if mode != "ideal_sampling":
-            # reflection accuracy gamma/R: the total coherent error R*eps_r
-            # stays a constant slice of the failure budget
-            uses = spent.reflection_uses
-            eps_r = 0.1 / max(uses, 1)
-            per_reflection = (
-                2**phase_bits(thetas[r.rung], min(0.25, eps_i))
-                if mode == "walk_exact_sim"
-                else reflection_cost(taus[r.rung], eps_r))
-            prep = warm_start_cost(r.rung, max(taus[: max(r.rung, 1)]), eps_r,
-                                   s.B)
-            spent.walk_steps += ((spent.a_uses + spent.a_inv_uses) * prep
-                                 + uses * per_reflection)
-        ledger.merge(spent)
+    for r, steps in p.runs:
+        alpha = power_median(lambda: _relative_run(p.relative, r.law, rng, ledger),
+                             gamma=0.25, delta=delta / s.ell)
+        ledger.walk_steps += steps
         ratios.append(r.factor(alpha))
-
     target = "Z(inf)" if s.direction == "forward" else "Z(0)"
-    return PartitionEstimate(z_value=anchor * float(np.prod(ratios)),
-                             ratios=ratios, epsilon=epsilon,
-                             delta=delta, ledger=ledger.snapshot(),
-                             meta={"mode": mode, "target": target,
-                                   "reps_per_ratio": reps})
+    return PartitionEstimate(p.anchor * float(np.prod(ratios)), ratios,
+                             epsilon, delta, ledger.snapshot(),
+                             {"mode": mode, "target": target,
+                              "reps_per_ratio": p.reps})
 
 
 def classical_baseline(m: GibbsModel, s: CoolingSchedule, epsilon: float,
                        rng: np.random.Generator,
                        ledger: QueryLedger) -> PartitionEstimate:
     """Product of per-ratio sample means, max(1, 16*B*ell/eps^2) samples each."""
-    if not epsilon > 0.0:  # NaN fails too; before the set-up
-        raise ValueError("epsilon must be positive")
+    _check_positive(epsilon=epsilon)  # before the set-up
     plan, anchor = _rung_plan(m, s)
     try:
         n = 16.0 * s.B * s.ell / epsilon**2

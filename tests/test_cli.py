@@ -336,6 +336,17 @@ def test_mean_classical_bad_setting_is_config_error(capsys, bernoulli, flag,
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_mean_classical_infinite_epsilon_writes_inf(capsys, bernoulli):
+    # one sample with an infinite target error, which used to exit 1 with
+    # "error: Out of range float values are not JSON compliant: inf"
+    code, out = _run(capsys, ["mean", "--dist", bernoulli, "--method",
+                              "classical", "--eps", "inf"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["target_error"] == "inf"
+    assert payload["ledger"]["classical_samples"] == 1
+
+
 @pytest.mark.parametrize("argv", [["--method", "variance", "--sigma", "1e200"],
                                   ["--method", "l2", "--eps", "1e-12"],
                                   ["--method", "l2", "--eps", "5e-324"],

@@ -282,20 +282,25 @@ def test_variance_precondition_checks():
         estimate_mean_variance(d, 0.01, 0.1, _rng(0), QueryLedger())
 
 
-@pytest.mark.parametrize("estimator, setting, eps, message", [
-    (estimate_mean_variance, math.inf, 0.1, "sigma must be finite"),
-    (estimate_mean_variance, 1.0, 1e-300, "exceeds the amplitude-estimation cap"),
-    (estimate_mean_relative, 1.5, 1e-300, "exceeds the amplitude-estimation cap"),
+@pytest.mark.parametrize("estimator, setting, eps, message, low", [
+    (estimate_mean_variance, math.inf, 0.1, "sigma must be finite", 1.0),
+    (estimate_mean_variance, 1.0, 1e-300,
+     "exceeds the amplitude-estimation cap", 1.0),
+    (estimate_mean_relative, 1.5, 1e-300,
+     "exceeds the amplitude-estimation cap", 1.0),
     # a subnormal epsilon underflows the inner l2 accuracy to 0, which the l2
     # plan used to reject as "epsilon must be in (0, 1/2)"
     (estimate_mean_variance, 1.0, 1e-323,
-     "underflows to 0 at epsilon = 9.88131e-324, sigma = 1$"),
+     "underflows to 0 at epsilon = 9.88131e-324, sigma = 1$", 1.0),
     (estimate_mean_relative, 1.0, 1e-323,
-     "underflows to 0 at epsilon = 9.88131e-324, B = 1$"),
+     "underflows to 0 at epsilon = 9.88131e-324, B = 1$", 1.0),
+    # the relative estimator checks its support first, then its plan (B, eps)
+    (estimate_mean_relative, 0.5, 0.1, "support must be nonnegative", -1.0),
 ])
-def test_failed_estimate_charges_and_draws_nothing(estimator, setting, eps, message):
+def test_failed_estimate_charges_and_draws_nothing(estimator, setting, eps,
+                                                   message, low):
     # the l2 plan is checked before the proxy draw
-    d = make_distribution([(1.0, 0.5), (3.0, 0.5)])
+    d = make_distribution([(low, 0.5), (3.0, 0.5)])
     rng = _rng(0)
     state = rng.bit_generator.state
     ledger = QueryLedger()

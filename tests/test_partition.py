@@ -18,7 +18,8 @@ from qmcs.partition import (CoolingSchedule, ScheduleError, _rung_plan,
                             _rung_spectra, build_schedule, classical_baseline,
                             estimate_partition, ratio_variable,
                             reversed_ratio_variable, verify_schedule)
-from qmcs.walk import approx_reflection, phase_bits
+from qmcs.walk import (approx_reflection, phase_bits, reflection_cost,
+                       warm_start_cost)
 
 K2 = Graph(2, ((0, 1),))
 C4 = Graph(4, ((0, 1), (1, 2), (2, 3), (3, 0)))
@@ -171,10 +172,9 @@ def test_relative_estimate_ledgers_have_closed_forms():
                          (matching_model(C4), "reversed")):
         s = build_schedule(m, 2.0, direction)
         reps = qmcs.mean.powering_reps(0.25, delta / s.ell)
-        plan, _ = _rung_plan(m, s)
-        expected = sum(_relative_counts(
-            qmcs.mean._relative_plan(r.law, s.B, eps / (2.0 * s.ell)), reps)
-            for r in plan)
+        # every ratio runs the one plan at epsilon/(2 ell)
+        expected = s.ell * _relative_counts(
+            qmcs.mean._relative_plan(s.B, eps / (2.0 * s.ell)), reps)
         ledger = QueryLedger()
         estimate_partition(m, s, eps, delta, "ideal_sampling",
                            np.random.default_rng(0), ledger)
@@ -184,8 +184,62 @@ def test_relative_estimate_ledgers_have_closed_forms():
     for B, eps in ((1.5, 0.3), (4.0, 0.05)):
         ledger = QueryLedger()
         estimate_mean_relative(d, B, eps, np.random.default_rng(1), ledger)
-        expected = _relative_counts(qmcs.mean._relative_plan(d, B, eps), 1)
+        expected = _relative_counts(qmcs.mean._relative_plan(B, eps), 1)
         assert _counts(ledger).tolist() == expected.tolist()
+
+
+def _cycle(n):
+    return Graph(n, tuple((i, (i + 1) % n) for i in range(n)))
+
+
+def _counted_partition(m, s, eps, delta, mode, rng, ledger):
+    """estimate_partition's draws and charges with each ratio's walk steps
+    counted, not priced: the ratio's relative estimates run on their own
+    ledger, whose oracle uses become walk steps before it is merged."""
+    plan, _ = _rung_plan(m, s)
+    taus, thetas = _rung_spectra(m, s)
+    eps_i, delta_i = eps / (2.0 * s.ell), delta / s.ell
+    rp = qmcs.mean._relative_plan(s.B, eps_i)
+    for r in plan:
+        spent = QueryLedger()
+        qmcs.mean.power_median(
+            lambda: qmcs.mean._relative_run(rp, r.law, rng, spent),
+            gamma=0.25, delta=delta_i)
+        uses = spent.reflection_uses
+        eps_r = 0.1 / max(uses, 1)
+        per_reflection = (2**phase_bits(thetas[r.rung], min(0.25, eps_i))
+                          if mode == "walk_exact_sim"
+                          else reflection_cost(taus[r.rung], eps_r))
+        prep = warm_start_cost(r.rung, max(taus[: max(r.rung, 1)]), eps_r, s.B)
+        spent.walk_steps += ((spent.a_uses + spent.a_inv_uses) * prep
+                             + uses * per_reflection)
+        ledger.merge(spent)
+
+
+@pytest.mark.parametrize("mode", ["walk_idealized", "walk_exact_sim"])
+@pytest.mark.parametrize("build, direction", [
+    (lambda: ising_model(K2), "forward"),
+    (lambda: ising_model(C4), "forward"),
+    (lambda: ising_model(_cycle(5)), "forward"),
+    (lambda: ising_model(_cycle(8)), "forward"),
+    (lambda: matching_model(C4), "reversed"),
+    (lambda: matching_model(_cycle(6)), "reversed"),
+    (lambda: colouring_model(Graph(3, ((0, 1), (1, 2), (0, 2))), 3), "forward"),
+], ids=["k2-ising", "c4-ising", "c5-ising", "c8-ising", "c4-matching",
+        "c6-matching", "k3-colouring"])
+def test_priced_walk_steps_match_the_counted_conversion(build, direction, mode):
+    # the plan prices each ratio's walk steps in closed form; counting them
+    # from the ratio's own ledger gives the same ledger and the same draws
+    m = build()
+    s = build_schedule(m, 2.0, direction)
+    for eps in (0.2, 0.05):
+        for delta in (0.25, 0.01):
+            got, want = QueryLedger(), QueryLedger()
+            rng_got, rng_want = np.random.default_rng(9), np.random.default_rng(9)
+            estimate_partition(m, s, eps, delta, mode, rng_got, got)
+            _counted_partition(m, s, eps, delta, mode, rng_want, want)
+            assert got == want and got.walk_steps > 0
+            assert rng_got.bit_generator.state == rng_want.bit_generator.state
 
 
 def test_mean_and_tvd_ledgers_have_closed_forms():
@@ -436,15 +490,22 @@ def test_rung_spectra_give_each_reflections_tau_and_charge():
                                   "walk_exact_sim"])
 def test_estimate_partition_checks_epsilon_before_setup(mode):
     # walk modes used to solve and memoize every rung chain before a NaN
-    # epsilon failed, and ideal_sampling verified the plan before epsilon 0
+    # epsilon failed, and ideal_sampling verified the plan before epsilon 0;
+    # the relative plan at epsilon/(2 ell) = epsilon/6 (its bound, then the
+    # t cap) used to be checked only after the plan and the rung spectra
     m = ising_model(C4)
     s = build_schedule(m, 2.0)
-    for eps in (0.0, -0.1, math.nan):
-        ledger = QueryLedger()
-        with pytest.raises(ValueError, match="epsilon must be positive"):
-            estimate_partition(m, s, eps, 0.25, mode, np.random.default_rng(0),
-                               ledger)
+    for eps, message in ((0.0, "epsilon must be positive"),
+                         (-0.1, "epsilon must be positive"),
+                         (math.nan, "epsilon must be positive"),
+                         (100.0, "epsilon must be < 3"),
+                         (1e-20, "exceeds the amplitude-estimation cap")):
+        rng, ledger = np.random.default_rng(0), QueryLedger()
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=message):
+            estimate_partition(m, s, eps, 0.25, mode, rng, ledger)
         assert m._memo == {} and ledger == QueryLedger()
+        assert rng.bit_generator.state == state
 
 
 def test_estimate_partition_checks_delta_before_setup():
