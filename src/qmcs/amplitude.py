@@ -1,21 +1,20 @@
-"""Exact simulation of the amplitude-estimation primitive.
+"""Exact simulation of amplitude estimation: its outcome law, the law of
+its median, and the draw and charge of each run.
 
-The estimation procedure with t Grover-type iterations on an amplitude
-a = sin^2(pi*omega) draws outcome y in {0, ..., t-1} from the squared
-Dirichlet kernel sin^2(pi t D) / (t^2 sin^2(pi D)), D = y/t - omega, mixed
-equally over the conjugate phases +-omega, with estimate a~ = sin^2(pi y/t).
-With c = round(t omega) and delta = t omega - c, outcome y = c + k,
-k in (-t/2, t/2], has t D = k - delta, so its mass is
-sin^2(pi delta) / (t sin(pi (k - delta) / t))^2: one sine per outcome, built
-in one buffer.  The -omega phase puts y's mass on t - y, whose estimate is
-y's, so the law of a~ is the +omega law folded in place onto the strictly
-increasing half grid sin^2(pi i / t), i = 0..t//2 (_fold: the masses and
-their sum, for a caller that divides only a prefix).  The sampler draws a
-whole median at once, one uniform per draw, by one outward inverse-CDF scan
-of the +omega law in offset form, folding each y to min(y, t - y); as the
-half grid rises with i, _median_from_uniforms takes a median's estimate from
-its median folded index, with one sine.  A dense circuit simulation of phase
-estimation on the two-dimensional rotation cross-validates the closed form.
+With t Grover-type iterations on an amplitude a = sin^2(pi*omega), outcome
+y in {0, ..., t-1} has the squared Dirichlet kernel law, mixed equally over
+the conjugate phases +-omega, and estimate a~ = sin^2(pi y/t).  With
+c = round(t omega) and delta = t omega - c, outcome y = c + k, k in
+(-t/2, t/2], has mass sin^2(pi delta) / (t sin(pi (k - delta) / t))^2 at
++omega: one sine per outcome, built in one buffer.  The -omega phase puts
+y's mass on t - y, whose estimate is y's, so the law of a~ is the +omega law
+folded in place onto the strictly increasing half grid sin^2(pi i / t),
+i = 0..t//2 (_fold).  The law of a median of reps estimates (_ae_median_laws)
+reads only the CDF prefix its median needs.  _ae_uniforms charges each run
+and draws its uniform; one outward inverse-CDF scan of the +omega law turns
+a median's uniforms into outcomes, and as the half grid rises with i,
+_median_from_uniforms takes the estimate of the median folded index, with one
+sine.  A dense circuit simulation of phase estimation cross-validates the law.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .outcome import QueryLedger, ValueDistribution
+from .outcome import QueryLedger, ValueDistribution, _median_laws, _tail_floor
 
 __all__ = [
     "amplitude_phase",
@@ -51,6 +50,7 @@ AE_FAIL_PROB = 1.0 - AE_SUCCESS_PROB
 _CIRCUIT_T_CAP = 2**14
 AE_LAW_T_CAP = 2**20  # largest t whose length-t outcome law is materialized
 AE_T_CAP = 2**32  # largest t sampled: phase error pi*t*2^-52 under 1e-5 rad
+_COUNTS = (int, np.integer)  # the types a t, size or reps may have: one tuple for every call
 
 
 def amplitude_phase(a: float) -> float:
@@ -79,8 +79,8 @@ def _grid_offset(omega: float, t: int) -> tuple[int, float]:
 
 def _outcome_kernel(a: float, t: int) -> np.ndarray:
     """Length-t law of y at +omega, in y order, from the offset form."""
-    if t < 1:
-        raise ValueError("t must be >= 1")
+    if not isinstance(t, _COUNTS) or t < 1:
+        raise ValueError(f"t must be an integer >= 1, not {t!r}")
     if t > AE_LAW_T_CAP:
         raise ValueError(f"t={t} exceeds the outcome-law cap {AE_LAW_T_CAP}")
     c, delta = _grid_offset(amplitude_phase(a), t)
@@ -121,8 +121,30 @@ def _fold(probs: np.ndarray) -> tuple:
 
 def ae_outcome_distribution(a: float, t: int) -> ValueDistribution:
     """Closed-form distribution of the estimate a~ for amplitude a, t iterations."""
-    masses, total = _fold(_outcome_kernel(float(a), int(t)))  # checks t before allocating
+    masses, total = _fold(_outcome_kernel(float(a), t))  # checks t before allocating
     return ValueDistribution(_half_grid(int(t)), masses / total)
+
+
+def _ae_median_laws(amps: list, t: int, reps: int) -> list:
+    """median_law(ae_outcome_distribution(a, t), reps) for each a in amps,
+    float for float, from a CDF prefix: a median reads it only through its
+    first point >= 1 - c, c = _tail_floor(reps), near a's grid point plus
+    the K where the kernel's tail past +-K, about 2/(pi^2 K), falls under c."""
+    if reps == 1:
+        return [ae_outcome_distribution(a, t) for a in amps]
+    c = _tail_floor(reps)
+    reach = math.ceil(2.0 / (math.pi**2 * c)) + 1
+
+    def cdfs():  # one outcome law at a time
+        for a in amps:
+            masses, total = _fold(_outcome_kernel(float(a), t))
+            n = _grid_offset(amplitude_phase(a), t)[0] + reach
+            cdf = np.clip(np.cumsum(masses[:n] / total), 0.0, 1.0)
+            if cdf[-1] < 1.0 - c:  # stopped short: the whole half grid
+                cdf = np.clip(np.cumsum(masses / total), 0.0, 1.0)
+            yield _half_grid(t), cdf
+
+    return _median_laws(cdfs(), reps)
 
 
 def _check_t(t) -> None:
@@ -159,25 +181,33 @@ def _draw_outcomes(omega: float, t: int, us) -> list:
 
 def ae_sample(a: float, t: int, rng: np.random.Generator, ledger: QueryLedger,
               size: int) -> list[float]:
-    """A list of size draws of the estimate a~. Each draw charges t reflections
-    and one A / A^-1 pair and takes its u from rng.random(size); the +omega
-    outcome y gives a~ = sin^2(pi min(y, t - y) / t), as in
+    """A list of size draws of the estimate a~, one per uniform of _ae_uniforms:
+    the +omega outcome y gives a~ = sin^2(pi min(y, t - y) / t), as in
     ae_outcome_distribution's fold.  So size=n equals n calls with size=1."""
+    omega = amplitude_phase(a)
+    return [math.sin(math.pi * min(y, t - y) / t) ** 2
+            for y in _draw_outcomes(omega, t, _ae_uniforms(t, size, rng, ledger))]
+
+
+def _ae_uniforms(t: int, size: int, rng: np.random.Generator, ledger: QueryLedger) -> list:
+    """rng.random(size) as a list; each run charged one A, one A^-1 and t reflections."""
+    if not isinstance(t, _COUNTS):
+        raise ValueError(f"t must be an integer, not {t!r}")
+    if not isinstance(size, _COUNTS):
+        raise ValueError(f"size must be an integer, not {size!r}")
     _check_t(t)
     if size < 1:
         raise ValueError("size must be >= 1")
-    omega = amplitude_phase(a)
     ledger.a_uses += size
     ledger.a_inv_uses += size
     ledger.reflection_uses += size * t
-    return [math.sin(math.pi * min(y, t - y) / t) ** 2
-            for y in _draw_outcomes(omega, t, rng.random(size).tolist())]
+    return rng.random(size).tolist()
 
 
 def ae_median(a: float, t: int, reps: int, rng: np.random.Generator,
               ledger: QueryLedger) -> float:
     """Median of one ae_sample(..., size=reps) batch (reps must be odd, t >= 1)."""
-    if reps < 1 or reps % 2 == 0:
+    if not isinstance(reps, _COUNTS) or reps < 1 or reps % 2 == 0:
         raise ValueError("reps must be a positive odd integer")
     return sorted(ae_sample(a, t, rng, ledger, size=reps))[reps // 2]
 

@@ -22,9 +22,9 @@ no Estimate per repetition.  A relative estimate is a plan of (B, epsilon)
 alone (_relative_plan: every check but the support's, the proxy size, the l2
 plan, the median size and the draws per run), which estimate_partition runs
 on every ratio, and a run on a law (_relative_run): the proxy draw, then
-_l2_runs whose medians come from one block of uniforms (_next_median:
-amplitude._median_from_uniforms on the block's next reps), with the same
-draws, values and charges as one ae_median per band.
+_l2_runs whose medians come from one block of amplitude._ae_uniforms
+(_next_median: amplitude._median_from_uniforms on the block's next reps),
+with the same draws, values and charges as one ae_median per band.
 
 Plus the generic median-amplification wrapper (power_median / powering_reps)
 with the exact binomial tail (outcome.binom_upper_tail) rather than an
@@ -43,7 +43,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .amplitude import AE_FAIL_PROB, _check_t, _median_from_uniforms, ae_median
+from .amplitude import AE_FAIL_PROB, _ae_uniforms, _check_t, _median_from_uniforms, ae_median
 from .outcome import (
     QueryLedger,
     ValueDistribution,
@@ -298,10 +298,7 @@ def _relative_run(plan: _RelativePlan, d: ValueDistribution,
         normalized = transform(d, lambda v: v / m)  # merges, or raises
         values, probs = normalized.values, normalized.probs
     amps = _band_amplitudes(values, probs, l2.k).tolist()
-    us = iter(rng.random(draws).tolist())  # ae_median's draws, in its order
-    ledger.a_uses += draws
-    ledger.a_inv_uses += draws
-    ledger.reflection_uses += draws * l2.t0
+    us = iter(_ae_uniforms(l2.t0, draws, rng, ledger))  # ae_median's draws, in its order
     return m * power_median(lambda: _l2_run(l2, amps, _next_median, us, ledger),
                             gamma=1.0 / 5.0, delta=1.0 / 8.0)
 

@@ -7,7 +7,7 @@ transformation mirror the derived algorithms built on top of them, and
 median_law gives the exact law of a median of iid draws (the powering
 lemma's amplification), from the exact binomial tail binom_upper_tail,
 evaluated only on the window of the CDF where a median mass can pass the
-pruning level (median_laws: for a stream of laws, _median_laws: of CDFs).
+pruning level (_median_laws: of a stream of CDFs, or of their prefixes).
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ __all__ = [
     "transform",
     "binom_upper_tail",
     "median_law",
-    "median_laws",
     "classical_sample_block",
 ]
 
@@ -205,7 +204,8 @@ def _window_laws(values: list, cdfs: list, m: int) -> list:
 
 
 def _median_laws(pairs: Iterable[tuple], m: int) -> list:
-    """median_laws (m odd, > 1) of (values, clipped CDF) pairs: a CDF may stop past its window."""
+    """median_law (m odd, > 1) of each (values, clipped CDF) pair, whose CDF may stop
+    past its window: one tail pass per _TAIL_BLOCK or more points of windows."""
     c = _tail_floor(m)
     laws, values, cdfs, pending = [], [], [], 0
     for v, cdf in pairs:
@@ -219,25 +219,18 @@ def _median_laws(pairs: Iterable[tuple], m: int) -> list:
     return laws + _window_laws(values, cdfs, m) if cdfs else laws
 
 
-def median_laws(ds: Iterable[ValueDistribution], m: int) -> list:
-    """Exact law of the median of m iid draws (m odd) from each d in ds.
+def median_law(d: ValueDistribution, m: int) -> ValueDistribution:
+    """Exact law of the median of m iid draws from d (m odd).
 
     Pr[median <= v_k] = Pr[Bin(m, F_k) >= (m+1)/2] on the CDF F of d, taken
     only where a mass can pass the pruning level, plus one neighbour below:
     a tail is about 1e-18 at most while F_k <= c = _tail_floor(m), and rounds
-    to exactly 1 once 1 - F_k <= c (the same bound, on the lower tail).  Each
-    d is dropped once its window is cut; one tail pass serves _TAIL_BLOCK
-    or more CDF points of windows, so a stream of laws is never held at once."""
+    to exactly 1 once 1 - F_k <= c (the same bound, on the lower tail)."""
     if m < 1 or m % 2 == 0:
         raise ValueError("median of an even sample is ambiguous; m must be odd")
     if m == 1:
-        return list(ds)
-    return _median_laws(((d.values, np.clip(np.cumsum(d.probs), 0.0, 1.0)) for d in ds), m)
-
-
-def median_law(d: ValueDistribution, m: int) -> ValueDistribution:
-    """Exact law of the median of m iid draws from d (m odd): median_laws of one."""
-    return median_laws([d], m)[0]
+        return d
+    return _median_laws([(d.values, np.clip(np.cumsum(d.probs), 0.0, 1.0))], m)[0]
 
 
 def _sample_count(n) -> int:

@@ -263,7 +263,10 @@ def _partition_plan(m: GibbsModel, s: CoolingSchedule, epsilon: float,
     if reps > REPS_CAP:
         raise ValueError(f"delta={delta!r} needs {reps} estimates per ratio, "
                          f"over the cap {REPS_CAP}")
-    rp = _relative_plan(s.B, eps_i)
+    try:
+        rp = _relative_plan(s.B, eps_i)
+    except ValueError as e:  # its "epsilon" is the per-ratio accuracy
+        raise ValueError(f"epsilon={epsilon:g}, per ratio epsilon/(2 ell) = {eps_i:g}: {e}") from e
     ratios, anchor = _rung_plan(m, s)
     if mode == "ideal_sampling":
         return _PartitionPlan(anchor, tuple((r, 0) for r in ratios), rp, reps)

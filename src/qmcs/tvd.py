@@ -5,8 +5,8 @@ q~(x), each a median of reps runs of t = ceil(20*pi*sqrt(n/eps)) iterations
 (both from _inner), and outputs |p~ - q~| / (p~ + q~).  Its exact output law,
 a finite mixture over x and the two median laws, is
 tvd_subroutine_distribution(p, q, eps); it checks the pair, whose shape _pair
-checks at every entry point.  Each median law reads only the CDF prefix its
-median needs (_inner_laws); each ratio is taken only where its weight passes
+checks at every entry point.  The median laws are amplitude's law of an
+ae_median (_ae_median_laws); a ratio is taken only where its weight passes
 the pruning.  Internal accuracy is eps/8, so the law's mean E~ is within
 eps/2 of ||p-q||; the outer estimation, one bounded-mean median charged from
 the memoized tvd_query_budget, contributes the other eps/2.  Only E~ is
@@ -21,11 +21,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .amplitude import (AE_FAIL_PROB, _fold, _grid_offset, _half_grid, _median_from_uniforms,
-                        _outcome_kernel, ae_outcome_distribution, amplitude_phase)
+from .amplitude import AE_FAIL_PROB, _ae_median_laws, _median_from_uniforms
 from .mean import Estimate, powering_reps, t_for_additive_error
-from .outcome import (_PRUNE, QueryLedger, ValueDistribution, _median_laws,  # noqa: F401
-                      _tail_floor, from_arrays, median_law)  # median_law: the tracer wraps it here
+from .outcome import (_PRUNE, QueryLedger, ValueDistribution, from_arrays,  # noqa: F401
+                      median_law)  # median_law: the tracer wraps it here
 
 __all__ = [
     "exact_tvd",
@@ -53,28 +52,6 @@ def _pair(p, q) -> tuple:
     return p, q
 
 
-def _inner_laws(amps: list, t: int, reps: int) -> list:
-    """median_law(ae_outcome_distribution(a, t), reps) for each a in amps,
-    float for float, from a CDF prefix: a median reads it only through its
-    first point >= 1 - c, c = _tail_floor(reps), near a's grid point plus
-    the K where the kernel's tail past +-K, about 2/(pi^2 K), falls under c."""
-    if reps == 1:
-        return [ae_outcome_distribution(a, t) for a in amps]
-    c = _tail_floor(reps)
-    reach = math.ceil(2.0 / (math.pi**2 * c)) + 1
-
-    def cdfs():  # one outcome law at a time
-        for a in amps:
-            masses, total = _fold(_outcome_kernel(float(a), t))
-            n = _grid_offset(amplitude_phase(a), t)[0] + reach
-            cdf = np.clip(np.cumsum(masses[:n] / total), 0.0, 1.0)
-            if cdf[-1] < 1.0 - c:  # stopped short: the whole half grid
-                cdf = np.clip(np.cumsum(masses / total), 0.0, 1.0)
-            yield _half_grid(t), cdf
-
-    return _median_laws(cdfs(), reps)
-
-
 def exact_tvd(p, q) -> float:
     p, q = _pair(p, q)
     return float(0.5 * np.abs(p - q).sum())
@@ -93,7 +70,7 @@ def tvd_subroutine_distribution(p, q, epsilon: float) -> ValueDistribution:
     t, reps = _inner(len(p), epsilon)
     rows = [x for x in range(len(p)) if r[x] > 0.0]
     amps = list(dict.fromkeys(a for x in rows for a in (p[x], q[x])))
-    laws = dict(zip(amps, _inner_laws(amps, t, reps)))
+    laws = dict(zip(amps, _ae_median_laws(amps, t, reps)))
     values, probs = [], []
     for x in rows:
         lp, lq = laws[p[x]], laws[q[x]]

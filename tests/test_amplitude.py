@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmcs.amplitude import (AE_LAW_T_CAP, AE_SUCCESS_PROB, AE_T_CAP, _draw_outcomes,
-                            _median_from_uniforms,
+from qmcs.amplitude import (AE_LAW_T_CAP, AE_SUCCESS_PROB, AE_T_CAP, _ae_median_laws,
+                            _draw_outcomes, _median_from_uniforms,
                             ae_circuit_distribution,
                             ae_measurement_probs, ae_median,
                             ae_outcome_distribution, ae_sample,
@@ -16,7 +16,8 @@ from qmcs.amplitude import (AE_LAW_T_CAP, AE_SUCCESS_PROB, AE_T_CAP, _draw_outco
                             interval_coverage, measurement_tv_bound,
                             stability_failure_bound,
                             outcome_interval_halfwidth)
-from qmcs.outcome import QueryLedger
+from qmcs.mean import estimate_mean_bounded
+from qmcs.outcome import QueryLedger, make_distribution
 
 
 def test_phase_endpoints():
@@ -61,6 +62,20 @@ def test_sampler_matches_exact_law():
     ledger = QueryLedger()
     n = 40000
     draws = np.array(ae_sample(a, t, rng, ledger, size=n))
+    for v, p in zip(d.values, d.probs):
+        if p > 5e-3:
+            freq = np.mean(np.isclose(draws, v))
+            assert freq == pytest.approx(p, abs=4 * math.sqrt(p / n) + 1e-3)
+
+
+@pytest.mark.parametrize("reps", [3, 11])
+def test_median_matches_exact_law(reps):
+    a, t = 0.3, 25
+    d = _ae_median_laws([a], t, reps)[0]
+    rng = np.random.default_rng(11)
+    ledger = QueryLedger()
+    n = 40000
+    draws = np.array([ae_median(a, t, reps, rng, ledger) for _ in range(n)])
     for v, p in zip(d.values, d.probs):
         if p > 5e-3:
             freq = np.mean(np.isclose(draws, v))
@@ -377,6 +392,39 @@ def test_size_below_one_is_rejected_before_charging(size):
         ae_sample(0.3, 25, rng, ledger, size=size)
     assert ledger == QueryLedger()
     assert rng.bit_generator.state == state
+
+
+_POINT = make_distribution([(0.3, 1.0)])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda rng, ledger: ae_sample(0.3, 2.5, rng, ledger, size=1), "t must be an integer"),
+    (lambda rng, ledger: ae_sample(0.3, 25, rng, ledger, size=2.0), "size must be an integer"),
+    (lambda rng, ledger: ae_median(0.3, 7, 3.0, rng, ledger), "reps must be a positive odd"),
+    (lambda rng, ledger: ae_median(0.3, 7.0, 3, rng, ledger), "t must be an integer"),
+    (lambda rng, ledger: estimate_mean_bounded(_POINT, 2.5, 0.1, rng, ledger),
+     "t must be an integer"),
+    (lambda rng, ledger: ae_outcome_distribution(0.3, 2.5), "t must be an integer"),
+    (lambda rng, ledger: ae_measurement_probs(0.3, 2.0), "t must be an integer"),
+], ids=["sample-t", "sample-size", "median-reps", "median-t", "bounded-t", "law-t", "probs-t"])
+def test_non_integer_counts_are_rejected_before_charging(call, message):
+    # a float t, size or reps used to charge the ledger before range() or
+    # rng.random refused it, and the law cast t = 2.5 to 2
+    ledger = QueryLedger()
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=message):
+        call(rng, ledger)
+    assert ledger == QueryLedger()
+    assert rng.bit_generator.state == state
+
+
+def test_numpy_integer_counts_are_accepted():
+    want = ae_median(0.3, 25, 3, np.random.default_rng(5), QueryLedger())
+    got = ae_median(0.3, np.int64(25), np.int64(3), np.random.default_rng(5), QueryLedger())
+    assert got == want
+    law, want = ae_outcome_distribution(0.3, np.int32(25)), ae_outcome_distribution(0.3, 25)
+    assert np.array_equal(law.values, want.values) and np.array_equal(law.probs, want.probs)
 
 
 @pytest.mark.parametrize("t", [0, -3])

@@ -32,7 +32,7 @@ DELETED_NAMES = ("EstimatorConfig", "PhasePoint", "StabilityBound",
                  "moments", "_lambda1", "_LAW_CACHE", "_LAW_CACHE_SIZE",
                  "mix_sample", "mixing_steps", "_mix_sampled_mean",
                  "_kernel", "_circle_dist", "_ratio_values",
-                 "ReflectionSpec", "TvdInstance")
+                 "ReflectionSpec", "TvdInstance", "median_laws", "_inner_laws")
 DELETED_PARAMETERS = {
     "walk.ApproxReflection": ("walk", "spec"),
     "walk.approx_reflection": ("spec",),
@@ -51,8 +51,9 @@ DELETED_PARAMETERS = {
 }
 # each defined once, in the first module; the others only import it
 ONE_HOME = {"median_law": ("outcome", "tvd"),
-            "median_laws": ("outcome", "tvd"),
-            "_median_laws": ("outcome", "tvd"),
+            "_median_laws": ("outcome", "amplitude"),
+            "_ae_median_laws": ("amplitude", "tvd"),
+            "_ae_uniforms": ("amplitude", "mean"),
             "binom_upper_tail": ("outcome", "mean"),
             "_median_from_uniforms": ("amplitude", "mean", "tvd"),
             "discriminant_matrix": ("chains", "walk"),

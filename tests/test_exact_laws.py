@@ -24,8 +24,7 @@ from qmcs.amplitude import (AE_LAW_T_CAP, _fold, _half_grid, ae_circuit_distribu
                             ae_measurement_probs, ae_outcome_distribution,
                             amplitude_phase)
 from qmcs.outcome import (_PRUNE, ValueDistribution, _tail_floor,
-                          binom_upper_tail, from_arrays, median_law,
-                          median_laws)
+                          binom_upper_tail, from_arrays, median_law)
 
 TVD_LAW_TS = (1124, 1590, 2248, 3180, 4496, 6359)  # t of the n, eps of TVD ops
 TWO_KERNEL_TOL = 5e-12  # offset form against the old two-kernel construction
@@ -137,7 +136,7 @@ def _oracle(f, *args):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(amplitude, "_fold", lambda probs: (_unique_fold(probs).probs, 1.0))
         mp.setattr(amplitude, "_half_grid", lambda t: np.unique(_estimate_values(t)))
-        mp.setattr(tvd, "_inner_laws", lambda amps, t, m: [
+        mp.setattr(tvd, "_ae_median_laws", lambda amps, t, m: [
             _full_median_law(ae_outcome_distribution(a, t), m) for a in amps])
         return f(*args)
 
@@ -202,24 +201,28 @@ def test_outcome_and_median_laws_match_oracle_property(a, t, m):
     _assert_close_law(law, _two_kernel_law(a, t), TWO_KERNEL_TOL)
     _assert_same_law(law, _oracle(ae_outcome_distribution, a, t))
     _assert_same_law(median_law(law, m), _full_median_law(law, m))
-    _assert_same_law(tvd._inner_laws([a], t, m)[0], median_law(law, m))
+    _assert_same_law(amplitude._ae_median_laws([a], t, m)[0], median_law(law, m))
 
 
 @pytest.mark.parametrize("t", [1, 2, 3, 4, 101, 1124, 6359])
 def test_median_laws_from_cdf_prefixes_equal_full_ones(t):
     amps = [0.0, 1.0, 0.5, *_on_grid(t), 0.0123, 0.3]
     for m in (1, 3, 11, 13):
-        for a, law in zip(amps, tvd._inner_laws(amps, t, m)):
+        for a, law in zip(amps, amplitude._ae_median_laws(amps, t, m)):
             _assert_same_law(law, median_law(ae_outcome_distribution(a, t), m))
 
 
 def test_cdf_prefix_that_stops_short_falls_back_to_the_half_grid():
     # no probability was seen to stop short of 1 - c; a grid point
-    # understated as 0 cuts the closed-form prefix before the peak
+    # understated as 0 cuts the closed-form prefix before the peak: the
+    # builder reads the grid points of stand-ins 0 and 1e-12, and the kernel
+    # of each stand-in is that of its amplitude (the kernel reads
+    # _grid_offset too, so patching that would change the law itself)
     t, m, amps = 6359, 13, [0.0123, 0.3]
     want = [median_law(ae_outcome_distribution(a, t), m) for a in amps]
-    for offset, full in ((tvd._grid_offset, False), (lambda omega, t: (0, 0.0), True)):
-        lengths = []
+    kernel = amplitude._outcome_kernel
+    for stand_ins, full in ((amps, False), ([0.0, 1e-12], True)):
+        real, lengths = dict(zip(stand_ins, amps)), []
 
         def spy(pairs, m):
             pairs = list(pairs)
@@ -227,9 +230,9 @@ def test_cdf_prefix_that_stops_short_falls_back_to_the_half_grid():
             return outcome._median_laws(pairs, m)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(tvd, "_median_laws", spy)
-            mp.setattr(tvd, "_grid_offset", offset)
-            got = tvd._inner_laws(amps, t, m)
+            mp.setattr(amplitude, "_median_laws", spy)
+            mp.setattr(amplitude, "_outcome_kernel", lambda a, t: kernel(real[a], t))
+            got = amplitude._ae_median_laws(stand_ins, t, m)
         assert all((n == t // 2 + 1) == full for n in lengths) and len(lengths) == 2
         for g, w in zip(got, want):
             _assert_same_law(g, w)
@@ -335,20 +338,23 @@ _LAW_POOL = st.one_of(
 def test_median_laws_match_one_at_a_time(ds, m, block, stream):
     # windows of several laws share each tail pass (block CDF points or more)
     want = [median_law(d, m) for d in ds]
+    if m == 1:  # the core takes m > 1; the median of one draw is the draw
+        assert all(w is d for w, d in zip(want, ds))
+        return
+    pairs = ((d.values, np.clip(np.cumsum(d.probs), 0.0, 1.0)) for d in ds)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(outcome, "_TAIL_BLOCK", block)
-        got = median_laws((d for d in ds) if stream else ds, m)
+        got = outcome._median_laws(pairs if stream else list(pairs), m)
     assert len(got) == len(ds)
     for g, w, d in zip(got, want, ds):
         _assert_same_law(g, w)
-        if m > 1:
-            _assert_same_law(g, _from_arrays_median_law(d, m))
+        _assert_same_law(g, _from_arrays_median_law(d, m))
 
 
 def test_median_laws_of_nothing_and_even_m():
-    assert median_laws([], 3) == [] and median_laws(iter([]), 1) == []
+    assert outcome._median_laws([], 3) == [] and outcome._median_laws(iter([]), 1) == []
     with pytest.raises(ValueError, match="odd"):
-        median_laws([_point_mass(0.5)], 4)
+        median_law(_point_mass(0.5), 4)
 
 
 # the phases _chunked_scan in test_amplitude reaches: omega in [0, 1) and

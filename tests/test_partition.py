@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import numpy as np
@@ -492,20 +493,30 @@ def test_estimate_partition_checks_epsilon_before_setup(mode):
     # walk modes used to solve and memoize every rung chain before a NaN
     # epsilon failed, and ideal_sampling verified the plan before epsilon 0;
     # the relative plan at epsilon/(2 ell) = epsilon/6 (its bound, then the
-    # t cap) used to be checked only after the plan and the rung spectra
+    # t cap) used to be checked only after the plan and the rung spectra;
+    # its errors name the caller's epsilon first, then the per-ratio one
     m = ising_model(C4)
     s = build_schedule(m, 2.0)
+    per_ratio = r"epsilon={:g}, per ratio epsilon/\(2 ell\) = {:g}: "
+    bound = re.escape("epsilon must be < 3(2 sqrt(B) + 1)^2/4 = 10.9926 at B = 2")
     for eps, message in ((0.0, "epsilon must be positive"),
                          (-0.1, "epsilon must be positive"),
                          (math.nan, "epsilon must be positive"),
-                         (100.0, "epsilon must be < 3"),
-                         (1e-20, "exceeds the amplitude-estimation cap")):
+                         (100.0, per_ratio.format(100.0, 100.0 / 6) + bound),
+                         (66.0, per_ratio.format(66.0, 11.0) + bound),
+                         (1e-20, per_ratio.format(1e-20, 1e-20 / 6)
+                          + r"t=\S+ exceeds the amplitude-estimation cap")):
         rng, ledger = np.random.default_rng(0), QueryLedger()
         state = rng.bit_generator.state
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=message) as info:
             estimate_partition(m, s, eps, 0.25, mode, rng, ledger)
         assert m._memo == {} and ledger == QueryLedger()
         assert rng.bit_generator.state == state
+        if eps > 0:  # chained from the relative plan's own error
+            assert isinstance(info.value.__cause__, ValueError)
+    # 2 ell (3(2 sqrt(2) + 1)^2/4) = 65.96: just under it, an estimate
+    z = estimate_partition(m, s, 65.9, 0.25, mode, np.random.default_rng(0), QueryLedger())
+    assert math.isfinite(z.z_value)
 
 
 def test_estimate_partition_checks_delta_before_setup():

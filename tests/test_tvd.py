@@ -345,7 +345,7 @@ def test_mean_cache_hit_matches_a_fresh_build():
 
 
 def test_fresh_law_does_not_hold_its_outcome_laws_at_once():
-    # the outcome laws stream through _inner_laws one at a time: a build
+    # the outcome laws stream through _ae_median_laws one at a time: a build
     # peaks well below what holding all their masses together would take
     rng = np.random.default_rng(64)
     p, q = rng.dirichlet(np.ones(64)), rng.dirichlet(np.ones(64))
