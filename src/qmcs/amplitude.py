@@ -6,11 +6,15 @@ y in {0, ..., t-1} has the squared Dirichlet kernel law, mixed equally over
 the conjugate phases +-omega, and estimate a~ = sin^2(pi y/t).  With
 c = round(t omega) and delta = t omega - c, outcome y = c + k, k in
 (-t/2, t/2], has mass sin^2(pi delta) / (t sin(pi (k - delta) / t))^2 at
-+omega: one sine per outcome, built in one buffer.  The -omega phase puts
++omega: one sine per outcome, from one formula (_offset_masses).  These
+masses sum to 1 in exact arithmetic (the Fejer identity), and every
+law here takes them as they are: no law divides by their computed sum, and
+the sampler's scan takes its total as 1 too.  The -omega phase puts
 y's mass on t - y, whose estimate is y's, so the law of a~ is the +omega law
 folded in place onto the strictly increasing half grid sin^2(pi i / t),
 i = 0..t//2 (_fold).  The law of a median of reps estimates (_ae_median_laws)
-reads only the CDF prefix its median needs.  _ae_uniforms charges each run
+reads only the CDF prefix its median needs, and computes the masses of that
+prefix alone (_folded_prefix).  _ae_uniforms charges each run
 and draws its uniform; one outward inverse-CDF scan of the +omega law turns
 a median's uniforms into outcomes, and as the half grid rises with i,
 _median_from_uniforms takes the estimate of the median folded index, with one
@@ -77,29 +81,36 @@ def _grid_offset(omega: float, t: int) -> tuple[int, float]:
     return c, phase - c
 
 
-def _outcome_kernel(a: float, t: int) -> np.ndarray:
-    """Length-t law of y at +omega, in y order, from the offset form."""
+def _check_law_t(t) -> None:
     if not isinstance(t, _COUNTS) or t < 1:
         raise ValueError(f"t must be an integer >= 1, not {t!r}")
     if t > AE_LAW_T_CAP:
         raise ValueError(f"t={t} exceeds the outcome-law cap {AE_LAW_T_CAP}")
+
+
+def _offset_masses(k: np.ndarray, delta: float, t: int) -> np.ndarray:
+    """(sin(pi delta) / (t sin(pi (k - delta) / t)))^2 at each float offset k
+    from y = c (delta != 0), computed in k's buffer: the one mass formula."""
+    np.subtract(k, delta, out=k)
+    np.multiply(np.sin(np.multiply(k, np.pi / t, out=k), out=k), t, out=k)
+    return np.square(np.divide(math.sin(math.pi * delta), k, out=k), out=k)
+
+
+def _outcome_kernel(a: float, t: int) -> np.ndarray:
+    """Length-t law of y at +omega, in y order, from the offset form: the
+    masses as they are, their sum checked within 1e-10 of 1."""
+    _check_law_t(t)
     c, delta = _grid_offset(amplitude_phase(a), t)
     k0 = -((t - 1) // 2)  # offsets k = k0..t//2 from y = c
     if delta == 0.0:  # on the grid: all mass on y = c
         probs = np.zeros(t)
         probs[-k0] = 1.0
-    else:  # (sin(pi delta) / (t sin(pi (k - delta) / t)))^2, in one buffer
-        probs = np.arange(k0, t // 2 + 1, dtype=float) - delta
-        np.multiply(np.sin(np.multiply(probs, np.pi / t, out=probs), out=probs), t, out=probs)
-        np.square(np.divide(math.sin(math.pi * delta), probs, out=probs), out=probs)
+    else:
+        probs = _offset_masses(np.arange(k0, t // 2 + 1, dtype=float), delta, t)
     total = probs.sum()
     if abs(total - 1.0) > 1e-10:
         raise ArithmeticError(f"kernel normalization drifted: {total}")
-    cut = t - (c + k0) % t  # into y order, normalized: np.roll's two slices
-    out = np.empty(t)
-    np.divide(probs[cut:], total, out=out[: t - cut])
-    np.divide(probs[:cut], total, out=out[t - cut:])
-    return out
+    return np.roll(probs, (c + k0) % t)  # offset k at y = (c + k) mod t
 
 
 def ae_measurement_probs(a: float, t: int) -> np.ndarray:
@@ -108,28 +119,47 @@ def ae_measurement_probs(a: float, t: int) -> np.ndarray:
     return 0.5 * probs + 0.5 * np.roll(probs[::-1], 1)  # -omega puts y's mass on t - y
 
 
-def _fold(probs: np.ndarray) -> tuple:
+def _fold(probs: np.ndarray) -> np.ndarray:
     """Masses of a~ = sin^2(pi*i/t), i = 0..t//2, from the length-t law of y,
-    folded in place (a view of probs), and their sum: y and t-y give the same
-    estimate, so i gets probs[i] + probs[t-i]."""
+    folded in place (a view of probs): y and t-y give the same estimate, so
+    i gets probs[i] + probs[t-i]."""
     t = len(probs)
     pairs = (t - 1) // 2  # i = 1..pairs meet their conjugate t-i
     merged = probs[: t // 2 + 1]
     merged[1 : pairs + 1] += probs[::-1][:pairs]  # disjoint halves: no copy
-    return merged, merged.sum()
+    return merged
+
+
+def _folded_prefix(c: int, delta: float, t: int, n: int) -> np.ndarray:
+    """_fold(_outcome_kernel(a, t))[:n], float for float, for 1 <= n <= t//2
+    and delta != 0: the masses of y = 0..n-1 and of their conjugates t - y,
+    each at the kernel's offset for it, and only those."""
+    y = np.concatenate((np.arange(n), t - np.arange(1, n)))
+    k0 = -((t - 1) // 2)
+    masses = _offset_masses(((y - c - k0) % t + k0).astype(float), delta, t)
+    folded = masses[:n]
+    folded[1:] += masses[n:]  # y's mass, then t - y's, as _fold adds them
+    return folded
 
 
 def ae_outcome_distribution(a: float, t: int) -> ValueDistribution:
     """Closed-form distribution of the estimate a~ for amplitude a, t iterations."""
-    masses, total = _fold(_outcome_kernel(float(a), t))  # checks t before allocating
-    return ValueDistribution(_half_grid(int(t)), masses / total)
+    masses = _fold(_outcome_kernel(float(a), t))  # checks t before allocating
+    return ValueDistribution(_half_grid(int(t)), masses.copy())  # not a view of all t
 
 
 def _ae_median_laws(amps: list, t: int, reps: int) -> list:
     """median_law(ae_outcome_distribution(a, t), reps) for each a in amps,
     float for float, from a CDF prefix: a median reads it only through its
     first point >= 1 - c, c = _tail_floor(reps), near a's grid point plus
-    the K where the kernel's tail past +-K, about 2/(pi^2 K), falls under c."""
+    the K where the kernel's tail past +-K, about 2/(pi^2 K), falls under c.
+
+    A prefix computes the masses of its folded indices alone, so no sum of
+    the whole law is formed: its guard is one-sided, an unclipped prefix sum
+    over 1 + 1e-10 raises.  On the grid (delta = 0), and where the prefix
+    would reach t//2 + 1 or stops short of 1 - c, the whole law is built,
+    and _outcome_kernel's drift check holds it."""
+    _check_law_t(t)
     if reps == 1:
         return [ae_outcome_distribution(a, t) for a in amps]
     c = _tail_floor(reps)
@@ -137,12 +167,17 @@ def _ae_median_laws(amps: list, t: int, reps: int) -> list:
 
     def cdfs():  # one outcome law at a time
         for a in amps:
-            masses, total = _fold(_outcome_kernel(float(a), t))
-            n = _grid_offset(amplitude_phase(a), t)[0] + reach
-            cdf = np.clip(np.cumsum(masses[:n] / total), 0.0, 1.0)
-            if cdf[-1] < 1.0 - c:  # stopped short: the whole half grid
-                cdf = np.clip(np.cumsum(masses / total), 0.0, 1.0)
-            yield _half_grid(t), cdf
+            g, delta = _grid_offset(amplitude_phase(a), t)
+            cdf = None
+            if delta != 0.0 and g + reach <= t // 2:
+                cdf = np.cumsum(_folded_prefix(g, delta, t, g + reach))
+                if cdf[-1] > 1.0 + 1e-10:
+                    raise ArithmeticError(f"kernel prefix overran 1: {cdf[-1]}")
+                if cdf[-1] < 1.0 - c:  # stopped short: the whole half grid
+                    cdf = None
+            if cdf is None:
+                cdf = np.cumsum(_fold(_outcome_kernel(float(a), t)))
+            yield _half_grid(t), np.clip(cdf, 0.0, 1.0, out=cdf)
 
     return _median_laws(cdfs(), reps)
 
@@ -244,8 +279,7 @@ def ae_circuit_distribution(a: float, t: int) -> ValueDistribution:
     # the register's inverse QFT over Z_t, exp(-2 pi i y y'/t)/sqrt(t)
     state = np.fft.fft(state, axis=0) / math.sqrt(t)
     probs = (np.abs(state) ** 2).sum(axis=1)
-    masses, total = _fold(probs / probs.sum())
-    return ValueDistribution(_half_grid(t), masses / total)
+    return ValueDistribution(_half_grid(t), _fold(probs / probs.sum()))
 
 
 def arcsin_gap_bound(x: float, y: float):

@@ -2,16 +2,17 @@
 
 The subroutine draws x from r = (p+q)/2, produces amplitude estimates p~(x),
 q~(x), each a median of reps runs of t = ceil(20*pi*sqrt(n/eps)) iterations
-(both from _inner), and outputs |p~ - q~| / (p~ + q~).  Its exact output law,
-a finite mixture over x and the two median laws, is
-tvd_subroutine_distribution(p, q, eps); it checks the pair, whose shape _pair
-checks at every entry point.  The median laws are amplitude's law of an
-ae_median (_ae_median_laws); a ratio is taken only where its weight passes
-the pruning.  Internal accuracy is eps/8, so the law's mean E~ is within
-eps/2 of ||p-q||; the outer estimation, one bounded-mean median charged from
-the memoized tvd_query_budget, contributes the other eps/2.  Only E~ is
-cached: estimate_tvd checks epsilon, the pair's shape and delta on every
-call, and p and q as distributions only on a miss, where E~ is computed.
+(both from _inner, which refuses a t past the outcome-law cap), and outputs
+|p~ - q~| / (p~ + q~).  Its exact output law, a finite mixture over x and the
+two median laws, is tvd_subroutine_distribution(p, q, eps); it checks the
+pair, whose shape _pair checks at every entry point.  The median laws are
+amplitude's law of an ae_median (_ae_median_laws); a ratio is taken only
+where its weight passes the pruning.  Internal accuracy is eps/8, so the
+law's mean E~ is within eps/2 of ||p-q||; the outer estimation, one
+bounded-mean median charged from the memoized tvd_query_budget, contributes
+the other eps/2.  Only E~ is cached: estimate_tvd checks epsilon, the
+pair's shape, the budget's caps (naming epsilon) and delta on every call,
+and p and q as distributions only on a miss, where E~ is computed.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .amplitude import AE_FAIL_PROB, _ae_median_laws, _median_from_uniforms
+from .amplitude import AE_FAIL_PROB, AE_LAW_T_CAP, _ae_median_laws, _median_from_uniforms
 from .mean import Estimate, powering_reps, t_for_additive_error
 from .outcome import (_PRUNE, QueryLedger, ValueDistribution, from_arrays,  # noqa: F401
                       median_law)  # median_law: the tracer wraps it here
@@ -37,9 +38,12 @@ __all__ = [
 
 def _inner(n: int, epsilon: float) -> tuple:
     """Iterations t = ceil(20 pi sqrt(n/eps)) of each inner estimation, and
-    its median size reps (failure eps each)."""
-    return (math.ceil(20.0 * math.pi * math.sqrt(n / epsilon)),
-            powering_reps(AE_FAIL_PROB, epsilon))
+    its median size reps (failure eps each); t's outcome law must be within
+    the law cap, or no subroutine law can be built."""
+    t = math.ceil(20.0 * math.pi * math.sqrt(n / epsilon))
+    if t > AE_LAW_T_CAP:
+        raise ValueError(f"t={t} exceeds the outcome-law cap {AE_LAW_T_CAP}")
+    return t, powering_reps(AE_FAIL_PROB, epsilon)
 
 
 def _pair(p, q) -> tuple:
@@ -102,8 +106,11 @@ def tvd_query_budget(n: int, epsilon: float, delta: float) -> dict:
 
 @lru_cache(maxsize=64)  # a counts dict per (n, eps, delta), never handed out
 def _budget(n: int, epsilon: float, delta: float) -> dict:
-    t_in, reps_in = _inner(n, epsilon / 8.0)  # the law's internal accuracy
-    t_out = t_for_additive_error(epsilon / 2.0)
+    try:  # a t past a cap is the caller's epsilon's doing: name it
+        t_in, reps_in = _inner(n, epsilon / 8.0)  # the law's internal accuracy
+        t_out = t_for_additive_error(epsilon / 2.0)
+    except ValueError as e:
+        raise ValueError(f"epsilon={epsilon:g}: {e}") from e
     reps_out = powering_reps(AE_FAIL_PROB, delta)
     # each outer iteration invokes the subroutine (and its inverse); each
     # invocation draws one x and runs two median-amplified inner estimations

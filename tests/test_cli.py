@@ -213,7 +213,8 @@ def test_tvd_over_outcome_law_cap_is_config_error(capsys, tmp_path):
     code = main(["tvd", "--p", str(p), "--q", str(p), "--eps", "1e-9"])
     err = capsys.readouterr().err
     assert code == 1
-    assert err.startswith("error: t=") and "cap" in err
+    # the inner t at eps/8 passes the law cap: the error names the caller's eps
+    assert err.startswith("error: epsilon=1e-09: t=") and "outcome-law cap" in err
     assert err.count("\n") == 1
 
 

@@ -20,9 +20,9 @@ from hypothesis import strategies as st
 from test_amplitude import _circle_dist, _kernel  # the sampler scan's oracle
 
 from qmcs import amplitude, outcome, tvd
-from qmcs.amplitude import (AE_LAW_T_CAP, _fold, _half_grid, ae_circuit_distribution,
-                            ae_measurement_probs, ae_outcome_distribution,
-                            amplitude_phase)
+from qmcs.amplitude import (AE_LAW_T_CAP, _fold, _folded_prefix, _half_grid,
+                            ae_circuit_distribution, ae_measurement_probs,
+                            ae_outcome_distribution, amplitude_phase)
 from qmcs.outcome import (_PRUNE, ValueDistribution, _tail_floor,
                           binom_upper_tail, from_arrays, median_law)
 
@@ -50,6 +50,13 @@ def _estimate_values(t):
 
 def _unique_fold(probs):
     return from_arrays(_estimate_values(len(probs)), probs)
+
+
+def _bincount_fold(probs):
+    """from_arrays' merge without its division: np.unique's inverse and a
+    bincount over all t outcomes, which adds y's mass, then t - y's."""
+    inverse = np.unique(_estimate_values(len(probs)), return_inverse=True)[1]
+    return np.bincount(inverse, weights=probs, minlength=len(probs) // 2 + 1)
 
 
 def _two_kernel_law(a, t):
@@ -134,7 +141,7 @@ def _oracle(f, *args):
     """f(*args) with every outcome law built by _unique_fold, and the TVD
     law's median laws by _full_median_law on those, not from CDF prefixes."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(amplitude, "_fold", lambda probs: (_unique_fold(probs).probs, 1.0))
+        mp.setattr(amplitude, "_fold", _bincount_fold)
         mp.setattr(amplitude, "_half_grid", lambda t: np.unique(_estimate_values(t)))
         mp.setattr(tvd, "_ae_median_laws", lambda amps, t, m: [
             _full_median_law(ae_outcome_distribution(a, t), m) for a in amps])
@@ -212,17 +219,18 @@ def test_median_laws_from_cdf_prefixes_equal_full_ones(t):
             _assert_same_law(law, median_law(ae_outcome_distribution(a, t), m))
 
 
+def _short_prefix(c, delta, t, n):
+    """The prefix a grid point understated as 0 would give: it ends before the peak."""
+    return _folded_prefix(c, delta, t, n)[: n - c]
+
+
 def test_cdf_prefix_that_stops_short_falls_back_to_the_half_grid():
-    # no probability was seen to stop short of 1 - c; a grid point
-    # understated as 0 cuts the closed-form prefix before the peak: the
-    # builder reads the grid points of stand-ins 0 and 1e-12, and the kernel
-    # of each stand-in is that of its amplitude (the kernel reads
-    # _grid_offset too, so patching that would change the law itself)
+    # no probability was seen to stop short of 1 - c; a prefix that ends
+    # before the peak (_short_prefix) does, and the whole law replaces it
     t, m, amps = 6359, 13, [0.0123, 0.3]
     want = [median_law(ae_outcome_distribution(a, t), m) for a in amps]
-    kernel = amplitude._outcome_kernel
-    for stand_ins, full in ((amps, False), ([0.0, 1e-12], True)):
-        real, lengths = dict(zip(stand_ins, amps)), []
+    for short, full in ((False, False), (True, True)):
+        lengths = []
 
         def spy(pairs, m):
             pairs = list(pairs)
@@ -231,11 +239,106 @@ def test_cdf_prefix_that_stops_short_falls_back_to_the_half_grid():
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(amplitude, "_median_laws", spy)
-            mp.setattr(amplitude, "_outcome_kernel", lambda a, t: kernel(real[a], t))
-            got = amplitude._ae_median_laws(stand_ins, t, m)
+            if short:
+                mp.setattr(amplitude, "_folded_prefix", _short_prefix)
+            got = amplitude._ae_median_laws(amps, t, m)
         assert all((n == t // 2 + 1) == full for n in lengths) and len(lengths) == 2
         for g, w in zip(got, want):
             _assert_same_law(g, w)
+
+
+def _prefix_amplitude(t):
+    """a in [0, 1]: uniform, tiny (a Dirichlet(0.02) coordinate), on the
+    grid sin^2(pi i / t) and next to it."""
+    grid = st.integers(0, t // 2).map(lambda i: math.sin(math.pi * i / t) ** 2)
+    return st.one_of(
+        st.floats(0.0, 1.0),
+        st.integers(0, 2**32 - 1).map(
+            lambda s: float(np.random.default_rng(s).dirichlet(np.full(64, 0.02))[0])),
+        grid,
+        st.tuples(grid, st.sampled_from([0.0, 1.0])).map(
+            lambda g: float(np.clip(np.nextafter(*g), 0.0, 1.0))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(t=st.one_of(st.sampled_from(TVD_LAW_TS), st.integers(2, 40)), data=st.data())
+def test_prefix_masses_equal_the_folded_law_property(t, data):
+    # the prefix takes each y's offset from the kernel's range, so its masses
+    # are the law's own floats if np.sin gives an element the same float in
+    # any array, which a SIMD build need not do: checked here too
+    a = data.draw(_prefix_amplitude(t))
+    c, delta = amplitude._grid_offset(amplitude_phase(a), t)
+    if delta == 0.0:  # on the grid the builder takes the whole law
+        return
+    n = data.draw(st.integers(1, t // 2))
+    full = _fold(amplitude._outcome_kernel(a, t))
+    assert np.array_equal(_folded_prefix(c, delta, t, n), full[:n])
+    k0 = -((t - 1) // 2)
+    x = (np.arange(k0, t // 2 + 1, dtype=float) - delta) * (np.pi / t)
+    lo = data.draw(st.integers(0, t - 1))
+    hi = data.draw(st.integers(lo + 1, t))
+    assert np.array_equal(np.sin(x[lo:hi]), np.sin(x)[lo:hi])
+    y = np.concatenate((np.arange(n), t - np.arange(1, n)))
+    gather = (y - c - k0) % t  # the prefix's offsets, as kernel positions
+    assert np.array_equal(np.sin(x[gather]), np.sin(x)[gather])
+
+
+_FALLBACKS = {"on the grid": (0.0, 6359, None), "on the grid at 1": (1.0, 1124, None),
+              "long prefix": (0.3, 40, None), "short prefix": (0.3, 6359, _short_prefix)}
+
+
+@pytest.mark.parametrize("case", _FALLBACKS)
+def test_prefix_fallbacks_run_the_drift_check(case):
+    a, t, prefix = _FALLBACKS[case]
+    kernel, calls = amplitude._outcome_kernel, []
+
+    def spy(a, t):
+        calls.append(a)
+        return kernel(a, t)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(amplitude, "_outcome_kernel", spy)
+        if prefix is not None:
+            mp.setattr(amplitude, "_folded_prefix", prefix)
+        got = amplitude._ae_median_laws([a], t, 13)[0]
+    assert calls == [a]  # the whole law, through the kernel's drift check
+    _assert_same_law(got, median_law(ae_outcome_distribution(a, t), 13))
+    if amplitude._grid_offset(amplitude_phase(a), t)[1] == 0.0:
+        return
+    masses = amplitude._offset_masses
+    with pytest.MonkeyPatch.context() as mp:  # masses that drift by 1e-9
+        mp.setattr(amplitude, "_offset_masses", lambda k, d, t: masses(k, d, t) * (1 + 1e-9))
+        if prefix is not None:
+            mp.setattr(amplitude, "_folded_prefix", prefix)
+        with pytest.raises(ArithmeticError, match="drifted"):
+            amplitude._ae_median_laws([a], t, 13)
+
+
+def test_prefix_law_builds_no_whole_law_and_guards_its_sum():
+    t, amps = 6359, [0.0123, 0.3]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(amplitude, "_outcome_kernel", None)  # never called
+        got = amplitude._ae_median_laws(amps, t, 13)
+    for g, a in zip(got, amps):
+        _assert_same_law(g, median_law(ae_outcome_distribution(a, t), 13))
+    masses = amplitude._offset_masses
+    with pytest.MonkeyPatch.context() as mp:  # a prefix sum near 2 overruns 1
+        mp.setattr(amplitude, "_offset_masses", lambda k, d, t: 2.0 * masses(k, d, t))
+        with pytest.raises(ArithmeticError, match="prefix overran 1"):
+            amplitude._ae_median_laws(amps, t, 13)
+
+
+@pytest.mark.parametrize("t, match", [(AE_LAW_T_CAP + 1, f"outcome-law cap {AE_LAW_T_CAP}"),
+                                      (10**12, "outcome-law cap"), (2.5, "integer"),
+                                      (0, "integer >= 1")])
+def test_median_laws_check_t_before_any_prefix(t, match):
+    # a t past the cap would size prefixes of up to t/2 points: no law work
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_grid_offset", "_folded_prefix", "_outcome_kernel"):
+            mp.setattr(amplitude, name, None)
+        for amps in ([0.3], []):
+            with pytest.raises(ValueError, match=match):
+                amplitude._ae_median_laws(amps, t, 13)
 
 
 def _reference_cases():
@@ -268,6 +371,7 @@ def test_outcome_law_holds_its_normalization_up_to_the_cap():
     for a, t in cases:
         law = ae_outcome_distribution(a, t)
         assert law.support_size == t // 2 + 1
+        # the masses as the offset form gives them: no law divides by their sum
         assert abs(law.probs.sum() - 1.0) <= 1e-12
         assert abs(ae_measurement_probs(a, t).sum() - 1.0) <= 1e-12
 
@@ -394,8 +498,8 @@ def test_folded_grid_is_strictly_increasing_up_to_the_cap():
     # _half_grid raises ArithmeticError on a grid that would merge two estimates
     for t in [*range(1, 4097), AE_LAW_T_CAP - 1, AE_LAW_T_CAP]:
         assert len(_half_grid(t)) == t // 2 + 1
-    masses, total = _fold(np.full(AE_LAW_T_CAP, 2.0**-20))
-    _assert_same_law(ValueDistribution(_half_grid(AE_LAW_T_CAP), masses / total),
+    masses = _fold(np.full(AE_LAW_T_CAP, 2.0**-20))
+    _assert_same_law(ValueDistribution(_half_grid(AE_LAW_T_CAP), masses),
                      _unique_fold(np.full(AE_LAW_T_CAP, 2.0**-20)))
 
 

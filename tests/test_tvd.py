@@ -248,6 +248,31 @@ def test_estimate_tvd_error_precedence():
         estimate_tvd([], [], 1.0, 0.0, rng, QueryLedger())
 
 
+@pytest.mark.parametrize("call, eps, match", [
+    ("estimate", 5e-8, "epsilon=5e-08: t=1589535 exceeds the outcome-law cap 1048576"),
+    ("estimate", 1e-12, r"epsilon=1e-12: t=\d+ exceeds the outcome-law cap 1048576"),
+    ("budget", 5e-8, "epsilon=5e-08: t=1376577 exceeds the outcome-law cap 1048576"),
+    ("law", 5e-8 / 8, "^t=1589535 exceeds the outcome-law cap 1048576"),
+])
+def test_inner_t_past_the_law_cap_names_the_callers_epsilon(call, eps, match):
+    # the CLI's pair, n = 4 (the budget asks for n = 3): the inner t at
+    # eps/8 has no outcome law, so no count is given and nothing is drawn
+    p = np.array([0.5, 0.3, 0.2, 0.0])
+    q = np.array([0.2, 0.3, 0.0, 0.5])
+    rng, ledger = np.random.default_rng(0), QueryLedger()
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=match) as info:
+        if call == "estimate":
+            estimate_tvd(p, q, eps, 0.1, rng, ledger)
+        elif call == "budget":
+            tvd_query_budget(3, eps, 0.1)
+        else:
+            tvd_subroutine_distribution(p, q, eps)
+    if call != "law":
+        assert str(info.value.__cause__).startswith("t=")
+    assert ledger == QueryLedger() and rng.bit_generator.state == state
+
+
 def test_ratio_stability_bound():
     assert ratio_stability_check(0.3, 0.1, 0.32, 0.12, 0.05)
     with pytest.raises(ValueError):
