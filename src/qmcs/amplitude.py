@@ -11,10 +11,11 @@ masses sum to 1 in exact arithmetic (the Fejer identity), and every
 law here takes them as they are: no law divides by their computed sum, and
 the sampler's scan takes its total as 1 too.  The -omega phase puts
 y's mass on t - y, whose estimate is y's, so the law of a~ is the +omega law
-folded in place onto the strictly increasing half grid sin^2(pi i / t),
-i = 0..t//2 (_fold).  The law of a median of reps estimates (_ae_median_laws)
-reads only the CDF prefix its median needs, and computes the masses of that
-prefix alone (_folded_prefix).  _ae_uniforms charges each run
+folded onto the strictly increasing half grid sin^2(pi i / t), i = 0..t//2.
+One builder (_folded) gives the first n folded masses, i's mass plus t - i's:
+the whole law is its call at n = t//2 + 1, and the law of a median of reps
+estimates (_ae_median_laws) calls it for the CDF prefix its median reads.
+_ae_uniforms charges each run
 and draws its uniform; one outward inverse-CDF scan of the +omega law turns
 a median's uniforms into outcomes, and as the half grid rises with i,
 _median_from_uniforms takes the estimate of the median folded index, with one
@@ -96,27 +97,15 @@ def _offset_masses(k: np.ndarray, delta: float, t: int) -> np.ndarray:
     return np.square(np.divide(math.sin(math.pi * delta), k, out=k), out=k)
 
 
-def _outcome_kernel(a: float, t: int) -> np.ndarray:
-    """Length-t law of y at +omega, in y order, from the offset form: the
-    masses as they are, their sum checked within 1e-10 of 1."""
-    _check_law_t(t)
-    c, delta = _grid_offset(amplitude_phase(a), t)
-    k0 = -((t - 1) // 2)  # offsets k = k0..t//2 from y = c
-    if delta == 0.0:  # on the grid: all mass on y = c
-        probs = np.zeros(t)
-        probs[-k0] = 1.0
-    else:
-        probs = _offset_masses(np.arange(k0, t // 2 + 1, dtype=float), delta, t)
-    total = probs.sum()
-    if abs(total - 1.0) > 1e-10:
-        raise ArithmeticError(f"kernel normalization drifted: {total}")
-    return np.roll(probs, (c + k0) % t)  # offset k at y = (c + k) mod t
-
-
 def ae_measurement_probs(a: float, t: int) -> np.ndarray:
-    """Length-t probability vector over raw outcomes y."""
-    probs = _outcome_kernel(a, t)
-    return 0.5 * probs + 0.5 * np.roll(probs[::-1], 1)  # -omega puts y's mass on t - y
+    """Length-t probability vector over raw outcomes y: -omega puts y's mass
+    on t - y, so each folded mass is spread evenly over y and t - y."""
+    masses = ae_outcome_distribution(a, t).probs
+    pairs = (t - 1) // 2  # i = 1..pairs meet their conjugate t-i
+    probs = np.concatenate((masses, masses[pairs:0:-1]))
+    probs[1 : pairs + 1] *= 0.5
+    probs[t - pairs :] *= 0.5
+    return probs
 
 
 def _fold(probs: np.ndarray) -> np.ndarray:
@@ -130,22 +119,37 @@ def _fold(probs: np.ndarray) -> np.ndarray:
     return merged
 
 
-def _folded_prefix(c: int, delta: float, t: int, n: int) -> np.ndarray:
-    """_fold(_outcome_kernel(a, t))[:n], float for float, for 1 <= n <= t//2
-    and delta != 0: the masses of y = 0..n-1 and of their conjugates t - y,
-    each at the kernel's offset for it, and only those."""
-    y = np.concatenate((np.arange(n), t - np.arange(1, n)))
-    k0 = -((t - 1) // 2)
-    masses = _offset_masses(((y - c - k0) % t + k0).astype(float), delta, t)
-    folded = masses[:n]
-    folded[1:] += masses[n:]  # y's mass, then t - y's, as _fold adds them
+def _folded(c: int, delta: float, t: int, n: int) -> np.ndarray:
+    """The first n (1 <= n <= t//2 + 1) masses of a~ = sin^2(pi*i/t) at grid
+    point c, offset delta: y = i's mass plus its conjugate t - i's, each at
+    its offset k = y - c taken into [k0, t/2].  Their sum is checked: within
+    1e-10 of 1 for the whole law (n = t//2 + 1), at most 1 + 1e-10 for a
+    prefix, whose masses past n are never computed."""
+    pairs = min(n - 1, (t - 1) // 2)  # i = 1..pairs meet their conjugate t-i
+    if delta == 0.0:  # on the grid: all mass on y = c <= t//2, if c < n
+        folded = np.zeros(n)
+        folded[c : c + 1] = 1.0
+    else:
+        k0 = -((t - 1) // 2)
+        ks = np.arange(-c, n - c, dtype=float)  # y = 0..n-1, none past t/2
+        ks[ks < k0] += t
+        conj = np.arange(t - 1 - c, t - 1 - c - pairs, -1, dtype=float)  # t - i, none below k0
+        conj[conj > t // 2] -= t
+        folded = _offset_masses(ks, delta, t)
+        folded[1 : pairs + 1] += _offset_masses(conj, delta, t)
+    total = folded.sum()
+    if n == t // 2 + 1 and abs(total - 1.0) > 1e-10:
+        raise ArithmeticError(f"kernel normalization drifted: {total}")
+    if total > 1.0 + 1e-10:
+        raise ArithmeticError(f"kernel prefix overran 1: {total}")
     return folded
 
 
 def ae_outcome_distribution(a: float, t: int) -> ValueDistribution:
     """Closed-form distribution of the estimate a~ for amplitude a, t iterations."""
-    masses = _fold(_outcome_kernel(float(a), t))  # checks t before allocating
-    return ValueDistribution(_half_grid(int(t)), masses.copy())  # not a view of all t
+    _check_law_t(t)
+    c, delta = _grid_offset(amplitude_phase(float(a)), t)
+    return ValueDistribution(_half_grid(int(t)), _folded(c, delta, t, t // 2 + 1))
 
 
 def _ae_median_laws(amps: list, t: int, reps: int) -> list:
@@ -153,12 +157,8 @@ def _ae_median_laws(amps: list, t: int, reps: int) -> list:
     float for float, from a CDF prefix: a median reads it only through its
     first point >= 1 - c, c = _tail_floor(reps), near a's grid point plus
     the K where the kernel's tail past +-K, about 2/(pi^2 K), falls under c.
-
-    A prefix computes the masses of its folded indices alone, so no sum of
-    the whole law is formed: its guard is one-sided, an unclipped prefix sum
-    over 1 + 1e-10 raises.  On the grid (delta = 0), and where the prefix
-    would reach t//2 + 1 or stops short of 1 - c, the whole law is built,
-    and _outcome_kernel's drift check holds it."""
+    A prefix that stops short of 1 - c is built again as the whole law, which
+    cannot: its drift check holds it within 1e-10 of 1, and c > 5e-10."""
     _check_law_t(t)
     if reps == 1:
         return [ae_outcome_distribution(a, t) for a in amps]
@@ -168,15 +168,10 @@ def _ae_median_laws(amps: list, t: int, reps: int) -> list:
     def cdfs():  # one outcome law at a time
         for a in amps:
             g, delta = _grid_offset(amplitude_phase(a), t)
-            cdf = None
-            if delta != 0.0 and g + reach <= t // 2:
-                cdf = np.cumsum(_folded_prefix(g, delta, t, g + reach))
-                if cdf[-1] > 1.0 + 1e-10:
-                    raise ArithmeticError(f"kernel prefix overran 1: {cdf[-1]}")
-                if cdf[-1] < 1.0 - c:  # stopped short: the whole half grid
-                    cdf = None
-            if cdf is None:
-                cdf = np.cumsum(_fold(_outcome_kernel(float(a), t)))
+            n = min(g + reach, t // 2 + 1)
+            cdf = np.cumsum(_folded(g, delta, t, n))
+            if cdf[-1] < 1.0 - c:  # stopped short: the whole half grid
+                cdf = np.cumsum(_folded(g, delta, t, t // 2 + 1))
             yield _half_grid(t), np.clip(cdf, 0.0, 1.0, out=cdf)
 
     return _median_laws(cdfs(), reps)

@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .amplitude import AE_FAIL_PROB, AE_LAW_T_CAP, _ae_median_laws, _median_from_uniforms
+from .amplitude import AE_FAIL_PROB, _ae_median_laws, _check_law_t, _median_from_uniforms
 from .mean import Estimate, powering_reps, t_for_additive_error
 from .outcome import (_PRUNE, QueryLedger, ValueDistribution, from_arrays,  # noqa: F401
                       median_law)  # median_law: the tracer wraps it here
@@ -41,8 +41,7 @@ def _inner(n: int, epsilon: float) -> tuple:
     its median size reps (failure eps each); t's outcome law must be within
     the law cap, or no subroutine law can be built."""
     t = math.ceil(20.0 * math.pi * math.sqrt(n / epsilon))
-    if t > AE_LAW_T_CAP:
-        raise ValueError(f"t={t} exceeds the outcome-law cap {AE_LAW_T_CAP}")
+    _check_law_t(t)
     return t, powering_reps(AE_FAIL_PROB, epsilon)
 
 
@@ -106,6 +105,8 @@ def tvd_query_budget(n: int, epsilon: float, delta: float) -> dict:
 
 @lru_cache(maxsize=64)  # a counts dict per (n, eps, delta), never handed out
 def _budget(n: int, epsilon: float, delta: float) -> dict:
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError("epsilon must be in (0, 1)")
     try:  # a t past a cap is the caller's epsilon's doing: name it
         t_in, reps_in = _inner(n, epsilon / 8.0)  # the law's internal accuracy
         t_out = t_for_additive_error(epsilon / 2.0)

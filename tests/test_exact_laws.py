@@ -7,9 +7,10 @@ kernel at +omega and -omega on masked copies).  The other pieces keep their
 floats, and must match their plain oracles float for float: the estimate
 law through from_arrays (np.unique and a bincount over all t outcomes), and
 median_law from the binomial tail over the whole CDF, and from from_arrays
-on the window.
+on the window.  Recorded sha256 digests pin the laws' floats as they are.
 """
 
+import hashlib
 import math
 
 import mpmath
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 from test_amplitude import _circle_dist, _kernel  # the sampler scan's oracle
 
 from qmcs import amplitude, outcome, tvd
-from qmcs.amplitude import (AE_LAW_T_CAP, _fold, _folded_prefix, _half_grid,
+from qmcs.amplitude import (AE_LAW_T_CAP, _fold, _folded, _half_grid,
                             ae_circuit_distribution, ae_measurement_probs,
                             ae_outcome_distribution, amplitude_phase)
 from qmcs.outcome import (_PRUNE, ValueDistribution, _tail_floor,
@@ -57,6 +58,18 @@ def _bincount_fold(probs):
     bincount over all t outcomes, which adds y's mass, then t - y's."""
     inverse = np.unique(_estimate_values(len(probs)), return_inverse=True)[1]
     return np.bincount(inverse, weights=probs, minlength=len(probs) // 2 + 1)
+
+
+def _raw_masses(c, delta, t):
+    """The +omega masses of y = 0..t-1, in y order, each at its offset
+    k = (y - c - k0) mod t + k0 in [k0, t/2], by the offset-form formula."""
+    if delta == 0.0:
+        probs = np.zeros(t)
+        probs[c % t] = 1.0
+        return probs
+    k0 = -((t - 1) // 2)
+    k = ((np.arange(t) - c - k0) % t + k0).astype(float)
+    return (math.sin(math.pi * delta) / (np.sin((k - delta) * (np.pi / t)) * t)) ** 2
 
 
 def _two_kernel_law(a, t):
@@ -138,14 +151,29 @@ def _from_arrays_median_law(d, m):
 
 
 def _oracle(f, *args):
-    """f(*args) with every outcome law built by _unique_fold, and the TVD
-    law's median laws by _full_median_law on those, not from CDF prefixes."""
+    """f(*args) with every outcome law folded by _bincount_fold from the raw
+    masses of all t outcomes, and the TVD law's median laws by
+    _full_median_law on those, not from CDF prefixes: the builder under test
+    is never called, and the oracle asserts that it ran instead."""
+    calls = []
+
+    def fold(probs):
+        calls.append(len(probs))
+        return _bincount_fold(probs)
+
+    def folded(c, delta, t, n):
+        calls.append(t)
+        return _bincount_fold(_raw_masses(c, delta, t))[:n]
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(amplitude, "_fold", _bincount_fold)
+        mp.setattr(amplitude, "_fold", fold)
+        mp.setattr(amplitude, "_folded", folded)
         mp.setattr(amplitude, "_half_grid", lambda t: np.unique(_estimate_values(t)))
         mp.setattr(tvd, "_ae_median_laws", lambda amps, t, m: [
             _full_median_law(ae_outcome_distribution(a, t), m) for a in amps])
-        return f(*args)
+        got = f(*args)
+    assert calls
+    return got
 
 
 def _matrix_subroutine_law(p, q, epsilon):
@@ -220,8 +248,10 @@ def test_median_laws_from_cdf_prefixes_equal_full_ones(t):
 
 
 def _short_prefix(c, delta, t, n):
-    """The prefix a grid point understated as 0 would give: it ends before the peak."""
-    return _folded_prefix(c, delta, t, n)[: n - c]
+    """The builder, but a prefix ends where a grid point understated as 0
+    would end it: before the peak."""
+    masses = _folded(c, delta, t, n)
+    return masses if n == t // 2 + 1 else masses[: n - c]
 
 
 def test_cdf_prefix_that_stops_short_falls_back_to_the_half_grid():
@@ -240,7 +270,7 @@ def test_cdf_prefix_that_stops_short_falls_back_to_the_half_grid():
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(amplitude, "_median_laws", spy)
             if short:
-                mp.setattr(amplitude, "_folded_prefix", _short_prefix)
+                mp.setattr(amplitude, "_folded", _short_prefix)
             got = amplitude._ae_median_laws(amps, t, m)
         assert all((n == t // 2 + 1) == full for n in lengths) and len(lengths) == 2
         for g, w in zip(got, want):
@@ -261,25 +291,25 @@ def _prefix_amplitude(t):
 
 
 @settings(max_examples=300, deadline=None)
-@given(t=st.one_of(st.sampled_from(TVD_LAW_TS), st.integers(2, 40)), data=st.data())
+@given(t=st.one_of(st.sampled_from(TVD_LAW_TS), st.integers(1, 40)), data=st.data())
 def test_prefix_masses_equal_the_folded_law_property(t, data):
-    # the prefix takes each y's offset from the kernel's range, so its masses
-    # are the law's own floats if np.sin gives an element the same float in
-    # any array, which a SIMD build need not do: checked here too
+    # the builder takes each y's offset from [k0, t/2], so its masses are the
+    # bincount fold of the raw masses, and a prefix's are the whole law's,
+    # float for float, if np.sin gives an element the same float in any
+    # array, which a SIMD build need not do: checked here too
     a = data.draw(_prefix_amplitude(t))
     c, delta = amplitude._grid_offset(amplitude_phase(a), t)
-    if delta == 0.0:  # on the grid the builder takes the whole law
-        return
-    n = data.draw(st.integers(1, t // 2))
-    full = _fold(amplitude._outcome_kernel(a, t))
-    assert np.array_equal(_folded_prefix(c, delta, t, n), full[:n])
+    n = data.draw(st.integers(1, t // 2 + 1))
+    full = _folded(c, delta, t, t // 2 + 1)
+    assert np.array_equal(full, _bincount_fold(_raw_masses(c, delta, t)))
+    assert np.array_equal(_folded(c, delta, t, n), full[:n])
     k0 = -((t - 1) // 2)
     x = (np.arange(k0, t // 2 + 1, dtype=float) - delta) * (np.pi / t)
     lo = data.draw(st.integers(0, t - 1))
     hi = data.draw(st.integers(lo + 1, t))
     assert np.array_equal(np.sin(x[lo:hi]), np.sin(x)[lo:hi])
-    y = np.concatenate((np.arange(n), t - np.arange(1, n)))
-    gather = (y - c - k0) % t  # the prefix's offsets, as kernel positions
+    y = np.concatenate((np.arange(n), t - np.arange(1, min(n, (t + 1) // 2))))
+    gather = (y - c - k0) % t  # the prefix's offsets, as positions in x
     assert np.array_equal(np.sin(x[gather]), np.sin(x)[gather])
 
 
@@ -289,39 +319,52 @@ _FALLBACKS = {"on the grid": (0.0, 6359, None), "on the grid at 1": (1.0, 1124, 
 
 @pytest.mark.parametrize("case", _FALLBACKS)
 def test_prefix_fallbacks_run_the_drift_check(case):
+    # a build at n = t//2 + 1 is the whole law, whose sum is checked within
+    # 1e-10 of 1: where the prefix would reach it (a grid point at t/2, a
+    # short t) and where a prefix stops short; on the grid at 0 the law is
+    # one exact mass at c = 0, and its prefix is built
     a, t, prefix = _FALLBACKS[case]
-    kernel, calls = amplitude._outcome_kernel, []
+    build, sizes = prefix or _folded, []
 
-    def spy(a, t):
-        calls.append(a)
-        return kernel(a, t)
+    def spy(c, delta, t, n):
+        sizes.append(n)
+        return build(c, delta, t, n)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(amplitude, "_outcome_kernel", spy)
-        if prefix is not None:
-            mp.setattr(amplitude, "_folded_prefix", prefix)
+        mp.setattr(amplitude, "_folded", spy)
         got = amplitude._ae_median_laws([a], t, 13)[0]
-    assert calls == [a]  # the whole law, through the kernel's drift check
     _assert_same_law(got, median_law(ae_outcome_distribution(a, t), 13))
+    assert (sizes[-1] == t // 2 + 1) == (case != "on the grid")
+    assert len(sizes) == (2 if prefix else 1)
     if amplitude._grid_offset(amplitude_phase(a), t)[1] == 0.0:
         return
     masses = amplitude._offset_masses
     with pytest.MonkeyPatch.context() as mp:  # masses that drift by 1e-9
         mp.setattr(amplitude, "_offset_masses", lambda k, d, t: masses(k, d, t) * (1 + 1e-9))
         if prefix is not None:
-            mp.setattr(amplitude, "_folded_prefix", prefix)
+            mp.setattr(amplitude, "_folded", prefix)
         with pytest.raises(ArithmeticError, match="drifted"):
             amplitude._ae_median_laws([a], t, 13)
+        with pytest.raises(ArithmeticError, match="drifted"):
+            ae_outcome_distribution(a, t)
 
 
 def test_prefix_law_builds_no_whole_law_and_guards_its_sum():
     t, amps = 6359, [0.0123, 0.3]
+    masses, sizes = amplitude._offset_masses, []
+
+    def spy(k, d, t):
+        sizes.append(len(k))
+        return masses(k, d, t)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(amplitude, "_outcome_kernel", None)  # never called
+        mp.setattr(amplitude, "_offset_masses", spy)
         got = amplitude._ae_median_laws(amps, t, 13)
+    # per law the n masses of y = 0..n-1, then the n - 1 of t - 1..t - n + 1
+    assert len(sizes) == 4 and sizes[1::2] == [n - 1 for n in sizes[::2]]
+    assert max(sizes) < t // 2
     for g, a in zip(got, amps):
         _assert_same_law(g, median_law(ae_outcome_distribution(a, t), 13))
-    masses = amplitude._offset_masses
     with pytest.MonkeyPatch.context() as mp:  # a prefix sum near 2 overruns 1
         mp.setattr(amplitude, "_offset_masses", lambda k, d, t: 2.0 * masses(k, d, t))
         with pytest.raises(ArithmeticError, match="prefix overran 1"):
@@ -334,11 +377,69 @@ def test_prefix_law_builds_no_whole_law_and_guards_its_sum():
 def test_median_laws_check_t_before_any_prefix(t, match):
     # a t past the cap would size prefixes of up to t/2 points: no law work
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("_grid_offset", "_folded_prefix", "_outcome_kernel"):
+        for name in ("_grid_offset", "_folded", "_offset_masses"):
             mp.setattr(amplitude, name, None)
         for amps in ([0.3], []):
             with pytest.raises(ValueError, match=match):
                 amplitude._ae_median_laws(amps, t, 13)
+
+
+def _digest(laws):
+    h = hashlib.sha256()
+    for d in laws:
+        h.update(d.values.tobytes())
+        h.update(d.probs.tobytes())
+    return h.hexdigest()[:32]
+
+
+def _golden_amps(t):
+    """A grid point, its neighbour towards 1/2, 0, 1, a subnormal and 0.3."""
+    grid = math.sin(math.pi * ((t + 1) // 3) / t) ** 2
+    return [grid, float(np.nextafter(grid, 0.5)), 0.0, 1.0, 1e-320, 0.3]
+
+
+# digests of the outcome laws of _golden_amps(t), then of their median laws
+# at reps 3 and 13 (at reps 1 the median law is the outcome law)
+_GOLDEN_LAWS = {
+    1: ("5f9850216bf5e52ec21bd4f43451ae38", "5f9850216bf5e52ec21bd4f43451ae38",
+        "5f9850216bf5e52ec21bd4f43451ae38"),
+    2: ("e83354d686731a35d7279a9710b98577", "a93fad48fd58923e11df9032de7e2fd9",
+        "3f4b28e588f5f7fcf91d559c072dea8b"),
+    3: ("75192fa841cd409392e9c3ea8ead2d1c", "61912dbf8b4e5d53fee1dbfe020eb73b",
+        "569649981d12b35dfa1b279f8c5f95ba"),
+    4: ("76d18c38f89129da65a4e98ff45eec62", "2464e53ef6f8ec820b5e07c8024cc49e",
+        "aad98fc4f73624383c5d269ad81b9b02"),
+    64: ("52fcadae885ec8f8cf9740e4b57f3f7c", "49f97508d78e70db45b6f83ca9615dde",
+         "71e1a00e0fd26155db17be8294470f23"),
+    1124: ("8ac22e77973ffe02616c711a2fa080a1", "32d6e648a6b96c9917df6194fd7d5702",
+           "62c686590c049294471e09d6a4d8478e"),
+    6359: ("dc0b904a0efcfec89f73d0e5bdf80e00", "8157c10260de990d74d9f8fa274c1c71",
+           "492f058b899edc915ca9f10835408de8"),
+}
+
+
+@pytest.mark.parametrize("t", _GOLDEN_LAWS)
+def test_exact_laws_match_their_recorded_digests(t):
+    amps, (outcome_digest, *median_digests) = _golden_amps(t), _GOLDEN_LAWS[t]
+    assert _digest(ae_outcome_distribution(a, t) for a in amps) == outcome_digest
+    assert _digest(amplitude._ae_median_laws(amps, t, 1)) == outcome_digest
+    for m, want in zip((3, 13), median_digests):
+        assert _digest(amplitude._ae_median_laws(amps, t, m)) == want
+
+
+def _golden_pairs():
+    """Three seeded (p, q, eps/8), p[0] = 0: n = 4, 16, 64 at Dirichlet 1, 0.1, 0.02."""
+    rng = np.random.default_rng(35)
+    for n, alpha, eps in ((4, 1.0, 0.1), (16, 0.1, 0.05), (64, 0.02, 0.1)):
+        p, q = rng.dirichlet(np.full(n, alpha)), rng.dirichlet(np.full(n, alpha))
+        p[0] = 0.0
+        yield p / p.sum(), q, eps / 8
+
+
+def test_subroutine_laws_match_their_recorded_digests():
+    got = [_digest([tvd.tvd_subroutine_distribution(*case)]) for case in _golden_pairs()]
+    assert got == ["468ec11e117fd425a67ce360ee89eb13", "9eb0bf0fb973f6e0966ec9b1fb967f3a",
+                   "3b0ec46bb361d3d4159e95534735c5e0"]
 
 
 def _reference_cases():

@@ -248,6 +248,14 @@ def test_estimate_tvd_error_precedence():
         estimate_tvd([], [], 1.0, 0.0, rng, QueryLedger())
 
 
+@pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, 1.0, 2.0])
+def test_query_budget_refuses_epsilon_outside_the_unit_interval(eps):
+    # estimate_tvd's own message: no division by zero, no domain error, and
+    # no counts for a run that estimate_tvd refuses
+    with pytest.raises(ValueError, match=r"^epsilon must be in \(0, 1\)$"):
+        tvd_query_budget(3, eps, 0.1)
+
+
 @pytest.mark.parametrize("call, eps, match", [
     ("estimate", 5e-8, "epsilon=5e-08: t=1589535 exceeds the outcome-law cap 1048576"),
     ("estimate", 1e-12, r"epsilon=1e-12: t=\d+ exceeds the outcome-law cap 1048576"),
